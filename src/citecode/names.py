@@ -72,13 +72,12 @@ def _split_no_comma(tokens: list[str]) -> tuple[str, str]:
 def normalize_author_key(raw: str) -> str:
     """Build the canonical "surname,initial" key for one author name.
 
-    Raises UnparseableName when the input has no alphabetic content.
+    Raises UnparseableName when the extracted surname has no letter, so
+    every key re-parses ("0A 0" would otherwise give the key "0,0").
     The key always contains exactly one comma; the initial may be empty
     when the source name carries no given name.
     """
     text = raw.strip().strip(";").strip()
-    if not any(ch.isalpha() for ch in text):
-        raise UnparseableName(f"no alphabetic content in name: {raw!r}")
     if "," in text:
         surname_part, given_part = text.split(",", 1)
     else:
@@ -89,8 +88,8 @@ def normalize_author_key(raw: str) -> str:
     if not surname:
         # Degenerate forms like ", J." fall back to the given side.
         surname, given = given, ""
-    if not surname:
-        raise UnparseableName(f"cannot extract surname from: {raw!r}")
+    if not any(ch.isalpha() for ch in surname):
+        raise UnparseableName(f"no letter in the surname of name: {raw!r}")
     initial = given[0] if given else ""
     return f"{surname},{initial}"
 

@@ -11,7 +11,6 @@ floating-point accumulation, is reproducible run to run.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -66,24 +65,40 @@ def centrality_degree(graph: CoauthorGraph) -> dict[str, float]:
     return {node: float(len(peers)) for node, peers in graph.adjacency.items()}
 
 
-def _bfs_distances(graph: CoauthorGraph, source: str) -> dict[str, int]:
-    distances = {source: 0}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        for neighbor in graph.adjacency[node]:
-            if neighbor not in distances:
-                distances[neighbor] = distances[node] + 1
-                queue.append(neighbor)
-    return distances
+def _int_adjacency(graph: CoauthorGraph) -> tuple[list[str], list[list[int]]]:
+    """Node keys in graph order, and each node's peers as indices into them."""
+    nodes = list(graph.adjacency)
+    index = {node: i for i, node in enumerate(nodes)}
+    return nodes, [[index[peer] for peer in peers] for peers in graph.adjacency.values()]
 
 
 def centrality_harmonic(graph: CoauthorGraph) -> dict[str, float]:
-    """Harmonic closeness: sum of 1/d to every other node, 1/inf = 0."""
+    """Harmonic closeness: sum of 1/d to every other node, 1/inf = 0.
+
+    A level-by-level BFS per source. The terms are summed in BFS visit
+    order, and every term of one level is the same 1/d, so only each
+    level's size matters. A node's last visit is stamped with the source
+    that made it, so nothing is reset between sources.
+    """
+    nodes, adjacency = _int_adjacency(graph)
+    visited_by = [-1] * len(nodes)
     result = {}
-    for node in graph.adjacency:
-        distances = _bfs_distances(graph, node)
-        result[node] = sum(1.0 / d for other, d in distances.items() if other != node)
+    for source, key in enumerate(nodes):
+        visited_by[source] = source
+        frontier = [source]
+        terms: list[float] = []
+        depth = 0
+        while frontier:
+            reached = []
+            for node in frontier:
+                for neighbor in adjacency[node]:
+                    if visited_by[neighbor] != source:
+                        visited_by[neighbor] = source
+                        reached.append(neighbor)
+            depth += 1
+            terms += [1.0 / depth] * len(reached)
+            frontier = reached
+        result[key] = sum(terms)
     return result
 
 
@@ -91,35 +106,46 @@ def centrality_betweenness(graph: CoauthorGraph) -> dict[str, float]:
     """Shortest-path betweenness via per-source dependency accumulation.
 
     Each unordered pair is counted once, so a single bridge node on a
-    three-node path scores 1.0.
+    three-node path scores 1.0. The per-node arrays are allocated once;
+    a node's sigma, dependency and predecessors are set when a source's
+    BFS first reaches it, and only the distances of the nodes it reached
+    are reset afterwards.
     """
-    betweenness = {node: 0.0 for node in graph.adjacency}
-    for source in graph.adjacency:
-        stack: list[str] = []
-        predecessors: dict[str, list[str]] = {node: [] for node in graph.adjacency}
-        sigma = {node: 0.0 for node in graph.adjacency}
-        sigma[source] = 1.0
-        distance = {node: -1 for node in graph.adjacency}
+    nodes, adjacency = _int_adjacency(graph)
+    count = len(nodes)
+    betweenness = [0.0] * count
+    distance = [-1] * count
+    sigma = [0.0] * count
+    dependency = [0.0] * count
+    predecessors: list[list[int]] = [[] for _ in range(count)]
+    for source in range(count):
         distance[source] = 0
-        queue = deque([source])
-        while queue:
-            node = queue.popleft()
-            stack.append(node)
-            for neighbor in graph.adjacency[node]:
-                if distance[neighbor] < 0:
-                    distance[neighbor] = distance[node] + 1
-                    queue.append(neighbor)
-                if distance[neighbor] == distance[node] + 1:
-                    sigma[neighbor] += sigma[node]
+        sigma[source] = 1.0
+        order = [source]
+        for node in order:
+            step = distance[node] + 1
+            paths = sigma[node]
+            for neighbor in adjacency[node]:
+                reached = distance[neighbor]
+                if reached < 0:
+                    distance[neighbor] = step
+                    sigma[neighbor] = paths
+                    dependency[neighbor] = 0.0
+                    predecessors[neighbor] = [node]
+                    order.append(neighbor)
+                elif reached == step:
+                    sigma[neighbor] += paths
                     predecessors[neighbor].append(node)
-        dependency = {node: 0.0 for node in graph.adjacency}
-        while stack:
-            node = stack.pop()
+        # Reverse BFS order without the source, whose dependency is unused.
+        for node in order[:0:-1]:
+            paths = sigma[node]
+            share = 1.0 + dependency[node]
             for pred in predecessors[node]:
-                dependency[pred] += (sigma[pred] / sigma[node]) * (1.0 + dependency[node])
-            if node != source:
-                betweenness[node] += dependency[node]
-    return {node: value / 2.0 for node, value in betweenness.items()}
+                dependency[pred] += (sigma[pred] / paths) * share
+            betweenness[node] += dependency[node]
+        for node in order:
+            distance[node] = -1
+    return {key: value / 2.0 for key, value in zip(nodes, betweenness)}
 
 
 def percentile_ranks(values: dict[str, float]) -> dict[str, float]:

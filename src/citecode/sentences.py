@@ -37,11 +37,23 @@ def _collapse(text: str) -> str:
     return " ".join(text.split())
 
 
-def _protected(text: str, dot_index: int, abbreviations: tuple[str, ...]) -> bool:
-    """True when the period at dot_index ends a protected abbreviation."""
-    prefix_low = text[: dot_index + 1].lower()
+def _protected(
+    text: str, dot_index: int, abbreviations: tuple[str, ...], window: int
+) -> bool:
+    """True when the period at dot_index ends a protected abbreviation.
+
+    Only the last `window` characters (the longest abbreviation) are
+    lowercased, which keeps segmentation linear in the text length.
+    str.lower maps each character on its own except a capital sigma,
+    whose form depends on the letters before it; a window holding one
+    is compared against the whole prefix, as if no window were taken.
+    """
+    tail = text[max(0, dot_index + 1 - window) : dot_index + 1]
+    if "\u03a3" in tail:
+        tail = text[: dot_index + 1]
+    tail_low = tail.lower()
     for abbr in abbreviations:
-        if not prefix_low.endswith(abbr):
+        if not tail_low.endswith(abbr):
             continue
         before = dot_index - len(abbr)
         if before < 0 or not text[before].isalnum():
@@ -55,6 +67,7 @@ def segment_sentences(
 ) -> list[str]:
     """Split text into sentences; whitespace inside each is collapsed."""
     abbrevs = tuple(a.lower() for a in abbreviations)
+    window = max(map(len, abbrevs), default=0)
     sentences: list[str] = []
     start = 0
     depth = 0
@@ -67,7 +80,7 @@ def segment_sentences(
         elif ch in _CLOSERS:
             depth = max(0, depth - 1)
         elif ch in _TERMINATORS and depth == 0:
-            if ch == "." and _protected(text, i, abbrevs):
+            if ch == "." and _protected(text, i, abbrevs, window):
                 i += 1
                 continue
             # Swallow the full run ("?!", "...") plus any closing quotes.

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from citecode.errors import UnparseableName
@@ -54,6 +54,12 @@ def test_no_alphabetic_content_raises():
         normalize_author_key("1234")
     with pytest.raises(UnparseableName):
         normalize_author_key("...")
+    # Letters elsewhere do not count: "0" is picked as the surname, and
+    # a key "0,0" would not re-parse.
+    with pytest.raises(UnparseableName):
+        normalize_author_key("0A 0")
+    with pytest.raises(UnparseableName):
+        normalize_author_key("42, John")
 
 
 def test_fold_special_letters():
@@ -89,6 +95,7 @@ def test_normalization_is_total_and_well_formed(raw):
 
 
 @given(_name_text)
+@example("0A 0")
 def test_normalization_is_idempotent_on_rendered_keys(raw):
     try:
         key = normalize_author_key(raw)

@@ -4,11 +4,16 @@ Betweenness gets a second, independent implementation here: BFS layers
 plus explicit enumeration of every shortest path. The production module
 uses dependency accumulation instead, so agreement between the two is a
 real check rather than the same algorithm twice.
+
+The dict-based harmonic and Brandes passes below are the reference the
+integer-indexed production code must match exactly, not approximately:
+same visit order, same float summation order, same bits.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import permutations
 
@@ -202,6 +207,108 @@ def test_harmonic_matches_exact_fractions():
         for node in graph.nodes:
             exact = oracle_harmonic_fraction(graph.adjacency, node)
             assert abs(values[node] - float(exact)) <= 1e-12
+
+
+def reference_harmonic(graph):
+    """Dict-keyed BFS per source, summing 1/d in visit order."""
+    result = {}
+    for source in graph.adjacency:
+        distances = {source: 0}
+        queue = deque([source])
+        while queue:
+            node = queue.popleft()
+            for neighbor in graph.adjacency[node]:
+                if neighbor not in distances:
+                    distances[neighbor] = distances[node] + 1
+                    queue.append(neighbor)
+        result[source] = sum(
+            1.0 / d for other, d in distances.items() if other != source
+        )
+    return result
+
+
+def reference_betweenness(graph):
+    """Brandes with fresh V-sized dicts for every source."""
+    betweenness = {node: 0.0 for node in graph.adjacency}
+    for source in graph.adjacency:
+        stack = []
+        predecessors = {node: [] for node in graph.adjacency}
+        sigma = {node: 0.0 for node in graph.adjacency}
+        sigma[source] = 1.0
+        distance = {node: -1 for node in graph.adjacency}
+        distance[source] = 0
+        queue = deque([source])
+        while queue:
+            node = queue.popleft()
+            stack.append(node)
+            for neighbor in graph.adjacency[node]:
+                if distance[neighbor] < 0:
+                    distance[neighbor] = distance[node] + 1
+                    queue.append(neighbor)
+                if distance[neighbor] == distance[node] + 1:
+                    sigma[neighbor] += sigma[node]
+                    predecessors[neighbor].append(node)
+        dependency = {node: 0.0 for node in graph.adjacency}
+        while stack:
+            node = stack.pop()
+            for pred in predecessors[node]:
+                dependency[pred] += (sigma[pred] / sigma[node]) * (1.0 + dependency[node])
+            if node != source:
+                betweenness[node] += dependency[node]
+    return {node: value / 2.0 for node, value in betweenness.items()}
+
+
+def clique_union_graph(seed, authors=300):
+    """Random 1-4 author cliques inside four disjoint author blocks.
+
+    Every author in a block leads one document, so all of them appear;
+    the last 15 authors only ever write alone and stay isolated.
+    """
+    rng = random.Random(seed)
+    pool = [f"author{i:03d},x" for i in range(authors)]
+    blocks = [pool[0:150], pool[150:230], pool[230:270], pool[270 : authors - 15]]
+    docs = []
+    for block in blocks:
+        for lead in block:
+            peers = rng.sample(block, rng.randint(0, 3))
+            docs.append(meta(f"d{len(docs)}", lead, *peers))
+    docs.extend(meta(f"solo{i}", key) for i, key in enumerate(pool[authors - 15 :]))
+    return build_coauthor_graph(docs)
+
+
+def _component_count(adjacency):
+    seen = set()
+    components = 0
+    for node in adjacency:
+        if node not in seen:
+            components += 1
+            seen.update(_bfs(adjacency, node))
+    return components
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_centralities_bit_identical_to_dict_reference(seed):
+    graph = clique_union_graph(seed)
+    isolated = [node for node, peers in graph.adjacency.items() if not peers]
+    assert len(isolated) >= 15 and len(graph.nodes) == 300
+    assert _component_count(graph.adjacency) >= len(isolated) + 4
+    harmonic = centrality_harmonic(graph)
+    betweenness = centrality_betweenness(graph)
+    expected_harmonic = reference_harmonic(graph)
+    expected_betweenness = reference_betweenness(graph)
+    # Same keys in the same order, same types (an isolate's harmonic is
+    # the int 0 that sum() starts from), and equal floats.
+    assert list(harmonic.items()) == list(expected_harmonic.items())
+    assert list(betweenness.items()) == list(expected_betweenness.items())
+    assert [type(v) for v in harmonic.values()] == [
+        type(v) for v in expected_harmonic.values()
+    ]
+
+
+def test_centralities_empty_graph():
+    empty = CoauthorGraph({})
+    assert centrality_harmonic(empty) == reference_harmonic(empty) == {}
+    assert centrality_betweenness(empty) == reference_betweenness(empty) == {}
 
 
 def test_percentiles_zero_variance_sits_midway():

@@ -217,6 +217,18 @@ def test_every_fixture_record_matches_the_frozen_table(corpus_result):
 
 def test_summary_counts(corpus_result):
     summary = corpus_result.summary
+    # docs/formats.md documents exactly these keys, in the written order.
+    assert list(summary) == [
+        "documents",
+        "citations",
+        "records_written",
+        "coauthor_graph",
+        "skipped_documents",
+        "unresolved_citations",
+        "ambiguous_citations",
+        "document_warnings",
+        "config",
+    ]
     assert summary["documents"] == 8
     assert summary["citations"] == {
         "total": 22,

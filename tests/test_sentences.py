@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import time
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citecode.sentences import (
     DEFAULT_ABBREVIATIONS,
+    _protected,
     load_abbreviations,
     segment_sentences,
 )
@@ -111,3 +114,65 @@ def test_segmentation_is_deterministic(text):
 def test_resegmenting_a_sentence_returns_it_unchanged(text):
     for sentence in segment_sentences(text):
         assert segment_sentences(sentence) == [sentence]
+
+
+def _protected_whole_prefix(text, dot_index, abbreviations):
+    """The quadratic original: lowercase everything up to the period."""
+    prefix_low = text[: dot_index + 1].lower()
+    for abbr in abbreviations:
+        if prefix_low.endswith(abbr):
+            before = dot_index - len(abbr)
+            if before < 0 or not text[before].isalnum():
+                return True
+    return False
+
+
+# Capital sigma lowercases to final or medial sigma by context, dotted
+# capital I to two characters, and the Kelvin sign to an ASCII "k".
+_LOWERING_EDGE_CASES = ["\u03a3", "\u03c2", "\u03c3", "\u0130", "\u212a"]
+
+
+@given(
+    text=st.text(
+        alphabet=st.sampled_from(list("AaEeGgKkPp .,-1") + _LOWERING_EDGE_CASES),
+        max_size=60,
+    ),
+    extra=st.lists(
+        st.text(
+            alphabet=st.sampled_from(list("aegkp.") + _LOWERING_EDGE_CASES),
+            min_size=1,
+            max_size=4,
+        ).map(lambda a: a + "."),
+        max_size=3,
+    ),
+)
+# The sigma is final only because of the "A" before the 6-character window.
+@example(text="A......\u03a3.", extra=["\u03c2."])
+@settings(max_examples=300)
+def test_windowed_protection_matches_whole_prefix(text, extra):
+    abbrevs = tuple(a.lower() for a in DEFAULT_ABBREVIATIONS + tuple(extra))
+    window = max(map(len, abbrevs))
+    for index, ch in enumerate(text):
+        if ch == ".":
+            assert _protected(text, index, abbrevs, window) == _protected_whole_prefix(
+                text, index, abbrevs
+            )
+
+
+def _best_time(text, repeats=3):
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        segment_sentences(text)
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def test_segmentation_time_is_linear_in_paragraph_length():
+    # One long paragraph where every period is checked against the
+    # abbreviation list. Quadrupling it must cost well under the 16x a
+    # quadratic check would; 8x leaves room for timer noise.
+    unit = "Smith et al. report e.g. Fig. 3 in pp. 4-5 and more. " * 400
+    small = _best_time(unit)
+    large = _best_time(unit * 4)
+    assert large < 8 * small, (small, large)
