@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from .aggregate import aggregate, table_to_csv
-from .codebook import require_category
+from .codebook import require_category, value_order
 from .config import PipelineConfig
 from .errors import CitecodeError, MalformedInput, NoOverlap
 from .metrics import agreement_report
@@ -55,9 +55,7 @@ def cmd_code(args: argparse.Namespace) -> int:
         config.output_dir = Path(args.out)
     entries = read_manifest(args.manifest)
     resources = load_resources(config)
-    result = run_pipeline(
-        entries, config, resources, jobs=args.jobs, strict=args.strict
-    )
+    result = run_pipeline(entries, config, resources, strict=args.strict)
     paths = write_outputs(result, config.output_dir)
 
     for path, error in result.skipped:
@@ -117,11 +115,16 @@ def _read_gold(path: str) -> dict[tuple[str, str], dict[str, str]]:
                 "gold: every line needs doc_id and citation_id", line=line_no
             )
         key = (str(item["doc_id"]), str(item["citation_id"]))
+        if key in gold:
+            raise MalformedInput(f"gold: duplicate item {key[0]}/{key[1]}", line=line_no)
         values = {
             require_category(field): str(value)
             for field, value in item.items()
             if field not in ("doc_id", "citation_id")
         }
+        for category, value in values.items():
+            if value not in value_order(category):
+                raise MalformedInput(f"gold: {value!r} is not a {category} value", line=line_no)
         gold[key] = values
     return gold
 
@@ -164,9 +167,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_net(args: argparse.Namespace) -> int:
     entries = read_manifest(args.manifest)
-    documents, skipped = parse_corpus(
-        entries, DEFAULT_ABBREVIATIONS, jobs=args.jobs, strict=False
-    )
+    documents, skipped = parse_corpus(entries, DEFAULT_ABBREVIATIONS)
     for path, error in skipped:
         print(f"skipped {path}: {error}", file=sys.stderr)
     graph = build_coauthor_graph([doc.metadata for doc in documents])
@@ -186,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_code.add_argument("--manifest", required=True, help="corpus manifest (path<TAB>format per line)")
     p_code.add_argument("--config", help="key=value configuration file")
     p_code.add_argument("--strict", action="store_true", help="fail on the first bad document")
-    p_code.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
     p_code.add_argument("--out", help="override the configured output directory")
     p_code.set_defaults(func=cmd_code)
 
@@ -207,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_net = sub.add_parser("net", help="export the coauthorship edge list")
     p_net.add_argument("--manifest", required=True, help="corpus manifest")
     p_net.add_argument("--out", required=True, help="edge list output path")
-    p_net.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
     p_net.set_defaults(func=cmd_net)
     return parser
 

@@ -1,16 +1,14 @@
 """End-to-end corpus runs: parse, link, code, and summarize.
 
-The flow is a parallel map over documents (parsing and citation
-extraction), a serial reduction building the coauthorship graph, a
-second parallel pass for the per-citation codes (relation coding needs
-the finished graph), and a final serial, sorted write. Outputs carry no
-timestamps, so a corpus coded twice produces byte-identical files at
-any parallelism level.
+The run is serial, in manifest order: parse each document, extract and
+link its citations, build the coauthorship graph from every parsed
+document (relation coding needs the finished graph), code each
+document's citations, then write sorted records. Outputs carry no
+timestamps, so a corpus coded twice produces byte-identical files.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -119,50 +117,34 @@ def read_manifest(path: str | Path) -> list[tuple[Path, str]]:
     return entries
 
 
-def _map_maybe_parallel(function, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [function(item) for item in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(function, items))
-
-
 def parse_corpus(
     entries: list[tuple[Path, str]],
     abbreviations: tuple[str, ...],
-    jobs: int = 1,
     strict: bool = False,
 ) -> tuple[list[Document], list[tuple[str, str]]]:
-    """Parse every manifest entry; failures are skipped unless strict.
+    """Parse every manifest entry in order; failures are skipped unless strict.
 
     Returns the parsed documents in manifest order plus a list of
-    (path, error message) pairs for the skipped ones.
+    (path, error message) pairs for the skipped ones. Strict mode
+    raises on the first bad document: unreadable, unparseable, or
+    repeating an earlier document's id.
     """
-
-    def parse_one(entry: tuple[Path, str]):
-        doc_path, doc_format = entry
-        try:
-            data = doc_path.read_bytes()
-        except OSError as exc:
-            raise MalformedInput(f"cannot read {doc_path}: {exc}") from None
-        return parse_document(data, doc_format, abbreviations)
-
     skipped: list[tuple[str, str]] = []
     documents: list[Document] = []
     seen_ids: set[str] = set()
-    if strict:
-        results = _map_maybe_parallel(parse_one, entries, jobs)
-    else:
-        def safe(entry):
+    for doc_path, doc_format in entries:
+        try:
             try:
-                return parse_one(entry)
-            except CitecodeError as exc:
-                return exc
-        results = _map_maybe_parallel(safe, entries, jobs)
-    for (doc_path, _), outcome in zip(entries, results):
-        if isinstance(outcome, CitecodeError):
-            skipped.append((str(doc_path), str(outcome)))
+                data = doc_path.read_bytes()
+            except OSError as exc:
+                raise MalformedInput(f"cannot read {doc_path}: {exc}") from None
+            doc = parse_document(data, doc_format, abbreviations)
+        except CitecodeError as exc:
+            if strict:
+                raise
+            skipped.append((str(doc_path), str(exc)))
             continue
-        doc_id = outcome.metadata.doc_id
+        doc_id = doc.metadata.doc_id
         if doc_id in seen_ids:
             message = f"duplicate document id {doc_id!r}"
             if strict:
@@ -170,7 +152,7 @@ def parse_corpus(
             skipped.append((str(doc_path), message))
             continue
         seen_ids.add(doc_id)
-        documents.append(outcome)
+        documents.append(doc)
     return documents, skipped
 
 
@@ -299,7 +281,6 @@ def code_corpus(
     documents: list[Document],
     config: PipelineConfig | None = None,
     resources: Resources | None = None,
-    jobs: int = 1,
     skipped: list[tuple[str, str]] | None = None,
 ) -> RunResult:
     """Code a parsed corpus: graph first, then every citation."""
@@ -307,16 +288,15 @@ def code_corpus(
     resources = resources or load_resources(config)
     skipped = list(skipped or [])
 
-    extracted = _map_maybe_parallel(extract_citations, documents, jobs)
+    extracted = [extract_citations(doc) for doc in documents]
     graph = build_coauthor_graph([doc.metadata for doc in documents])
     scores = capital_scores(graph)
 
-    def code_one(pair):
-        doc, citations = pair
-        return code_document(doc, citations, resources, config, graph, scores)
-
-    per_doc = _map_maybe_parallel(code_one, list(zip(documents, extracted)), jobs)
-    records = sort_records([record for chunk in per_doc for record in chunk])
+    records = sort_records([
+        record
+        for doc, citations in zip(documents, extracted)
+        for record in code_document(doc, citations, resources, config, graph, scores)
+    ])
     resolved = [r for r in records if r.link_status == LINK_RESOLVED]
 
     summary = _build_summary(
@@ -363,7 +343,7 @@ def _build_summary(
                 unresolved_items.append(item)
             else:
                 ambiguous_items.append(item)
-    key = lambda item: (item["doc_id"], item["citation_id"])
+    key = lambda item: (item["doc_id"], len(item["citation_id"]), item["citation_id"])
     unresolved_items.sort(key=key)
     ambiguous_items.sort(key=key)
     warnings = {
@@ -403,15 +383,15 @@ def run_pipeline(
     jobs: int = 1,
     strict: bool = False,
 ) -> RunResult:
-    """Manifest entries in, fully coded corpus out."""
+    """Manifest entries in, fully coded corpus out.
+
+    ``jobs`` has no effect; the run is serial. It is accepted so that
+    callers which pass it keep working.
+    """
     config = config or PipelineConfig()
     resources = resources or load_resources(config)
-    documents, skipped = parse_corpus(
-        entries, resources.abbreviations, jobs=jobs, strict=strict
-    )
-    return code_corpus(
-        documents, config, resources, jobs=jobs, skipped=skipped
-    )
+    documents, skipped = parse_corpus(entries, resources.abbreviations, strict=strict)
+    return code_corpus(documents, config, resources, skipped=skipped)
 
 
 def write_outputs(result: RunResult, output_dir: str | Path) -> dict[str, Path]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .codebook import CATEGORIES, VALUES, Uncodable
-from .errors import IncompleteCoding
+from .errors import IncompleteCoding, MalformedInput
 
 _FIXED_FIELDS = (
     "doc_id", "citation_id", "ref_id", "link_status", "sentence_index",
@@ -117,12 +117,13 @@ def record_to_json(record: CodedCitation) -> str:
 
 
 def record_from_json(line: str) -> CodedCitation:
+    """Parse one JSONL line; doc_id, citation_id and link_status are required."""
     data = json.loads(line)
     return CodedCitation(
         doc_id=data["doc_id"],
         citation_id=data["citation_id"],
         ref_id=data.get("ref_id"),
-        link_status=data.get("link_status", "resolved"),
+        link_status=data["link_status"],
         sentence_index=data.get("sentence_index", 0),
         context_level=data.get("context_level", "sentence_cluster"),
         context_sentences=tuple(data.get("context_sentences", ())),
@@ -134,7 +135,8 @@ def record_from_json(line: str) -> CodedCitation:
 
 
 def sort_records(records: list[CodedCitation]) -> list[CodedCitation]:
-    return sorted(records, key=lambda r: (r.doc_id, r.citation_id))
+    """By document, then citation ids in reading order (c9999 before c10000)."""
+    return sorted(records, key=lambda r: (r.doc_id, len(r.citation_id), r.citation_id))
 
 
 def write_jsonl(records: list[CodedCitation], path: str | Path) -> None:
@@ -143,8 +145,22 @@ def write_jsonl(records: list[CodedCitation], path: str | Path) -> None:
 
 
 def read_jsonl(path: str | Path) -> list[CodedCitation]:
+    """Read coded records; a bad file or line raises MalformedInput."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise MalformedInput(f"cannot read coded file {path}: {exc}") from None
     records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
             records.append(record_from_json(line))
+        except json.JSONDecodeError as exc:
+            raise MalformedInput(f"{path.name}: bad JSON ({exc})", line=line_no) from None
+        except KeyError as exc:
+            raise MalformedInput(f"{path.name}: record has no {exc}", line=line_no) from None
+        except TypeError:
+            raise MalformedInput(f"{path.name}: not a coded record", line=line_no) from None
     return records

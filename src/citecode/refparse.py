@@ -13,7 +13,7 @@ import re
 
 from .errors import UnparseableName
 from .models import AuthorName, ReferenceEntry
-from .names import normalize_author_key
+from .names import _INITIALS_RE, normalize_author_key
 
 SIG_PROCEEDINGS = "proceedings"
 SIG_VOLUME_ISSUE = "volume_issue"
@@ -44,8 +44,6 @@ _REPORT_RE = re.compile(
 )
 _URL_RE = re.compile(r"https?://|\bwww\.|\bretrieved\b|\baccessed\b", re.IGNORECASE)
 
-# Initials block inside an author list: "J.", "B. A.", "H-D."
-_INITIALS_RE = re.compile(r"^(?:[A-Z]\.?[\s.-]*)+$")
 _LEAD_SEP_RE = re.compile(r"^(?:&|and)\s+", re.IGNORECASE)
 
 

@@ -123,12 +123,15 @@ def _build_lexicon(name: str, rows: list[tuple[str, str]], source: str) -> CueLe
     return CueLexicon(name=name, entries=tuple(entries))
 
 
-def load_lexicon(path: str | Path, name: str | None = None) -> CueLexicon:
-    """Load a phrase,tag CSV; # comment lines and blanks are skipped."""
-    path = Path(path)
+def _read_csv_rows(path: Path, header: str) -> list[tuple[int, list[str]]]:
+    """Data rows of a CSV file, each with its row number.
+
+    Blank rows and # comment rows are skipped. The first other row must
+    be ``header`` (compared case-insensitively on its first two cells).
+    """
+    expected = header.lower().split(",")
+    reader = csv.reader(StringIO(path.read_text(encoding="utf-8")))
     rows = []
-    text = path.read_text(encoding="utf-8")
-    reader = csv.reader(StringIO(text))
     header_seen = False
     for line_no, row in enumerate(reader, start=1):
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -137,9 +140,18 @@ def load_lexicon(path: str | Path, name: str | None = None) -> CueLexicon:
             continue
         if not header_seen:
             header_seen = True
-            if [cell.strip().lower() for cell in row[:2]] == ["phrase", "tag"]:
+            if [cell.strip().lower() for cell in row[:2]] == expected:
                 continue
-            raise MalformedLexicon(f"{path.name}: missing phrase,tag header", line=line_no)
+            raise MalformedLexicon(f"{path.name}: missing {header} header", line=line_no)
+        rows.append((line_no, row))
+    return rows
+
+
+def load_lexicon(path: str | Path, name: str | None = None) -> CueLexicon:
+    """Load a phrase,tag CSV; # comment lines and blanks are skipped."""
+    path = Path(path)
+    rows = []
+    for line_no, row in _read_csv_rows(path, "phrase,tag"):
         if len(row) < 2:
             raise MalformedLexicon(f"{path.name}: expected phrase,tag", line=line_no)
         rows.append((line_no, (row[0], row[1])))
@@ -208,20 +220,7 @@ def load_venue_map(path: str | Path) -> tuple[tuple[str, str], ...]:
     """Load venue_pattern,K_value rows; order defines match priority."""
     path = Path(path)
     mapping = []
-    reader = csv.reader(StringIO(path.read_text(encoding="utf-8")))
-    header_seen = False
-    for line_no, row in enumerate(reader, start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if row[0].lstrip().startswith("#"):
-            continue
-        if not header_seen:
-            header_seen = True
-            if [cell.strip().lower() for cell in row[:2]] == ["venue_pattern", "k_value"]:
-                continue
-            raise MalformedLexicon(
-                f"{path.name}: missing venue_pattern,K_value header", line=line_no
-            )
+    for line_no, row in _read_csv_rows(path, "venue_pattern,K_value"):
         if len(row) < 2 or row[1].strip() not in ("K1", "K2", "K3", "K4"):
             raise MalformedLexicon(f"{path.name}: expected pattern,K1..K4", line=line_no)
         mapping.append((row[0].strip().lower(), row[1].strip()))

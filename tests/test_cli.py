@@ -306,6 +306,103 @@ def test_eval_rejects_bad_gold_json(coded_run, tmp_path, capsys):
     assert "bad JSON" in captured.err
 
 
+def _drop_key(line, key):
+    payload = json.loads(line)
+    del payload[key]
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (None, "cannot read coded file"),
+        (lambda line: line[: len(line) // 2], "line 2: coded.jsonl: bad JSON"),
+        (lambda line: _drop_key(line, "doc_id"), "line 2: coded.jsonl: record has no 'doc_id'"),
+        (
+            lambda line: _drop_key(line, "link_status"),
+            "line 2: coded.jsonl: record has no 'link_status'",
+        ),
+        (lambda line: "[]", "line 2: coded.jsonl: not a coded record"),
+    ],
+    ids=["missing-file", "truncated-line", "no-doc-id", "no-link-status", "not-an-object"],
+)
+@pytest.mark.parametrize("command", ["report", "eval"])
+def test_bad_coded_input_exits_two(coded_run, tmp_path, capsys, command, damage, message):
+    coded = tmp_path / "coded.jsonl"
+    if damage is not None:
+        lines = (coded_run / "coded.jsonl").read_text(encoding="utf-8").splitlines()
+        lines[1] = damage(lines[1])
+        coded.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    gold = write_gold(
+        tmp_path / "gold.jsonl",
+        [{"doc_id": "paper-b", "citation_id": "c0003", "J": "J1"}],
+    )
+    argv = {
+        "report": ["report", "--input", str(coded), "--rows", "J"],
+        "eval": [
+            "eval", "--input", str(coded), "--gold", str(gold), "--categories", "J",
+        ],
+    }[command]
+    exit_code = main(argv)
+    captured = capsys.readouterr()
+    assert exit_code == 2
+    assert message in captured.err
+    assert "internal error" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "items, message",
+    [
+        (
+            [
+                {"doc_id": "paper-b", "citation_id": "c0003", "J": "J1"},
+                {"doc_id": "paper-b", "citation_id": "c0004", "J": "J1"},
+                {"doc_id": "paper-b", "citation_id": "c0003", "J": "J2"},
+            ],
+            "line 3: gold: duplicate item paper-b/c0003",
+        ),
+        (
+            [
+                {"doc_id": "paper-b", "citation_id": "c0003", "J": "J1"},
+                {"doc_id": "paper-b", "citation_id": "c0004", "J": "I1"},
+            ],
+            "line 2: gold: 'I1' is not a J value",
+        ),
+    ],
+    ids=["duplicate-item", "value-of-other-category"],
+)
+def test_eval_rejects_bad_gold_items(coded_run, tmp_path, capsys, items, message):
+    gold = write_gold(tmp_path / "gold.jsonl", items)
+    exit_code = main(
+        [
+            "eval",
+            "--input", str(coded_run / "coded.jsonl"),
+            "--gold", str(gold),
+            "--categories", "J",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert exit_code == 2
+    assert message in captured.err
+
+
+def test_eval_accepts_uncodable_gold_value(coded_run, tmp_path, capsys):
+    gold = write_gold(
+        tmp_path / "gold.jsonl",
+        [{"doc_id": "paper-b", "citation_id": "c0003", "K": "uncodable"}],
+    )
+    exit_code = main(
+        [
+            "eval",
+            "--input", str(coded_run / "coded.jsonl"),
+            "--gold", str(gold),
+            "--categories", "K",
+        ]
+    )
+    assert exit_code == 0
+    assert capsys.readouterr().out.splitlines()[1] == "K,1,0.000000,0.000000"
+
+
 def test_net_exports_edges(tmp_path, capsys):
     manifest = make_manifest(tmp_path)
     out_path = tmp_path / "edges.tsv"

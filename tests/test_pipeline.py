@@ -8,6 +8,7 @@ not that the table needs casual updating.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -195,6 +196,27 @@ def test_parse_corpus_strict_rejects_duplicate_ids(resources):
     with pytest.raises(MalformedInput) as err:
         parse_corpus(entries, resources.abbreviations, strict=True)
     assert "duplicate" in str(err.value)
+
+
+def test_parse_corpus_strict_stops_at_first_bad_document(tmp_path, resources):
+    # The duplicate id comes before the sectionless document in manifest
+    # order, so strict mode must report it, not the later parse error.
+    paper = (FIXTURE_DIR / "paper-a.txt").read_bytes()
+    (tmp_path / "a.txt").write_bytes(paper)
+    (tmp_path / "a2.txt").write_bytes(paper)
+    (tmp_path / "bad.txt").write_text("#META id: bad\n", encoding="utf-8")
+    entries = [
+        (tmp_path / name, "plain_annotated") for name in ("a.txt", "a2.txt", "bad.txt")
+    ]
+    with pytest.raises(MalformedInput) as err:
+        parse_corpus(entries, resources.abbreviations, strict=True)
+    assert "a2.txt: duplicate document id 'paper-a'" in str(err.value)
+    documents, skipped = parse_corpus(entries, resources.abbreviations)
+    assert [d.metadata.doc_id for d in documents] == ["paper-a"]
+    assert [(Path(path).name, error) for path, error in skipped] == [
+        ("a2.txt", "duplicate document id 'paper-a'"),
+        ("bad.txt", "document has no sections"),
+    ]
 
 
 def test_parse_corpus_skips_unreadable_path(tmp_path, resources):

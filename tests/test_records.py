@@ -199,3 +199,16 @@ def test_sort_records_is_stable_key():
     assert [(r.doc_id, r.citation_id) for r in ordered] == [
         ("a", "c0009"), ("b", "c0001"), ("b", "c0002"),
     ]
+
+
+def test_sort_records_keeps_reading_order_past_c9999():
+    records = [
+        build(doc_id="b", citation_id="c0001"),
+        build(doc_id="a", citation_id="c10000"),
+        build(doc_id="a", citation_id="c9999"),
+        build(doc_id="a", citation_id="c0001"),
+    ]
+    ordered = sort_records(records)
+    assert [(r.doc_id, r.citation_id) for r in ordered] == [
+        ("a", "c0001"), ("a", "c9999"), ("a", "c10000"), ("b", "c0001"),
+    ]
