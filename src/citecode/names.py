@@ -8,6 +8,7 @@ table plus NFKD decomposition, keeping keys stable across platforms.
 
 from __future__ import annotations
 
+import functools
 import re
 import unicodedata
 
@@ -69,13 +70,15 @@ def _split_no_comma(tokens: list[str]) -> tuple[str, str]:
     return " ".join(tokens[head:]), " ".join(tokens[:head])
 
 
+@functools.lru_cache(maxsize=8192)
 def normalize_author_key(raw: str) -> str:
     """Build the canonical "surname,initial" key for one author name.
 
     Raises UnparseableName when the extracted surname has no letter, so
     every key re-parses ("0A 0" would otherwise give the key "0,0").
     The key always contains exactly one comma; the initial may be empty
-    when the source name carries no given name.
+    when the source name carries no given name. Keys are memoized,
+    since a corpus repeats a small set of names; errors are not.
     """
     text = raw.strip().strip(";").strip()
     if "," in text:

@@ -98,7 +98,7 @@ def centrality_harmonic(graph: CoauthorGraph) -> dict[str, float]:
             depth += 1
             terms += [1.0 / depth] * len(reached)
             frontier = reached
-        result[key] = sum(terms)
+        result[key] = sum(terms, 0.0)
     return result
 
 

@@ -43,6 +43,7 @@ from .semantic import (
     document_focus_matches,
     load_lexicon,
     load_venue_map,
+    tokenize,
 )
 from .sentences import load_abbreviations
 from .syntactic import (
@@ -127,20 +128,26 @@ def parse_corpus(
     Returns the parsed documents in manifest order plus a list of
     (path, error message) pairs for the skipped ones. Strict mode
     raises on the first bad document: unreadable, unparseable, or
-    repeating an earlier document's id.
+    repeating an earlier document's id. Its message names the path.
     """
     skipped: list[tuple[str, str]] = []
     documents: list[Document] = []
     seen_ids: set[str] = set()
     for doc_path, doc_format in entries:
         try:
-            try:
-                data = doc_path.read_bytes()
-            except OSError as exc:
-                raise MalformedInput(f"cannot read {doc_path}: {exc}") from None
+            data = doc_path.read_bytes()
+        except OSError as exc:
+            message = f"cannot read {doc_path}: {exc}"
+            if strict:
+                raise MalformedInput(message) from None
+            skipped.append((str(doc_path), message))
+            continue
+        try:
             doc = parse_document(data, doc_format, abbreviations)
         except CitecodeError as exc:
             if strict:
+                # Same class and line; the message gains the document's path.
+                exc.args = (f"{doc_path}: {exc}",)
                 raise
             skipped.append((str(doc_path), str(exc)))
             continue
@@ -187,6 +194,7 @@ def code_document(
     g_value, g_trace = code_document_type(meta)
     h_value, h_trace = code_authorship(meta.authors, "H")
     counts = mention_counts(doc, citations)
+    sentence_tokens: dict[int, list[str]] = {}
 
     records = []
     for citation in citations:
@@ -206,10 +214,17 @@ def code_document(
         slots["F"] = f_value
         trace.append(f_trace)
 
-        i_value, _, i_trace = code_function(context.text, d_value, lexicons)
+        # The window's tokens equal tokenize(context.text): no token
+        # crosses the space that joins two sentences.
+        tokens: list[str] = []
+        for index in context.sentence_indices:
+            if index not in sentence_tokens:
+                sentence_tokens[index] = tokenize(doc.sentences[index])
+            tokens += sentence_tokens[index]
+        i_value, _, i_trace = code_function(tokens, d_value, lexicons)
         slots["I"] = i_value
         trace.append(i_trace)
-        j_value, j_matches, j_trace = code_disposition(context.text, lexicons)
+        j_value, j_matches, j_trace = code_disposition(tokens, lexicons)
         slots["J"] = j_value
         trace.append(j_trace)
 

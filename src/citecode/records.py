@@ -60,6 +60,8 @@ def assemble_record(
     """
     codes: dict[str, str | None] = {}
     reasons: dict[str, str] = {}
+    # Categories with a trace entry: the text before an entry's first colon.
+    traced = {t.partition(":")[0] for t in rule_trace if ":" in t}
     for category in CATEGORIES:
         if category not in slots:
             raise IncompleteCoding(f"{doc_id}/{citation_id}: category {category} missing")
@@ -72,7 +74,7 @@ def assemble_record(
                 raise IncompleteCoding(
                     f"{doc_id}/{citation_id}: {value!r} is not a {category} value"
                 )
-            if not any(t.startswith(f"{category}:") for t in rule_trace):
+            if category not in traced:
                 raise IncompleteCoding(
                     f"{doc_id}/{citation_id}: coded category {category} has no rule trace"
                 )

@@ -4,6 +4,11 @@ Lexicons are CSV files (phrase,tag) holding lowercase token sequences.
 Matching is whole-token: "butter" never matches the cue "but". A
 trailing * on a phrase's last token turns it into a prefix wildcard,
 so "suffer*" covers "suffering" without loosening exact entries.
+
+Each lexicon caches, per distinct token it has been asked about, the
+entries that can start a hit at that token. The cache grows by one
+dict slot per distinct token seen, so its memory follows the corpus
+vocabulary, not the corpus length.
 """
 
 from __future__ import annotations
@@ -43,6 +48,11 @@ class CueEntry:
     wildcard: bool  # last token is a prefix
 
 
+# A match candidate: the hit's (phrase, tag) key, and the entry still to
+# check at the position, or None when the first token decides the hit.
+_Candidate = tuple[tuple[str, str], CueEntry | None]
+
+
 @dataclass
 class CueLexicon:
     """A named list of cue phrases with tags, matched over token lists."""
@@ -50,31 +60,47 @@ class CueLexicon:
     name: str
     entries: tuple[CueEntry, ...] = ()
     _index: dict[str, list[CueEntry]] = field(default_factory=dict, repr=False, compare=False)
+    _wildcard_singles: list[CueEntry] = field(default_factory=list, repr=False, compare=False)
+    _candidates: dict[str, tuple[_Candidate, ...]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         # Entries are indexed by their exact first token; single-token
-        # wildcards land in a small scan-always bucket keyed by "".
+        # wildcards are kept apart and tested by prefix.
         for entry in self.entries:
             if entry.wildcard and len(entry.tokens) == 1:
-                self._index.setdefault("", []).append(entry)
+                self._wildcard_singles.append(entry)
             else:
                 self._index.setdefault(entry.tokens[0], []).append(entry)
+
+    def _candidates_for(self, token: str) -> tuple[_Candidate, ...]:
+        """(key, entry) for each entry that can start a hit at ``token``.
+
+        Exact-first-token entries come first, then the single-token
+        wildcards whose prefix ``token`` starts with, in entry order.
+        A one-token entry is a hit already and carries None.
+        """
+        entries = self._index.get(token, []) + [
+            entry for entry in self._wildcard_singles
+            if token.startswith(entry.tokens[0][:-1])
+        ]
+        return tuple(
+            ((entry.phrase, entry.tag), None if len(entry.tokens) == 1 else entry)
+            for entry in entries
+        )
 
     def match(self, tokens: list[str]) -> list[tuple[str, str]]:
         """All (phrase, tag) hits in first-occurrence order, deduplicated."""
         hits: list[tuple[str, str]] = []
         seen: set[tuple[str, str]] = set()
-        wildcard_singles = self._index.get("", [])
+        cache = self._candidates
         for position, token in enumerate(tokens):
-            for entry in self._index.get(token, []):
-                if self._matches_at(entry, tokens, position):
-                    key = (entry.phrase, entry.tag)
-                    if key not in seen:
-                        seen.add(key)
-                        hits.append(key)
-            for entry in wildcard_singles:
-                if token.startswith(entry.tokens[0][:-1]):
-                    key = (entry.phrase, entry.tag)
+            candidates = cache.get(token)
+            if candidates is None:
+                candidates = cache[token] = self._candidates_for(token)
+            for key, entry in candidates:
+                if entry is None or self._matches_at(entry, tokens, position):
                     if key not in seen:
                         seen.add(key)
                         hits.append(key)
@@ -172,10 +198,9 @@ class LexiconSet:
 
 
 def code_disposition(
-    context_text: str, lexicons: LexiconSet
+    tokens: list[str], lexicons: LexiconSet
 ) -> tuple[str, list[tuple[str, str]], str]:
-    """Sentiment toward the cited work from the context window."""
-    tokens = tokenize(context_text)
+    """Sentiment toward the cited work from the context window's tokens."""
     negative = lexicons.negative.match(tokens)
     positive = lexicons.positive.match(tokens)
     matches = negative + positive
@@ -195,14 +220,14 @@ _LOCATION_PRIOR = {
 
 
 def code_function(
-    context_text: str, location: str, lexicons: LexiconSet
+    tokens: list[str], location: str, lexicons: LexiconSet
 ) -> tuple[str, list[tuple[str, str]], str]:
     """Why the work is cited: criticism, evidence, method, background.
 
-    Cue precedence is criticism, then evidence, then framework; with no
-    cue the section location decides.
+    ``tokens`` are the context window's tokens. Cue precedence is
+    criticism, then evidence, then framework; with no cue the section
+    location decides.
     """
-    tokens = tokenize(context_text)
     negative = lexicons.negative.match(tokens)
     if negative:
         return "I4", negative, f"I:cue:{negative[0][0]}"

@@ -90,6 +90,19 @@ def test_code_strict_fails_on_bad_document(tmp_path, capsys):
     assert captured.err.startswith("error:")
 
 
+def test_code_strict_names_the_sectionless_document(tmp_path, capsys):
+    bad = tmp_path / "sectionless.txt"
+    bad.write_text("#META id: bad\n", encoding="utf-8")
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text(f"{bad}\tplain_annotated\n", encoding="utf-8")
+    exit_code = main(
+        ["code", "--manifest", str(manifest), "--strict", "--out", str(tmp_path / "o")]
+    )
+    captured = capsys.readouterr()
+    assert exit_code == 2
+    assert captured.err == f"error: {bad}: document has no sections\n"
+
+
 def test_code_missing_manifest(tmp_path, capsys):
     exit_code = main(
         ["code", "--manifest", str(tmp_path / "ghost.tsv"), "--out", str(tmp_path / "o")]

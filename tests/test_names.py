@@ -62,6 +62,14 @@ def test_no_alphabetic_content_raises():
         normalize_author_key("42, John")
 
 
+def test_unparseable_name_raises_on_every_call():
+    # Keys are memoized; a failure must not be, or the second call
+    # would return something.
+    for _ in range(2):
+        with pytest.raises(UnparseableName):
+            normalize_author_key("0A 0")
+
+
 def test_fold_special_letters():
     assert fold_to_ascii("Ølberg") == "Olberg"
     assert fold_to_ascii("Müller") == "Muller"

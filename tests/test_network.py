@@ -222,7 +222,7 @@ def reference_harmonic(graph):
                     distances[neighbor] = distances[node] + 1
                     queue.append(neighbor)
         result[source] = sum(
-            1.0 / d for other, d in distances.items() if other != source
+            (1.0 / d for other, d in distances.items() if other != source), 0.0
         )
     return result
 
@@ -297,12 +297,13 @@ def test_centralities_bit_identical_to_dict_reference(seed):
     expected_harmonic = reference_harmonic(graph)
     expected_betweenness = reference_betweenness(graph)
     # Same keys in the same order, same types (an isolate's harmonic is
-    # the int 0 that sum() starts from), and equal floats.
+    # the float 0.0 that sum() starts from), and equal floats.
     assert list(harmonic.items()) == list(expected_harmonic.items())
     assert list(betweenness.items()) == list(expected_betweenness.items())
     assert [type(v) for v in harmonic.values()] == [
         type(v) for v in expected_harmonic.values()
     ]
+    assert {type(v) for v in harmonic.values()} == {float}
 
 
 def test_centralities_empty_graph():

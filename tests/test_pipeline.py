@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from citecode.config import PipelineConfig
-from citecode.errors import MalformedInput
+from citecode.errors import EmptyDocument, MalformedInput
 from citecode.pipeline import (
     code_corpus,
     load_resources,
@@ -175,6 +175,16 @@ def test_parse_corpus_strict_raises(tmp_path, resources):
     entries = [(bad_doc(tmp_path), "structured_xml")]
     with pytest.raises(MalformedInput):
         parse_corpus(entries, resources.abbreviations, strict=True)
+
+
+def test_parse_corpus_strict_error_names_the_path(tmp_path, resources):
+    path = tmp_path / "bad.txt"
+    path.write_text("#META id: bad\n", encoding="utf-8")
+    with pytest.raises(EmptyDocument) as err:
+        parse_corpus([(path, "plain_annotated")], resources.abbreviations, strict=True)
+    assert str(err.value) == f"{path}: document has no sections"
+    _, skipped = parse_corpus([(path, "plain_annotated")], resources.abbreviations)
+    assert skipped == [(str(path), "document has no sections")]
 
 
 def test_parse_corpus_skips_duplicate_ids(resources):

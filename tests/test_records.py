@@ -76,6 +76,14 @@ def test_assemble_extra_category():
     assert "Z" in str(err.value)
 
 
+@pytest.mark.parametrize("j_trace", ["J", "JX:cue", "I:J:cue"])
+def test_assemble_trace_entry_must_start_with_category_and_colon(j_trace):
+    trace = [t for t in FULL_TRACE if not t.startswith("J:")] + [j_trace]
+    with pytest.raises(IncompleteCoding) as err:
+        build(trace=trace)
+    assert "coded category J has no rule trace" in str(err.value)
+
+
 def test_assemble_invalid_value():
     slots = dict(FULL_SLOTS)
     slots["E"] = "E9"

@@ -5,6 +5,8 @@ from __future__ import annotations
 import logging
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from citecode.codebook import Uncodable
 from citecode.config import PipelineConfig
@@ -13,6 +15,7 @@ from citecode.ingest import parse_document
 from citecode.models import DocumentMetadata
 from citecode.pipeline import load_resources
 from citecode.semantic import (
+    CueEntry,
     CueLexicon,
     LexiconSet,
     code_disposition,
@@ -138,6 +141,114 @@ def test_match_deduplicates_repeats(lexicons):
     assert hits == [("but", "negative")]
 
 
+def _reference_matches_at(entry, tokens, position):
+    if position + len(entry.tokens) > len(tokens):
+        return False
+    for offset, want in enumerate(entry.tokens):
+        have = tokens[position + offset]
+        if entry.wildcard and offset == len(entry.tokens) - 1:
+            if not have.startswith(want[:-1]):
+                return False
+        elif have != want:
+            return False
+    return True
+
+
+def reference_match(lexicon, tokens):
+    """The uncached matcher: every single-token wildcard tried at every token."""
+    index = {}
+    wildcard_singles = []
+    for entry in lexicon.entries:
+        if entry.wildcard and len(entry.tokens) == 1:
+            wildcard_singles.append(entry)
+        else:
+            index.setdefault(entry.tokens[0], []).append(entry)
+    hits = []
+    seen = set()
+    for position, token in enumerate(tokens):
+        found = [e for e in index.get(token, []) if _reference_matches_at(e, tokens, position)]
+        found += [e for e in wildcard_singles if token.startswith(e.tokens[0][:-1])]
+        for entry in found:
+            key = (entry.phrase, entry.tag)
+            if key not in seen:
+                seen.add(key)
+                hits.append(key)
+    return hits
+
+
+def cue(phrase, tag="negative"):
+    wildcard = phrase.endswith("*")
+    return CueEntry(phrase=phrase, tag=tag, tokens=tuple(phrase.split()), wildcard=wildcard)
+
+
+# Overlapping entries: two nested single-token wildcards, an exact token
+# that both wildcards also cover, and multi-token phrases sharing a
+# first token, one of them ending in a wildcard.
+SYNTHETIC = CueLexicon(
+    name="synthetic",
+    entries=(
+        cue("lim*"),
+        cue("limit*", "positive"),
+        cue("limit"),
+        cue("limit of*", "evidence"),
+        cue("limit of the"),
+        cue("fail to*"),
+        cue("but"),
+    ),
+)
+
+
+def _token_strategy(lexicon):
+    words = sorted({token.rstrip("*") for entry in lexicon.entries for token in entry.tokens})
+    suffix = st.text(alphabet="aeinost", min_size=1, max_size=3)
+    return st.one_of(
+        st.sampled_from(words),
+        st.builds(lambda word, tail: word + tail, st.sampled_from(words), suffix),
+        st.text(alphabet="abefilmnostu", min_size=1, max_size=6),
+    )
+
+
+@pytest.mark.parametrize(
+    "name", ["synthetic", "negative", "positive", "evidence", "framework", "focus"]
+)
+@given(data=st.data())
+def test_match_equals_reference_scan(name, data, lexicons):
+    lexicon = SYNTHETIC if name == "synthetic" else getattr(lexicons, name)
+    tokens = data.draw(st.lists(_token_strategy(lexicon), max_size=30))
+    assert lexicon.match(tokens) == reference_match(lexicon, tokens)
+
+
+def test_synthetic_overlaps_keep_first_hit_order():
+    tokens = ["limits", "limit", "of", "theory", "limit", "of", "the", "but"]
+    assert SYNTHETIC.match(tokens) == [
+        ("lim*", "negative"),
+        ("limit*", "positive"),
+        ("limit", "negative"),
+        ("limit of*", "evidence"),
+        ("limit of the", "negative"),
+        ("but", "negative"),
+    ]
+    assert SYNTHETIC.match(tokens) == reference_match(SYNTHETIC, tokens)
+
+
+def test_lexicons_never_share_cached_candidates():
+    exact = CueLexicon(name="exact", entries=(cue("but"),))
+    prefix = CueLexicon(name="prefix", entries=(cue("but*", "positive"),))
+    for _ in range(2):
+        assert exact.match(["but", "butter"]) == [("but", "negative")]
+        assert prefix.match(["but", "butter"]) == [("but*", "positive")]
+    assert exact._candidates is not prefix._candidates
+
+
+@given(st.lists(st.text(max_size=20), max_size=6))
+@example(["\u212a", "Kelvin\u212a"])
+@example(["\u0130stanbul", "I\u0130"])
+@example(["\u039f\u0394\u039f\u03a3", "\u03a3a"])
+@example(["a\u03a3", "b"])
+def test_tokenize_per_sentence_equals_joined_window(sentences):
+    assert tokenize(" ".join(sentences)) == [t for s in sentences for t in tokenize(s)]
+
+
 KUHN_SENTENCE = (
     "However, Kuhn's view has been criticized for overstating consensus, "
     "but it remains a touchstone."
@@ -145,7 +256,7 @@ KUHN_SENTENCE = (
 
 
 def test_disposition_negative(lexicons):
-    value, matches, trace = code_disposition(KUHN_SENTENCE, lexicons)
+    value, matches, trace = code_disposition(tokenize(KUHN_SENTENCE), lexicons)
     assert value == "J2"
     assert ("however", "negative") in matches
     assert ("but", "negative") in matches
@@ -154,7 +265,7 @@ def test_disposition_negative(lexicons):
 
 def test_disposition_negative_single_cue(lexicons):
     value, matches, _ = code_disposition(
-        "Overfitting is a common problem in this family of models.", lexicons
+        tokenize("Overfitting is a common problem in this family of models."), lexicons
     )
     assert value == "J2"
     assert matches == [("problem", "negative")]
@@ -162,7 +273,7 @@ def test_disposition_negative_single_cue(lexicons):
 
 def test_disposition_positive(lexicons):
     value, matches, trace = code_disposition(
-        "The markets predicted outcomes accurately.", lexicons
+        tokenize("The markets predicted outcomes accurately."), lexicons
     )
     assert value == "J1"
     assert matches == [("accurately", "positive")]
@@ -171,7 +282,7 @@ def test_disposition_positive(lexicons):
 
 def test_disposition_mixed(lexicons):
     value, matches, trace = code_disposition(
-        "This seminal study nevertheless overreached.", lexicons
+        tokenize("This seminal study nevertheless overreached."), lexicons
     )
     assert value == "J3"
     assert trace == "J:cues:mixed"
@@ -180,14 +291,14 @@ def test_disposition_mixed(lexicons):
 
 def test_disposition_neutral(lexicons):
     value, matches, trace = code_disposition(
-        "The corpus contains fifty documents.", lexicons
+        tokenize("The corpus contains fifty documents."), lexicons
     )
     assert (value, matches, trace) == ("J4", [], "J:cues:none")
 
 
 def test_function_criticism_cue_wins(lexicons):
     value, matches, trace = code_function(
-        "However, empirical work has shown the framework fails.", "D5", lexicons
+        tokenize("However, empirical work has shown the framework fails."), "D5", lexicons
     )
     assert value == "I4"
     assert trace == "I:cue:however"
@@ -196,7 +307,7 @@ def test_function_criticism_cue_wins(lexicons):
 
 def test_function_evidence_cue(lexicons):
     value, _, trace = code_function(
-        "Empirical work has shown that interest forecasts citation.", "D2", lexicons
+        tokenize("Empirical work has shown that interest forecasts citation."), "D2", lexicons
     )
     assert value == "I3"
     assert trace.startswith("I:cue:")
@@ -204,7 +315,7 @@ def test_function_evidence_cue(lexicons):
 
 def test_function_framework_cue(lexicons):
     value, _, trace = code_function(
-        "We adopt the solution concept from classical game theory.", "D5", lexicons
+        tokenize("We adopt the solution concept from classical game theory."), "D5", lexicons
     )
     assert value == "I2"
     assert trace == "I:cue:solution concept"
@@ -212,7 +323,7 @@ def test_function_framework_cue(lexicons):
 
 def test_function_prior_from_location(lexicons):
     value, matches, trace = code_function(
-        "Kuhn wrote a famous book about science.", "D2", lexicons
+        tokenize("Kuhn wrote a famous book about science."), "D2", lexicons
     )
     assert (value, matches, trace) == ("I1", [], "I:prior:D2")
 
@@ -230,7 +341,7 @@ def test_function_prior_from_location(lexicons):
     ],
 )
 def test_function_prior_table(location, expected, lexicons):
-    value, _, trace = code_function("Nothing cue-like appears here.", location, lexicons)
+    value, _, trace = code_function(tokenize("Nothing cue-like appears here."), location, lexicons)
     assert value == expected
     assert trace == f"I:prior:{location}"
 
@@ -248,14 +359,14 @@ def test_function_with_empty_lexicons_is_pure_prior():
         ("D1", "I1"), ("D2", "I1"), ("D3", "I1"), ("D4", "I2"),
         ("D5", "I3"), ("D6", "I4"), ("D7", "I1"),
     ):
-        value, matches, trace = code_function(KUHN_SENTENCE, location, lexicons)
+        value, matches, trace = code_function(tokenize(KUHN_SENTENCE), location, lexicons)
         assert value == expected
         assert matches == []
         assert trace == f"I:prior:{location}"
 
 
 def test_disposition_with_empty_lexicons_is_neutral():
-    value, matches, _ = code_disposition(KUHN_SENTENCE, empty_lexicon_set())
+    value, matches, _ = code_disposition(tokenize(KUHN_SENTENCE), empty_lexicon_set())
     assert value == "J4"
     assert matches == []
 
@@ -379,6 +490,6 @@ def test_focus_cue_rescues_unmapped_domain():
 
 
 def test_coders_are_deterministic(lexicons):
-    first = code_function(KUHN_SENTENCE, "D5", lexicons)
+    first = code_function(tokenize(KUHN_SENTENCE), "D5", lexicons)
     for _ in range(3):
-        assert code_function(KUHN_SENTENCE, "D5", lexicons) == first
+        assert code_function(tokenize(KUHN_SENTENCE), "D5", lexicons) == first
