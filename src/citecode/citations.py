@@ -17,7 +17,8 @@ one reference entry is marked unresolved or ambiguous, never fatal.
 from __future__ import annotations
 
 import re
-from dataclasses import replace
+from bisect import bisect_left
+from operator import itemgetter
 
 from .errors import InvalidCount, UnknownRef, UnparseableName
 from .models import (
@@ -68,7 +69,13 @@ _NUMERIC_RE = re.compile(r"\[(\d{1,4}(?:\s*,\s*\d{1,4})*)\]")
 
 _ET_AL_RE = re.compile(r"\s*,?\s*\bet\s+al\.?", re.IGNORECASE)
 _CONJ_SPLIT_RE = re.compile(r"\s*(?:&|\band\b)\s+")
-_EXAMPLE_CUES = {"e.g.", "e.g", "eg", "see", "cf.", "cf"}
+_TOKEN_RE = re.compile(r"\S+")
+# A token that is an example cue ("e.g.", "e.g", "eg", "see", "cf.",
+# "cf") once lowercased and stripped of ",;:()". No character but the
+# ASCII capitals lowercases to these letters, so the classes are exact.
+_CUE_TOKEN_RE = re.compile(
+    r"[,;:()]*(?:[Ee]\.[Gg]\.?|[Ee][Gg]|[Ss][Ee][Ee]|[Cc][Ff]\.?)[,;:()]*"
+)
 
 
 def _strip_possessive(part: str) -> str:
@@ -89,10 +96,21 @@ def _split_names(names: str) -> tuple[tuple[str, ...], bool]:
     return surnames, et_al
 
 
-def _has_example_cue(prefix: str) -> bool:
-    tokens = prefix.lower().split()
-    for token in tokens[-3:]:
-        if token.strip(",;:()") in _EXAMPLE_CUES:
+def _token_spans(sentence: str) -> list[tuple[int, int]]:
+    return [token.span() for token in _TOKEN_RE.finditer(sentence)]
+
+
+def _has_example_cue(sentence: str, end: int, tokens: list[tuple[int, int]]) -> bool:
+    """True when one of the last three tokens before `end` is an example cue.
+
+    tokens are the whitespace-separated token spans of the sentence, in
+    order; a token that runs past `end` is cut there. Only those three
+    tokens are read, so each marker costs the same however long the
+    sentence before it is.
+    """
+    last = bisect_left(tokens, end, key=itemgetter(0))
+    for start, stop in tokens[max(0, last - 3) : last]:
+        if _CUE_TOKEN_RE.fullmatch(sentence, start, min(stop, end)):
             return True
     return False
 
@@ -105,11 +123,28 @@ def detect_citations(
     """Find all citation markers in one sentence and link them.
 
     Citations are returned in reading order with sentence-local ids
-    c0001, c0002, ...; document-level extraction renumbers them.
+    c0001, c0002, ...; extract_citations numbers them per document.
     """
-    found: list[dict] = []
+    return _detect(sentence, references, sentence_index, 1)
 
-    for group in _PAREN_GROUP_RE.finditer(sentence):
+
+def _detect(
+    sentence: str,
+    references: list[ReferenceEntry] | None,
+    sentence_index: int,
+    first_number: int,
+) -> list[InTextCitation]:
+    # Every marker holds a "(" or a "[", so a sentence without either
+    # is not scanned at all.
+    has_paren = "(" in sentence
+    has_bracket = "[" in sentence
+    if not (has_paren or has_bracket):
+        return []
+    tokens = _token_spans(sentence)
+    # (span start, reading order, InTextCitation fields) per citation.
+    found: list[tuple[int, int, dict]] = []
+
+    for group in _PAREN_GROUP_RE.finditer(sentence) if has_paren else ():
         content = group.group(1)
         if _YEAR_ONLY_RE.match(content):
             continue  # handled by the narrative pass
@@ -125,77 +160,65 @@ def detect_citations(
             surnames, et_al = _split_names(work.group("names"))
             if not surnames:
                 continue
-            prefix_in_sentence = sentence[: offset + seg_start + work.start()]
-            found.append(
-                dict(
-                    span=span,
-                    order=offset + seg_start + work.start(),
-                    style=STYLE_PARENTHETICAL,
-                    surnames=surnames,
-                    year=int(work.group("year")),
-                    suffix=work.group("suffix"),
-                    et_al=et_al,
-                    locator=bool(work.group("locator")),
-                    cue=_has_example_cue(prefix_in_sentence),
-                )
+            order = offset + seg_start + work.start()
+            fields = dict(
+                char_span=span,
+                marker_style=STYLE_PARENTHETICAL,
+                inside_example_cue=_has_example_cue(sentence, order, tokens),
+                surnames=surnames,
+                year=int(work.group("year")),
+                year_suffix=work.group("suffix"),
+                et_al=et_al,
+                has_page_locator=bool(work.group("locator")),
             )
+            found.append((span[0], order, fields))
 
-    for match in _NARRATIVE_RE.finditer(sentence):
+    for match in _NARRATIVE_RE.finditer(sentence) if has_paren else ():
         surnames, et_al = _split_names(match.group("names"))
         if not surnames:
             continue
-        found.append(
-            dict(
-                span=(match.start(), match.end()),
-                order=match.start(),
-                style=STYLE_NARRATIVE,
-                surnames=surnames,
-                year=int(match.group("year")),
-                suffix=match.group("suffix"),
-                et_al=et_al,
-                locator=False,
-                cue=_has_example_cue(sentence[: match.start()]),
-            )
+        fields = dict(
+            char_span=match.span(),
+            marker_style=STYLE_NARRATIVE,
+            inside_example_cue=_has_example_cue(sentence, match.start(), tokens),
+            surnames=surnames,
+            year=int(match.group("year")),
+            year_suffix=match.group("suffix"),
+            et_al=et_al,
         )
+        found.append((match.start(), match.start(), fields))
 
-    for match in _NUMERIC_RE.finditer(sentence):
+    for match in _NUMERIC_RE.finditer(sentence) if has_bracket else ():
+        cue = _has_example_cue(sentence, match.start(), tokens)
         for position, label in enumerate(re.findall(r"\d+", match.group(1))):
-            found.append(
-                dict(
-                    span=(match.start(), match.end()),
-                    order=match.start() + position,
-                    style=STYLE_NUMERIC,
-                    surnames=(),
-                    year=None,
-                    suffix=None,
-                    et_al=False,
-                    locator=False,
-                    cue=_has_example_cue(sentence[: match.start()]),
-                    label=label,
-                )
+            fields = dict(
+                char_span=match.span(),
+                marker_style=STYLE_NUMERIC,
+                inside_example_cue=cue,
+                numeric_label=label,
             )
+            found.append((match.start(), match.start() + position, fields))
 
-    found.sort(key=lambda item: (item["span"][0], item["order"]))
+    found.sort(key=lambda item: item[:2])
     citations = []
-    for position, item in enumerate(found, start=1):
+    for number, (_, _, fields) in enumerate(found, start=first_number):
+        citation_id = f"c{number:04d}"
         citation = InTextCitation(
-            citation_id=f"c{position:04d}",
+            citation_id=citation_id,
             ref_id=None,
             link_status=LINK_UNRESOLVED,
             sentence_index=sentence_index,
-            char_span=item["span"],
-            marker_style=item["style"],
-            inside_example_cue=item["cue"],
-            surnames=item["surnames"],
-            year=item["year"],
-            year_suffix=item["suffix"],
-            et_al=item["et_al"],
-            has_page_locator=item["locator"],
-            numeric_label=item.get("label"),
+            **fields,
         )
         if references is not None:
             ref_id, status = link_citation(citation, references)
-            citation = replace(citation, ref_id=ref_id, link_status=status)
+            citation = InTextCitation(
+                citation_id=citation_id,
+                ref_id=ref_id,
+                link_status=status,
+                sentence_index=sentence_index,
+                **fields,
+            )
         citations.append(citation)
     return citations
 
@@ -250,12 +273,9 @@ def extract_citations(doc: Document) -> list[InTextCitation]:
     Ids are assigned in reading order (sentence, then offset) and are
     unique within the document.
     """
-    citations = []
-    counter = 0
+    citations: list[InTextCitation] = []
     for index, sentence in enumerate(doc.sentences):
-        for citation in detect_citations(sentence, doc.references, sentence_index=index):
-            counter += 1
-            citations.append(replace(citation, citation_id=f"c{counter:04d}"))
+        citations += _detect(sentence, doc.references, index, len(citations) + 1)
     return citations
 
 

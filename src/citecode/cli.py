@@ -29,7 +29,7 @@ from .pipeline import (
     run_pipeline,
     write_outputs,
 )
-from .records import read_jsonl
+from .records import read_json_lines, read_jsonl
 from .sentences import DEFAULT_ABBREVIATIONS
 
 
@@ -99,11 +99,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def _read_gold(path: str) -> dict[tuple[str, str], dict[str, str]]:
     gold: dict[tuple[str, str], dict[str, str]] = {}
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise MalformedInput(f"cannot read gold file {path}: {exc}") from None
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(read_json_lines(path, "gold"), start=1):
         if not line.strip():
             continue
         try:

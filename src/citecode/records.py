@@ -15,6 +15,10 @@ from pathlib import Path
 from .codebook import CATEGORIES, VALUES, Uncodable
 from .errors import IncompleteCoding, MalformedInput
 
+# What a category key of a coded line may hold: a codebook value, or
+# null when the category is uncodable.
+_STORED_VALUES = {category: frozenset(VALUES[category]) | {None} for category in CATEGORIES}
+
 _FIXED_FIELDS = (
     "doc_id", "citation_id", "ref_id", "link_status", "sentence_index",
     "context_level", "context_sentences",
@@ -119,8 +123,22 @@ def record_to_json(record: CodedCitation) -> str:
 
 
 def record_from_json(line: str) -> CodedCitation:
-    """Parse one JSONL line; doc_id, citation_id and link_status are required."""
+    """Parse one JSONL line; doc_id, citation_id and link_status are required.
+
+    A missing required key raises KeyError, a line that is not a coded
+    record (or a category holding a list or an object) TypeError, and
+    a category value outside the codebook ValueError.
+    """
     data = json.loads(line)
+    for key in ("doc_id", "citation_id", "link_status"):
+        if not isinstance(data[key], str):
+            raise TypeError(f"{key} is not a string")
+    codes = {}
+    for category in CATEGORIES:
+        value = data.get(category)
+        if value not in _STORED_VALUES[category]:
+            raise ValueError(f"{value!r} is not a {category} value")
+        codes[category] = value
     return CodedCitation(
         doc_id=data["doc_id"],
         citation_id=data["citation_id"],
@@ -129,7 +147,7 @@ def record_from_json(line: str) -> CodedCitation:
         sentence_index=data.get("sentence_index", 0),
         context_level=data.get("context_level", "sentence_cluster"),
         context_sentences=tuple(data.get("context_sentences", ())),
-        codes={category: data.get(category) for category in CATEGORIES},
+        codes=codes,
         matched_cues=[tuple(pair) for pair in data.get("matched_cues", [])],
         rule_trace=list(data.get("rule_trace", [])),
         uncodable_reasons=dict(data.get("uncodable_reasons", {})),
@@ -146,15 +164,28 @@ def write_jsonl(records: list[CodedCitation], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
+def read_json_lines(path: str | Path, what: str) -> list[str]:
+    """The lines of a UTF-8 JSON Lines file; unreadable input raises MalformedInput.
+
+    Lines end at "\n" only: JSON strings may hold the other characters
+    str.splitlines() breaks on, such as U+2028 in a document id.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise MalformedInput(f"cannot read {what} file {path}: {exc}") from None
+    try:
+        return data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedInput(f"{what} file is not UTF-8 ({exc.reason})", line=line) from None
+
+
 def read_jsonl(path: str | Path) -> list[CodedCitation]:
     """Read coded records; a bad file or line raises MalformedInput."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise MalformedInput(f"cannot read coded file {path}: {exc}") from None
     records = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(read_json_lines(path, "coded"), start=1):
         if not line.strip():
             continue
         try:
@@ -165,4 +196,6 @@ def read_jsonl(path: str | Path) -> list[CodedCitation]:
             raise MalformedInput(f"{path.name}: record has no {exc}", line=line_no) from None
         except TypeError:
             raise MalformedInput(f"{path.name}: not a coded record", line=line_no) from None
+        except ValueError as exc:
+            raise MalformedInput(f"{path.name}: {exc}", line=line_no) from None
     return records

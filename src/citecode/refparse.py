@@ -48,22 +48,34 @@ _LEAD_SEP_RE = re.compile(r"^(?:&|and)\s+", re.IGNORECASE)
 
 
 def detect_venue_signals(text: str) -> frozenset[str]:
-    """Scan a reference string for venue-class signals."""
+    """Scan a reference string for venue-class signals.
+
+    A pattern runs only when the entry holds a literal that every match
+    of it contains. Case-insensitive patterns are gated on text.lower(),
+    with literals free of "i" and "s": re.IGNORECASE also matches "ı"
+    and "İ" to "i" and "ſ" to "s", and str.lower() maps none of them
+    to those letters.
+    """
+    low = text.lower()
     signals = set()
-    if _PROCEEDINGS_RE.search(text):
+    if "proceed" in low and _PROCEEDINGS_RE.search(text):
         signals.add(SIG_PROCEEDINGS)
-    if _VOLUME_ISSUE_RE.search(text):
+    if "(" in text and _VOLUME_ISSUE_RE.search(text):
         signals.add(SIG_VOLUME_ISSUE)
     if (
-        _EDITION_RE.search(text)
-        or _EDITOR_RE.search(text)
+        ("ed" in low and _EDITION_RE.search(text))
+        or ("(" in text and _EDITOR_RE.search(text))
         or _PUBLISHER_NAME_RE.search(text)
-        or _TERMINAL_IMPRINT_RE.search(text)
+        or (":" in text and _TERMINAL_IMPRINT_RE.search(text))
     ):
         signals.add(SIG_PUBLISHER)
-    if _REPORT_RE.search(text):
+    if (
+        "report" in low or "new" in low or "paper" in low or "rele" in low
+    ) and _REPORT_RE.search(text):
         signals.add(SIG_REPORT)
-    if _URL_RE.search(text):
+    if (
+        "://" in text or "www." in low or "retr" in low or "acce" in low
+    ) and _URL_RE.search(text):
         signals.add(SIG_URL)
     return frozenset(signals)
 

@@ -9,11 +9,15 @@ sentences (with whitespace collapsed) reproduces the input text.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 _TERMINATORS = ".!?"
 _OPENERS = "(["
 _CLOSERS = ")]"
+# Every character that can change the segmenter's state; the text
+# between two of them is skipped without being looked at.
+_STATE_CHANGE_RE = re.compile(r"[.!?()\[\]]")
 _TRAILING_QUOTES = "\"'’”"
 _STARTERS = "\"'(“["
 
@@ -71,18 +75,18 @@ def segment_sentences(
     sentences: list[str] = []
     start = 0
     depth = 0
-    i = 0
     n = len(text)
-    while i < n:
+    search = _STATE_CHANGE_RE.search
+    found = search(text)
+    while found is not None:
+        i = found.start()
         ch = text[i]
+        resume = i + 1
         if ch in _OPENERS:
             depth += 1
         elif ch in _CLOSERS:
             depth = max(0, depth - 1)
-        elif ch in _TERMINATORS and depth == 0:
-            if ch == "." and _protected(text, i, abbrevs, window):
-                i += 1
-                continue
+        elif depth == 0 and not (ch == "." and _protected(text, i, abbrevs, window)):
             # Swallow the full run ("?!", "...") plus any closing quotes.
             j = i
             while j + 1 < n and text[j + 1] in _TERMINATORS:
@@ -101,11 +105,10 @@ def segment_sentences(
                 if piece:
                     sentences.append(piece)
                 start = m
-                i = m
-                continue
-            i = k
-            continue
-        i += 1
+                resume = m
+            else:
+                resume = k
+        found = search(text, resume)
     tail = _collapse(text[start:])
     if tail:
         sentences.append(tail)

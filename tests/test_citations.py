@@ -2,15 +2,28 @@
 
 from __future__ import annotations
 
+import re
+import time
+from dataclasses import replace
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citecode.citations import (
+    _NARRATIVE_RE,
+    _NUMERIC_RE,
+    _PAREN_GROUP_RE,
+    _SEGMENT_WORK_RE,
+    _YEAR_ONLY_RE,
+    _has_example_cue,
+    _split_names,
+    _token_spans,
     count_mentions,
     detect_citations,
     extract_citations,
     extract_context,
+    link_citation,
     mention_counts,
 )
 from citecode.errors import InvalidCount, UnknownRef
@@ -307,3 +320,202 @@ def test_document_citation_ids_are_sequential(corpus_documents):
             f"c{i:04d}" for i in range(1, len(citations) + 1)
         ]
         assert citations == extract_citations(doc)
+
+
+# -- the original scan, kept as the reference for the gated one ---------
+
+
+def reference_has_example_cue(prefix):
+    """The original check: lowercase and split the whole prefix."""
+    tokens = prefix.lower().split()
+    for token in tokens[-3:]:
+        if token.strip(",;:()") in {"e.g.", "e.g", "eg", "see", "cf.", "cf"}:
+            return True
+    return False
+
+
+def reference_detect_citations(sentence, references=None, sentence_index=0):
+    """The original detect_citations: all three scans on every sentence."""
+    found = []
+    for group in _PAREN_GROUP_RE.finditer(sentence):
+        content = group.group(1)
+        if _YEAR_ONLY_RE.match(content):
+            continue
+        span = (group.start(), group.end())
+        offset = group.start(1)
+        cursor = 0
+        for segment in content.split(";"):
+            seg_start = cursor
+            cursor += len(segment) + 1
+            work = _SEGMENT_WORK_RE.search(segment)
+            if not work:
+                continue
+            surnames, et_al = _split_names(work.group("names"))
+            if not surnames:
+                continue
+            prefix_in_sentence = sentence[: offset + seg_start + work.start()]
+            found.append(dict(
+                span=span, order=offset + seg_start + work.start(),
+                style=STYLE_PARENTHETICAL, surnames=surnames,
+                year=int(work.group("year")), suffix=work.group("suffix"),
+                et_al=et_al, locator=bool(work.group("locator")),
+                cue=reference_has_example_cue(prefix_in_sentence),
+            ))
+    for match in _NARRATIVE_RE.finditer(sentence):
+        surnames, et_al = _split_names(match.group("names"))
+        if not surnames:
+            continue
+        found.append(dict(
+            span=(match.start(), match.end()), order=match.start(),
+            style=STYLE_NARRATIVE, surnames=surnames, year=int(match.group("year")),
+            suffix=match.group("suffix"), et_al=et_al, locator=False,
+            cue=reference_has_example_cue(sentence[: match.start()]),
+        ))
+    for match in _NUMERIC_RE.finditer(sentence):
+        for position, label in enumerate(re.findall(r"\d+", match.group(1))):
+            found.append(dict(
+                span=(match.start(), match.end()), order=match.start() + position,
+                style=STYLE_NUMERIC, surnames=(), year=None, suffix=None,
+                et_al=False, locator=False,
+                cue=reference_has_example_cue(sentence[: match.start()]), label=label,
+            ))
+    found.sort(key=lambda item: (item["span"][0], item["order"]))
+    citations = []
+    for position, item in enumerate(found, start=1):
+        citation = InTextCitation(
+            citation_id=f"c{position:04d}", ref_id=None, link_status=LINK_UNRESOLVED,
+            sentence_index=sentence_index, char_span=item["span"],
+            marker_style=item["style"], inside_example_cue=item["cue"],
+            surnames=item["surnames"], year=item["year"], year_suffix=item["suffix"],
+            et_al=item["et_al"], has_page_locator=item["locator"],
+            numeric_label=item.get("label"),
+        )
+        if references is not None:
+            ref_id, status = link_citation(citation, references)
+            citation = replace(citation, ref_id=ref_id, link_status=status)
+        citations.append(citation)
+    return citations
+
+
+def reference_extract_citations(doc):
+    """The original extract_citations: renumber each sentence's citations."""
+    citations = []
+    for index, sentence in enumerate(doc.sentences):
+        for citation in reference_detect_citations(sentence, doc.references, index):
+            citations.append(replace(citation, citation_id=f"c{len(citations) + 1:04d}"))
+    return citations
+
+
+# Unicode whitespace (no-break, line separator, information separator,
+# ideographic space) and letters whose case mapping is irregular: dotted
+# capital I, dotless i, long s, the Kelvin sign and capital sigma.
+_ODD_CHARACTERS = ["\u00a0", "\u2028", "\u001c", "\u3000", "\u0130", "\u0131", "\u017f",
+                   "\u212a", "\u03a3"]
+_CUE_PIECES = ["e.g.", "E.G.,", "(e.g.", "eg", "see", "SEE:", "(see", "cf.", "Cf", "cf.;",
+               "\u017fee", "e.\u0261."]
+_CUE_ALPHABET = list("eEgGsScCfF.,;:() \t\n") + _ODD_CHARACTERS
+
+
+@given(
+    st.lists(
+        st.sampled_from(_CUE_PIECES)
+        | st.text(alphabet=st.sampled_from(_CUE_ALPHABET), max_size=5),
+        max_size=12,
+    ).map("".join)
+)
+@example("(see, e.g., ")
+@example("x e.g.\u2028(")
+@example("\u03a3EE see\u00a0x y")
+@settings(max_examples=300)
+def test_example_cue_reads_the_same_as_the_whole_prefix_check(sentence):
+    tokens = _token_spans(sentence)
+    for end in range(len(sentence) + 1):
+        assert _has_example_cue(sentence, end, tokens) == reference_has_example_cue(
+            sentence[:end]
+        ), end
+
+
+_MARKER_REFS = HJ_REFS + refs(
+    "[3] Smith, J. (2011). A title. A Journal, 4(2), 1-10.",
+    "Smith, J. (2011a). Another title. Press.",
+    "Berg, J., Nelson, F., & Rietz, T. (2001). Markets. Proceedings of X.",
+    "[7] Doe, A. (1999). A report.",
+)
+_SENTENCE_PIECES = [
+    "(Smith, 2011)", "(Smith 2011a; Berg et al. 2001, p. 5)", "Smith (2011)",
+    "Berg et al. (2001)", "Smith's (2011)", "Hjørland & Albrechtsen (1995)", "[3]", "[3, 7]",
+    "(e.g., ", "(see ", "see ", "cf. ", "(", ")", "[", "]", ";", ",", ".", " ", "and ", "& ",
+    "2011", "1995", "Smith", "Berg", "et al.", "pp. 4-5", "Doe",
+]
+_SENTENCES = st.lists(
+    st.sampled_from(_SENTENCE_PIECES)
+    | st.text(alphabet=st.sampled_from(list("(); ,.[]Sa19") + _ODD_CHARACTERS), max_size=4),
+    max_size=16,
+).map("".join)
+
+
+@given(sentence=_SENTENCES, sentence_index=st.integers(0, 3), linked=st.booleans())
+@example(sentence="Some work (see, e.g., Smith, 2011; Berg et al. 2001) [3, 7].",
+         sentence_index=0, linked=True)
+@example(sentence="No markers here, only words.", sentence_index=2, linked=True)
+@example(sentence="Brackets [alone] and Smith (2011)", sentence_index=1, linked=False)
+@settings(max_examples=400)
+def test_gated_detection_matches_the_ungated_scan(sentence, sentence_index, linked):
+    references = _MARKER_REFS if linked else None
+    assert detect_citations(sentence, references, sentence_index) == (
+        reference_detect_citations(sentence, references, sentence_index)
+    )
+
+
+def _document(sentences):
+    return Document(
+        metadata=DocumentMetadata(doc_id="d"),
+        sections=[Section("Intro", "D2", 0, len(sentences))],
+        sentences=sentences,
+        references=_MARKER_REFS,
+    )
+
+
+@given(st.lists(_SENTENCES, min_size=1, max_size=6))
+@settings(max_examples=150)
+def test_document_ids_run_in_reading_order(sentences):
+    citations = extract_citations(_document(sentences))
+    assert citations == reference_extract_citations(_document(sentences))
+    assert [c.citation_id for c in citations] == [
+        f"c{i:04d}" for i in range(1, len(citations) + 1)
+    ]
+    positions = [(c.sentence_index, c.char_span[0]) for c in citations]
+    assert positions == sorted(positions)
+
+
+def test_fixture_extraction_matches_the_original(corpus_documents):
+    for doc in corpus_documents:
+        assert extract_citations(doc) == reference_extract_citations(doc)
+
+
+def _best_detect_time(sentence, repeats=3):
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        detect_citations(sentence)
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+@pytest.mark.parametrize(
+    "marker",
+    [
+        lambda i: f"(Smith, {1900 + i % 100})",
+        lambda i: f"Smith ({1900 + i % 100})",
+        lambda i: f"[{i % 1000}]",
+    ],
+    ids=["parenthetical", "narrative", "numeric"],
+)
+def test_detection_time_is_linear_in_markers_per_sentence(marker):
+    # One sentence holding every marker. Quadrupling the markers must
+    # cost well under the 16x a per-marker scan of the prefix would;
+    # 8x leaves room for timer noise.
+    small = " ".join(marker(i) for i in range(1000))
+    large = " ".join(marker(i) for i in range(4000))
+    assert len(detect_citations(large)) == 4000
+    assert _best_detect_time(large) < 8 * _best_detect_time(small)

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from citecode.cli import main
+from citecode.ingest import FORMATS
 from citecode.records import read_jsonl
 
-from conftest import make_manifest
+from conftest import FIXTURE_DIR, make_manifest
 
 
 @pytest.fixture(scope="module")
@@ -325,6 +330,12 @@ def _drop_key(line, key):
     return json.dumps(payload)
 
 
+def _set_key(line, key, value):
+    payload = json.loads(line)
+    payload[key] = value
+    return json.dumps(payload)
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
@@ -336,8 +347,18 @@ def _drop_key(line, key):
             "line 2: coded.jsonl: record has no 'link_status'",
         ),
         (lambda line: "[]", "line 2: coded.jsonl: not a coded record"),
+        (lambda line: _set_key(line, "doc_id", 5), "line 2: coded.jsonl: not a coded record"),
+        (
+            lambda line: _set_key(line, "J", "J9"),
+            "line 2: coded.jsonl: 'J9' is not a J value",
+        ),
+        (lambda line: _set_key(line, "I", []), "line 2: coded.jsonl: not a coded record"),
+        (lambda line: _set_key(line, "uncodable_reasons", "ab c"), "line 2: coded.jsonl: "),
     ],
-    ids=["missing-file", "truncated-line", "no-doc-id", "no-link-status", "not-an-object"],
+    ids=[
+        "missing-file", "truncated-line", "no-doc-id", "no-link-status", "not-an-object",
+        "numeric-doc-id", "value-outside-codebook", "list-value", "string-reasons",
+    ],
 )
 @pytest.mark.parametrize("command", ["report", "eval"])
 def test_bad_coded_input_exits_two(coded_run, tmp_path, capsys, command, damage, message):
@@ -361,6 +382,46 @@ def test_bad_coded_input_exits_two(coded_run, tmp_path, capsys, command, damage,
     assert exit_code == 2
     assert message in captured.err
     assert "internal error" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["report", "eval"])
+def test_non_utf8_input_exits_two_with_its_line(coded_run, tmp_path, capsys, command):
+    good = (coded_run / "coded.jsonl").read_bytes()
+    broken = tmp_path / "broken.jsonl"
+    broken.write_bytes(good.replace(b'"paper-b"', b'"paper-\xff"', 1))
+    bad_line = good[: good.index(b'"paper-b"')].count(b"\n") + 1
+    gold = write_gold(
+        tmp_path / "gold.jsonl",
+        [{"doc_id": "paper-b", "citation_id": "c0003", "J": "J1"}],
+    )
+    argv = {
+        "report": ["report", "--input", str(broken), "--rows", "J"],
+        "eval": [
+            "eval", "--input", str(coded_run / "coded.jsonl"), "--gold", str(broken),
+            "--categories", "J",
+        ],
+    }[command]
+    what = {"report": "coded", "eval": "gold"}[command]
+    exit_code = main(argv)
+    captured = capsys.readouterr()
+    assert exit_code == 2
+    assert f"line {bad_line}: {what} file is not UTF-8" in captured.err
+
+
+def test_report_reads_ids_holding_a_line_separator(tmp_path, capsys):
+    # JSON leaves U+2028 unescaped, and str.splitlines() would break the
+    # record there.
+    source = (FIXTURE_DIR / "sample.xml").read_text(encoding="utf-8")
+    doc = tmp_path / "doc.xml"
+    doc.write_text(source.replace("<id>xml-sample</id>", "<id>xml\u2028sample</id>"),
+                   encoding="utf-8")
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text(f"{doc}\tstructured_xml\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["code", "--manifest", str(manifest), "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--input", str(out_dir / "coded.jsonl"), "--rows", "D"]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == "D2,2"
 
 
 @pytest.mark.parametrize(
@@ -447,3 +508,102 @@ def test_internal_errors_exit_one(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert exit_code == 1
     assert "internal error" in captured.err
+
+
+# -- fuzzing: any input bytes exit 0 or 2, never 1 ----------------------
+
+# Pieces of both input grammars, spliced into real documents so that
+# most fuzzed inputs get past the first parse check.
+_DOCUMENT_PIECES = [
+    "\n", "\n\n", "#META id: fz\n", "#META id:\n", "#META authors: Smith, J.; ;0\n",
+    "#META year: 20x1\n", "#META venue-type: zine\n", "#META domain: K9\n",
+    "#SECTION Results\n", "#SECTION\n", "#REFERENCES\n", "#OTHER\n",
+    "[1] Smith, J. (2011). T. J, 4(2), 1-10.\n", "[1] Doe, A. (2011a). Dup.\n",
+    "(Smith, 2011)", "Smith (2011)", "[1, 2]",
+    "(e.g., Doe and Smith 2011a; Berg et al. 2001, p. 5)",
+    "(", ")", "[", "]", ";", ":", ".", "e.g.", "\"", "“", "<", ">", "&", "&amp;", "&#0;",
+    "<section header=\"Methods\">", "</section>", "<paragraph>", "</paragraph>",
+    "<reference id=\"1\">", "</reference>", "<id>", "</id>", "<year>x</year>",
+    "<author>0</author>", "<venue type=\"zine\">", "</document>", "<document>",
+    "\u2028", "\x85", "\x00", "\ufeff", "\u0130", "\u03a3", "\u212a",
+]
+
+
+@st.composite
+def _spliced(draw, base: bytes):
+    data = bytearray(base)
+    for _ in range(draw(st.integers(0, 6))):
+        start = draw(st.integers(0, len(data)))
+        stop = draw(st.integers(start, min(len(data), start + 60)))
+        data[start:stop] = draw(
+            st.binary(max_size=8) | st.sampled_from(_DOCUMENT_PIECES).map(str.encode)
+        )
+    return bytes(data)
+
+
+_DOCUMENT_BYTES = (
+    st.binary(max_size=300)
+    | _spliced((FIXTURE_DIR / "paper-a.txt").read_bytes())
+    | _spliced((FIXTURE_DIR / "sample.xml").read_bytes())
+)
+
+
+@given(data=_DOCUMENT_BYTES, doc_format=st.sampled_from(FORMATS), strict=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_code_on_any_document_bytes_exits_zero_or_two(data, doc_format, strict):
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        (root / "doc").write_bytes(data)
+        manifest = root / "m.tsv"
+        manifest.write_text(f"doc\t{doc_format}\n", encoding="utf-8")
+        argv = ["code", "--manifest", str(manifest), "--out", str(root / "out")]
+        assert main(argv + ["--strict"] * strict) in (0, 2)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _coded_bytes(draw, lines: list[str]):
+    """Coded JSONL whose records have keys dropped or retyped."""
+    out = []
+    for line in draw(st.lists(st.sampled_from(lines), min_size=1, max_size=4)):
+        record = json.loads(line)
+        for key in draw(st.lists(st.sampled_from(sorted(record)), max_size=3, unique=True)):
+            if draw(st.booleans()):
+                del record[key]
+            else:
+                record[key] = draw(_JSON_VALUES)
+        out.append(json.dumps(record, ensure_ascii=draw(st.booleans())))
+    return "\n".join(out).encode("utf-8")
+
+
+@given(data=st.data(), command=st.sampled_from(["report", "eval"]))
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_report_and_eval_on_any_coded_bytes_exit_zero_or_two(coded_run, data, command):
+    lines = (coded_run / "coded.jsonl").read_text(encoding="utf-8").splitlines()
+    coded_bytes = data.draw(st.binary(max_size=300) | _coded_bytes(lines))
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        coded = root / "coded.jsonl"
+        coded.write_bytes(coded_bytes)
+        gold = write_gold(root / "gold.jsonl", [
+            {"doc_id": "paper-b", "citation_id": "c0003", "J": "J1"},
+        ])
+        argv = {
+            "report": ["report", "--input", str(coded), "--rows", "J", "--cols", "I"],
+            "eval": [
+                "eval", "--input", str(coded), "--gold", str(gold), "--categories", "I,J",
+            ],
+        }[command]
+        assert main(argv) in (0, 2)

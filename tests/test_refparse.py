@@ -2,7 +2,22 @@
 
 from __future__ import annotations
 
+import re
+import string
+import sys
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from citecode.refparse import (
+    _EDITION_RE,
+    _EDITOR_RE,
+    _PROCEEDINGS_RE,
+    _PUBLISHER_NAME_RE,
+    _REPORT_RE,
+    _TERMINAL_IMPRINT_RE,
+    _URL_RE,
+    _VOLUME_ISSUE_RE,
     SIG_PROCEEDINGS,
     SIG_PUBLISHER,
     SIG_REPORT,
@@ -130,3 +145,70 @@ def test_raw_is_normalized_whitespace_without_label():
     entry = parse_reference_entry("[3]  Doe,  A. (2001).   Spaced   out. Acta, 2(2), 4-5.")
     assert entry.ref_id == "3"
     assert entry.raw == "Doe, A. (2001). Spaced out. Acta, 2(2), 4-5."
+
+
+def reference_detect_venue_signals(text):
+    """The original detect_venue_signals: every pattern runs on every entry."""
+    signals = set()
+    if _PROCEEDINGS_RE.search(text):
+        signals.add(SIG_PROCEEDINGS)
+    if _VOLUME_ISSUE_RE.search(text):
+        signals.add(SIG_VOLUME_ISSUE)
+    if (
+        _EDITION_RE.search(text)
+        or _EDITOR_RE.search(text)
+        or _PUBLISHER_NAME_RE.search(text)
+        or _TERMINAL_IMPRINT_RE.search(text)
+    ):
+        signals.add(SIG_PUBLISHER)
+    if _REPORT_RE.search(text):
+        signals.add(SIG_REPORT)
+    if _URL_RE.search(text):
+        signals.add(SIG_URL)
+    return frozenset(signals)
+
+
+def test_case_insensitive_letters_that_lower_does_not_map():
+    # The venue gates rely on this: under re.IGNORECASE only these code
+    # points match an ASCII letter that str.lower() does not turn them
+    # into. (The Kelvin sign matches "k" and lowercases to it.)
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    unmapped = {}
+    for ch in re.findall("[a-z]", everything, re.IGNORECASE):
+        for letter in string.ascii_lowercase:
+            if re.fullmatch(letter, ch, re.IGNORECASE) and ch.lower() != letter:
+                unmapped[ch] = letter
+    assert unmapped == {"\u0130": "i", "\u0131": "i", "\u017f": "s"}
+
+
+# Words each signal pattern matches, in several casings and with the
+# letters re.IGNORECASE folds but str.lower() leaves alone.
+_VENUE_WORDS = [
+    "proceedings", "PROCEEDINGS", "Proceed\u0131ngs", "PROCEED\u0130NGS", "Proceeding\u017f",
+    "edition", "EDITION", "ed\u0131t\u0131on", "(2nd ed.)", "(3RD ED)", "(Eds.)", "(ed)",
+    "(ed\u017f.)", "Press", "Sage", "McGraw", "CA: Sage.", "; New York: Wiley.",
+    "report", "REPORT", "Newsletter", "NEWSPAPER", "new\u017f", "working paper",
+    "Work\u0131ng Paper", "white paper", "press release", "Pre\u017f\u017f Relea\u017fe",
+    "http://", "HTTPS://", "www.", "WWW.", "retrieved", "RETRIEVED", "Retr\u0131eved",
+    "accessed", "Acce\u017f\u017fed", "ACCESSED", "4(2)", "12 (3-4)", "(1965)", "1(2\u20133)",
+]
+_VENUE_ALPHABET = list(" .,:;()&-/0123456789aAdDeEpPrRsSwW") + [
+    "\u0130", "\u0131", "\u017f", "\u212a", "\u03a3", "\u00a0",
+]
+
+
+@given(
+    st.lists(
+        st.sampled_from(_VENUE_WORDS)
+        | st.text(alphabet=st.sampled_from(_VENUE_ALPHABET), max_size=6),
+        max_size=12,
+    ).map("".join)
+)
+@example("Proceed\u0131ngs of the Tenth Workshop")
+@example("Acce\u017f\u017fed 3 May 2012")
+@example("RETRIEVED FROM THE ARCHIVE")
+@example("PRESS RELEASE, 4 JUNE")
+@example("Smith, J. (2001). A book (2ND ED.). London: Sage")
+@settings(max_examples=500)
+def test_gated_venue_signals_match_the_ungated_scan(text):
+    assert detect_venue_signals(text) == reference_detect_venue_signals(text)

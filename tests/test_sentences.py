@@ -8,7 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citecode.sentences import (
+    _CLOSERS,
+    _OPENERS,
+    _STARTERS,
+    _TERMINATORS,
+    _TRAILING_QUOTES,
     DEFAULT_ABBREVIATIONS,
+    _collapse,
     _protected,
     load_abbreviations,
     segment_sentences,
@@ -176,3 +182,80 @@ def test_segmentation_time_is_linear_in_paragraph_length():
     small = _best_time(unit)
     large = _best_time(unit * 4)
     assert large < 8 * small, (small, large)
+
+
+def reference_segment_sentences(text, abbreviations=DEFAULT_ABBREVIATIONS):
+    """The per-character original of segment_sentences."""
+    abbrevs = tuple(a.lower() for a in abbreviations)
+    window = max(map(len, abbrevs), default=0)
+    sentences = []
+    start = 0
+    depth = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch in _OPENERS:
+            depth += 1
+        elif ch in _CLOSERS:
+            depth = max(0, depth - 1)
+        elif ch in _TERMINATORS and depth == 0:
+            if ch == "." and _protected(text, i, abbrevs, window):
+                i += 1
+                continue
+            j = i
+            while j + 1 < n and text[j + 1] in _TERMINATORS:
+                j += 1
+            k = j + 1
+            while k < n and text[k] in _TRAILING_QUOTES:
+                k += 1
+            m = k
+            while m < n and text[m].isspace():
+                m += 1
+            next_starts_sentence = m < n and (
+                text[m].isupper() or text[m].isdigit() or text[m] in _STARTERS
+            )
+            if m > k and next_starts_sentence:
+                piece = _collapse(text[start:k])
+                if piece:
+                    sentences.append(piece)
+                start = m
+                i = m
+                continue
+            i = k
+            continue
+        i += 1
+    tail = _collapse(text[start:])
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
+# Every character the segmenter reacts to, quotes and openers that may
+# start a sentence, Unicode whitespace (no-break space, line separator,
+# information separator), and the letters whose lowercase is irregular.
+_SEGMENTER_ALPHABET = list(
+    ".!?()[]\"'’”“ \t\n\u00a0\u2028\u001f aAeEgGpPsS019,;:-"
+) + _LOWERING_EDGE_CASES + ["\u0131", "\u017f"]
+_SEGMENTER_WORDS = [
+    "e.g.", "et al.", "Fig.", "pp.", "vs.", "No.", "(Smith, 2011)", "[3]",
+    ". A", "! B", "? 1", ".\u201d C", "!) D", "] E.",
+]
+
+
+@given(
+    pieces=st.lists(
+        st.text(alphabet=st.sampled_from(_SEGMENTER_ALPHABET), max_size=8)
+        | st.sampled_from(_SEGMENTER_WORDS),
+        max_size=30,
+    )
+)
+@example(pieces=["See Fig. 3 (p. 7. here) ends.", "\u2028", "\u201cNext.\u201d Done!? ", "[1] x"])
+@example(pieces=["A.", "\u00a0", "\u0130t works. ", "\u03a3.", " ", "\u212a"])
+@example(pieces=["It is! Done [a. B] (c! D)."])
+@settings(max_examples=400)
+def test_segmentation_matches_the_per_character_loop(pieces):
+    text = "".join(pieces)
+    assert segment_sentences(text) == reference_segment_sentences(text)
+    custom = DEFAULT_ABBREVIATIONS + ("\u0131.", "s.")
+    assert segment_sentences(text, custom) == reference_segment_sentences(text, custom)
