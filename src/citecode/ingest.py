@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from xml.sax.saxutils import escape, quoteattr
 
 from .errors import DuplicateRefId, EmptyDocument, MalformedInput, UnparseableName
 from .models import VENUE_TYPES, AuthorName, Document, DocumentMetadata, ReferenceEntry, Section
@@ -336,6 +335,23 @@ def parse_document(
     return _parse_plain(text, abbreviations)
 
 
+# xml.sax.saxutils would give these two, but importing it loads
+# urllib.request, and with it http.client, ssl, socket and email.
+def _escape(text: str) -> str:
+    """Escape &, < and > as xml.sax.saxutils.escape does."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _quoteattr(text: str) -> str:
+    """Escape and quote an attribute value as xml.sax.saxutils.quoteattr does."""
+    text = _escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
+
+
 def serialize_document(doc: Document) -> str:
     """Render the canonical XML interchange form of a Document.
 
@@ -344,17 +360,17 @@ def serialize_document(doc: Document) -> str:
     """
     meta = doc.metadata
     lines = ["<document>", "  <metadata>"]
-    lines.append(f"    <id>{escape(meta.doc_id)}</id>")
+    lines.append(f"    <id>{_escape(meta.doc_id)}</id>")
     if meta.title:
-        lines.append(f"    <title>{escape(meta.title)}</title>")
+        lines.append(f"    <title>{_escape(meta.title)}</title>")
     if meta.authors:
         lines.append("    <authors>")
         for author in meta.authors:
-            lines.append(f"      <author>{escape(author.raw)}</author>")
+            lines.append(f"      <author>{_escape(author.raw)}</author>")
         lines.append("    </authors>")
     if meta.venue_name or meta.venue_type:
         lines.append(
-            f"    <venue type={quoteattr(meta.venue_type)}>{escape(meta.venue_name)}</venue>"
+            f"    <venue type={_quoteattr(meta.venue_type)}>{_escape(meta.venue_name)}</venue>"
         )
     if meta.year is not None:
         lines.append(f"    <year>{meta.year}</year>")
@@ -363,14 +379,14 @@ def serialize_document(doc: Document) -> str:
     lines.append("  </metadata>")
     lines.append("  <body>")
     for section in doc.sections:
-        lines.append(f"    <section header={quoteattr(section.raw_header)}>")
+        lines.append(f"    <section header={_quoteattr(section.raw_header)}>")
         for index in section.sentence_indices:
-            lines.append(f"      <paragraph>{escape(doc.sentences[index])}</paragraph>")
+            lines.append(f"      <paragraph>{_escape(doc.sentences[index])}</paragraph>")
         lines.append("    </section>")
     lines.append("  </body>")
     lines.append("  <references>")
     for ref in doc.references:
-        lines.append(f"    <reference id={quoteattr(ref.ref_id)}>{escape(ref.raw)}</reference>")
+        lines.append(f"    <reference id={_quoteattr(ref.ref_id)}>{_escape(ref.raw)}</reference>")
     lines.append("  </references>")
     lines.append("</document>")
     return "\n".join(lines) + "\n"

@@ -75,29 +75,55 @@ def _int_adjacency(graph: CoauthorGraph) -> tuple[list[str], list[list[int]]]:
 def centrality_harmonic(graph: CoauthorGraph) -> dict[str, float]:
     """Harmonic closeness: sum of 1/d to every other node, 1/inf = 0.
 
-    A level-by-level BFS per source. The terms are summed in BFS visit
-    order, and every term of one level is the same 1/d, so only each
-    level's size matters. A node's last visit is stamped with the source
-    that made it, so nothing is reset between sources.
+    One breadth-first sweep from every node at once, with one bit per
+    source (a multi-source BFS; Then et al. 2014, "The More the
+    Merrier", PVLDB 8(4)). Each node holds an int of the sources that
+    have reached it and one of those that reached it at the last level.
+    A level ORs the neighbours' last-level bits and drops those already
+    seen; what is left are the sources at exactly that distance. The
+    graph is undirected, so their count is also the number of nodes at
+    that distance from this one. A node that gains no bits at a level
+    has reached its whole component and leaves the sweep.
+
+    A per-source BFS sums its 1/d terms in visit order, level by level,
+    and every term of one level is the same 1/d. Each node's terms are
+    rebuilt in that order from its level sizes and summed once, so the
+    floats are the ones a BFS per source gives, bit for bit.
+
+    Cost: D levels, where D is the largest eccentricity, each ORing a
+    V-bit int along every edge of the nodes still in the sweep. That is
+    O(D * E * V) bit operations, done a machine word at a time, plus
+    the V^2 float additions of the sums. The three int lists hold about
+    3 * V^2 / 8 bytes, and each node keeps one size per level it stays
+    in the sweep. Coauthorship graphs have small diameters, so the
+    sweep takes a few levels; a long path, where D is V - 1, is its
+    worst case in both time and memory.
     """
     nodes, adjacency = _int_adjacency(graph)
-    visited_by = [-1] * len(nodes)
+    seen = [1 << node for node in range(len(nodes))]
+    frontier = seen[:]
+    level_sizes: list[list[int]] = [[] for _ in nodes]
+    live = list(range(len(nodes)))
+    while live:
+        reached = [0] * len(nodes)
+        still_live = []
+        for node in live:
+            bits = 0
+            for peer in adjacency[node]:
+                bits |= frontier[peer]
+            bits &= ~seen[node]
+            if bits:
+                reached[node] = bits
+                seen[node] |= bits
+                level_sizes[node].append(bits.bit_count())
+                still_live.append(node)
+        frontier = reached
+        live = still_live
     result = {}
-    for source, key in enumerate(nodes):
-        visited_by[source] = source
-        frontier = [source]
+    for key, sizes in zip(nodes, level_sizes):
         terms: list[float] = []
-        depth = 0
-        while frontier:
-            reached = []
-            for node in frontier:
-                for neighbor in adjacency[node]:
-                    if visited_by[neighbor] != source:
-                        visited_by[neighbor] = source
-                        reached.append(neighbor)
-            depth += 1
-            terms += [1.0 / depth] * len(reached)
-            frontier = reached
+        for depth, size in enumerate(sizes, 1):
+            terms += [1.0 / depth] * size
         result[key] = sum(terms, 0.0)
     return result
 

@@ -10,6 +10,7 @@ sentences (with whitespace collapsed) reproduces the input text.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from pathlib import Path
 
 _TERMINATORS = ".!?"
@@ -41,6 +42,22 @@ def _collapse(text: str) -> str:
     return " ".join(text.split())
 
 
+@lru_cache(maxsize=16)
+def _lowered(abbreviations: tuple[str, ...]) -> tuple[tuple[str, ...], int]:
+    """The abbreviations lowercased, and the length of the longest."""
+    abbrevs = tuple(abbr.lower() for abbr in abbreviations)
+    return abbrevs, max(map(len, abbrevs), default=0)
+
+
+@lru_cache(maxsize=16)
+def _by_length(abbreviations: tuple[str, ...]) -> tuple[tuple[int, frozenset[str]], ...]:
+    """The abbreviations grouped into one set per length."""
+    groups: dict[int, set[str]] = {}
+    for abbr in abbreviations:
+        groups.setdefault(len(abbr), set()).add(abbr)
+    return tuple((length, frozenset(group)) for length, group in groups.items())
+
+
 def _protected(
     text: str, dot_index: int, abbreviations: tuple[str, ...], window: int
 ) -> bool:
@@ -51,17 +68,20 @@ def _protected(
     str.lower maps each character on its own except a capital sigma,
     whose form depends on the letters before it; a window holding one
     is compared against the whole prefix, as if no window were taken.
+    The lowered tail is sliced once per distinct abbreviation length
+    and looked up in that length's set.
     """
     tail = text[max(0, dot_index + 1 - window) : dot_index + 1]
     if "\u03a3" in tail:
         tail = text[: dot_index + 1]
     tail_low = tail.lower()
-    for abbr in abbreviations:
-        if not tail_low.endswith(abbr):
-            continue
-        before = dot_index - len(abbr)
-        if before < 0 or not text[before].isalnum():
-            return True
+    for length, group in _by_length(abbreviations):
+        # An empty abbreviation ends every tail, but tail_low[-0:] is
+        # the whole tail.
+        if (tail_low[-length:] if length else "") in group:
+            before = dot_index - length
+            if before < 0 or not text[before].isalnum():
+                return True
     return False
 
 
@@ -70,8 +90,7 @@ def segment_sentences(
     abbreviations: tuple[str, ...] = DEFAULT_ABBREVIATIONS,
 ) -> list[str]:
     """Split text into sentences; whitespace inside each is collapsed."""
-    abbrevs = tuple(a.lower() for a in abbreviations)
-    window = max(map(len, abbrevs), default=0)
+    abbrevs, window = _lowered(tuple(abbreviations))
     sentences: list[str] = []
     start = 0
     depth = 0

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import random
 from pathlib import Path
-from xml.sax.saxutils import escape
 
-from .ingest import FORMAT_PLAIN, FORMAT_XML
+from .ingest import FORMAT_PLAIN, FORMAT_XML, _escape
 
 SURNAMES = (
     "Ashby", "Barton", "Calder", "Deol", "Eriksen", "Farrell", "Gupta",
@@ -270,26 +269,26 @@ def _render_plain(meta, sections, entries, index) -> str:
 
 def _render_xml(meta, sections, entries) -> str:
     parts = ['<document>', "  <metadata>"]
-    parts.append(f"    <id>{escape(meta['id'])}</id>")
-    parts.append(f"    <title>{escape(meta['title'])}</title>")
+    parts.append(f"    <id>{_escape(meta['id'])}</id>")
+    parts.append(f"    <title>{_escape(meta['title'])}</title>")
     parts.append("    <authors>")
     for author in meta["authors"].split("; "):
-        parts.append(f"      <author>{escape(author)}</author>")
+        parts.append(f"      <author>{_escape(author)}</author>")
     parts.append("    </authors>")
     parts.append(
-        f"    <venue type=\"{escape(meta['venue-type'])}\">{escape(meta['venue'])}</venue>"
+        f"    <venue type=\"{_escape(meta['venue-type'])}\">{_escape(meta['venue'])}</venue>"
     )
-    parts.append(f"    <year>{escape(meta['year'])}</year>")
+    parts.append(f"    <year>{_escape(meta['year'])}</year>")
     if "domain" in meta:
-        parts.append(f"    <domain>{escape(meta['domain'])}</domain>")
+        parts.append(f"    <domain>{_escape(meta['domain'])}</domain>")
     parts.append("  </metadata>")
     parts.append("  <body>")
     for header, body in sections:
-        parts.append(f"    <section header=\"{escape(header)}\">")
+        parts.append(f"    <section header=\"{_escape(header)}\">")
         midpoint = max(1, len(body) // 2)
         for chunk in (body[:midpoint], body[midpoint:]):
             if chunk:
-                parts.append(f"      <paragraph>{escape(' '.join(chunk))}</paragraph>")
+                parts.append(f"      <paragraph>{_escape(' '.join(chunk))}</paragraph>")
         parts.append("    </section>")
     parts.append("  </body>")
     parts.append("  <references>")
@@ -299,7 +298,7 @@ def _render_xml(meta, sections, entries) -> str:
         line = entry["line"]
         if label is not None:
             line = line.split("] ", 1)[1]
-        parts.append(f"    <reference id=\"{escape(ref_id)}\">{escape(line)}</reference>")
+        parts.append(f"    <reference id=\"{_escape(ref_id)}\">{_escape(line)}</reference>")
     parts.append("  </references>")
     parts.append("</document>")
     return "\n".join(parts) + "\n"

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+from xml.sax import saxutils
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import citecode
 from citecode.errors import (
     CitecodeError,
     DuplicateRefId,
@@ -15,6 +23,8 @@ from citecode.errors import (
 from citecode.ingest import (
     FORMAT_PLAIN,
     FORMAT_XML,
+    _escape,
+    _quoteattr,
     normalize_section_header,
     parse_document,
     serialize_document,
@@ -236,3 +246,30 @@ def test_fuzz_smoke_returns_document_or_structured_error():
         except CitecodeError:
             continue
         assert doc.metadata.doc_id
+
+
+# Every character either helper rewrites, entity-like text, and plain
+# letters between them.
+_ESCAPE_PIECES = list("&<>\"'\n\r\t aZ;#1\u00e9") + ["&amp;", "&#10;", "&quot;"]
+
+
+@given(st.lists(st.sampled_from(_ESCAPE_PIECES)).map("".join))
+@example("&lt;\"'\n\r\t")
+@example("a\"b")
+@example("a'b")
+def test_escape_helpers_match_saxutils(text):
+    assert _escape(text) == saxutils.escape(text)
+    assert _quoteattr(text) == saxutils.quoteattr(text)
+
+
+def test_import_loads_no_network_modules():
+    network = ["urllib.request", "http.client", "ssl", "socket", "email"]
+    code = (
+        "import sys; before = set(sys.modules); import citecode; "
+        f"print(sorted(set({network!r}) & (set(sys.modules) - before)))"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(citecode.__file__).parents[1])},
+    )
+    assert completed.stdout.strip() == "[]"

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citecode.codebook import Uncodable
@@ -310,6 +310,56 @@ def test_centralities_empty_graph():
     empty = CoauthorGraph({})
     assert centrality_harmonic(empty) == reference_harmonic(empty) == {}
     assert centrality_betweenness(empty) == reference_betweenness(empty) == {}
+
+
+@st.composite
+def component_graphs(draw):
+    """Isolates, paths, cycles and small random parts, labels shuffled.
+
+    Paths and cycles run past 64 nodes, so the harmonic sweep's bit
+    masks span several machine words and its levels go deep; shuffled
+    labels spread each component's bits across the masks.
+    """
+    kinds = draw(
+        st.lists(st.sampled_from(["isolate", "path", "cycle", "random"]), min_size=1, max_size=5)
+    )
+    edges = []
+    size = 0
+    for kind in kinds:
+        if kind == "isolate":
+            count = 1
+        elif kind == "random":
+            count = draw(st.integers(2, 10))
+            pairs = draw(
+                st.lists(st.tuples(st.integers(0, count - 1), st.integers(0, count - 1)))
+            )
+            edges += [(size + a, size + b) for a, b in pairs if a != b]
+        else:
+            count = draw(st.integers(3 if kind == "cycle" else 2, 140))
+            edges += [(size + i, size + i + 1) for i in range(count - 1)]
+            if kind == "cycle":
+                edges.append((size + count - 1, size))
+        size += count
+    labels = draw(st.permutations(range(size)))
+    names = [f"n{label:03d}" for label in labels]
+    return graph_of(names, [(names[a], names[b]) for a, b in edges])
+
+
+def _path_cycle_and_isolate():
+    """A 130-node path, a 70-node cycle and an isolate, labels interleaved."""
+    path = [f"n{2 * i:03d}" for i in range(130)]
+    cycle = [f"n{2 * i + 1:03d}" for i in range(70)]
+    edges = list(zip(path, path[1:])) + list(zip(cycle, cycle[1:] + cycle[:1]))
+    return graph_of(path + cycle + ["n999"], edges)
+
+
+@given(graph=component_graphs())
+@example(graph=_path_cycle_and_isolate())
+@settings(max_examples=60, deadline=None)
+def test_harmonic_sweep_bit_identical_to_dict_reference(graph):
+    harmonic = centrality_harmonic(graph)
+    assert list(harmonic.items()) == list(reference_harmonic(graph).items())
+    assert {type(v) for v in harmonic.values()} == {float}
 
 
 def test_percentiles_zero_variance_sits_midway():

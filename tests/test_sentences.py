@@ -154,6 +154,8 @@ _LOWERING_EDGE_CASES = ["\u03a3", "\u03c2", "\u03c3", "\u0130", "\u212a"]
 )
 # The sigma is final only because of the "A" before the 6-character window.
 @example(text="A......\u03a3.", extra=["\u03c2."])
+# An empty abbreviation protects every period.
+@example(text="Ka. Pe.", extra=[""])
 @settings(max_examples=300)
 def test_windowed_protection_matches_whole_prefix(text, extra):
     abbrevs = tuple(a.lower() for a in DEFAULT_ABBREVIATIONS + tuple(extra))
