@@ -30,17 +30,17 @@ from .models import (
     STYLE_NARRATIVE,
     STYLE_NUMERIC,
     STYLE_PARENTHETICAL,
+    YEAR_PATTERN,
     CitationContext,
     Document,
     InTextCitation,
     ReferenceEntry,
 )
-from .names import normalize_author_key, surname_of
+from .names import _PARTICLES, normalize_author_key, surname_of
 
 MAX_WINDOW = 5
 
-_YEAR = r"(?:1[4-9]\d{2}|20\d{2})"
-_PARTICLE = r"(?:van|von|de|del|della|der|den|du|le|la|ter|da|dos)"
+_PARTICLE = rf"(?:{'|'.join(sorted(_PARTICLES))})"
 _SURNAME = rf"(?:{_PARTICLE}\s+)*[A-Z][\w'’.-]*"
 _NAME_SEQ = rf"{_SURNAME}(?:\s+[A-Z][\w'’.-]*)*"
 
@@ -51,18 +51,18 @@ _PAREN_GROUP_RE = re.compile(r"\(([^()]*)\)")
 _SEGMENT_WORK_RE = re.compile(
     rf"(?P<names>{_NAME_SEQ}"
     rf"(?:\s*,?\s*et\s+al\.?|\s*(?:&|and)\s+{_SURNAME}(?:\s+[A-Z][\w'’.-]*)*)?)"
-    rf"[\s,]+(?P<year>{_YEAR})(?P<suffix>[a-z])?"
+    rf"[\s,]+(?P<year>{YEAR_PATTERN})(?P<suffix>[a-z])?"
     rf"(?P<locator>\s*,\s*[Pp]{{1,2}}\.\s*[\w–—-]+)?"
     rf"\s*\.?\s*$"
 )
 
-_YEAR_ONLY_RE = re.compile(rf"^\s*(?P<year>{_YEAR})(?P<suffix>[a-z])?\s*$")
+_YEAR_ONLY_RE = re.compile(rf"^\s*(?P<year>{YEAR_PATTERN})(?P<suffix>[a-z])?\s*$")
 
 # Narrative form: name tokens directly before a year-only parenthesis.
 _NARRATIVE_RE = re.compile(
     rf"(?P<names>{_SURNAME}(?:\s+(?:&|and)\s+{_SURNAME})?(?:\s+et\s+al\.?)?)"
     rf"(?:['’]s)?\s*"
-    rf"\(\s*(?P<year>{_YEAR})(?P<suffix>[a-z])?\s*\)"
+    rf"\(\s*(?P<year>{YEAR_PATTERN})(?P<suffix>[a-z])?\s*\)"
 )
 
 _NUMERIC_RE = re.compile(r"\[(\d{1,4}(?:\s*,\s*\d{1,4})*)\]")
@@ -289,7 +289,7 @@ def count_mentions(
         raise UnknownRef(f"document {doc.metadata.doc_id!r} has no reference {ref_id!r}")
     if citations is None:
         citations = extract_citations(doc)
-    return sum(1 for c in citations if c.link_status == LINK_RESOLVED and c.ref_id == ref_id)
+    return mention_counts(doc, citations)[ref_id]
 
 
 def mention_counts(doc: Document, citations: list[InTextCitation]) -> dict[str, int]:

@@ -3,8 +3,8 @@
 Four subcommands: ``code`` runs the full pipeline over a manifest,
 ``report`` turns coded output into frequency tables, ``eval`` compares
 coded output against gold annotations, ``net`` exports the coauthorship
-edge list. Exit codes: 0 success, 2 malformed input or flags, 1
-internal error.
+edge list. Exit codes: 0 success, 2 malformed input or flags or an
+output path that cannot be written, 1 internal error.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def cmd_net(args: argparse.Namespace) -> int:
         print(f"skipped {path}: {error}", file=sys.stderr)
     graph = build_coauthor_graph([doc.metadata for doc in documents])
     write_edge_list(graph, args.out)
-    print(f"wrote {args.out}: {len(graph.nodes)} authors, {len(graph.edges)} edges")
+    print(f"wrote {args.out}: {len(graph.nodes)} authors, {graph.edge_count} edges")
     return 0
 
 
@@ -215,7 +215,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except CitecodeError as exc:
+    except (CitecodeError, OSError) as exc:
+        # Input readers raise CitecodeError, so an OSError here is an
+        # output path that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -7,13 +7,12 @@ echo() form is written into the run summary; feeding it back as a
 config file reproduces the run.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass, field, fields
 from importlib.resources import files
 from pathlib import Path
 
-from .errors import MalformedConfig
+from .citations import MAX_WINDOW
+from .errors import MalformedConfig, _read_utf8
 
 _DATA = files("citecode").joinpath("data")
 
@@ -36,27 +35,18 @@ class PipelineConfig:
     abbreviations: Path = field(default_factory=lambda: _data_path("abbreviations.txt"))
     output_dir: Path = Path("out")
 
-    _INT_KEYS = ("window_before", "window_after")
-    _FLOAT_KEYS = ("delta",)
-    _PATH_KEYS = (
-        "lexicon_negative", "lexicon_positive", "lexicon_evidence",
-        "lexicon_framework", "lexicon_focus", "venue_map", "abbreviations",
-        "output_dir",
-    )
-
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         """Parse key=value lines; # comments and blank lines skipped.
 
-        Relative paths are resolved against the config file's directory.
+        Each value is read as its field's type; relative paths are
+        resolved against the config file's directory.
         """
         path = Path(path)
         base = path.parent
         config = cls()
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise MalformedConfig(f"cannot read config {path}: {exc}") from None
+        types = {f.name: f.type for f in fields(cls)}
+        text = _read_utf8(path, "config", MalformedConfig)
         for line_no, line in enumerate(text.splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -66,43 +56,35 @@ class PipelineConfig:
             key, _, value = stripped.partition("=")
             key = key.strip()
             value = value.strip()
-            if key in cls._INT_KEYS:
-                try:
-                    setattr(config, key, int(value))
-                except ValueError:
-                    raise MalformedConfig(
-                        f"{path.name}: {key} must be an integer", line=line_no
-                    ) from None
-            elif key in cls._FLOAT_KEYS:
-                try:
-                    setattr(config, key, float(value))
-                except ValueError:
-                    raise MalformedConfig(
-                        f"{path.name}: {key} must be a number", line=line_no
-                    ) from None
-            elif key in cls._PATH_KEYS:
+            kind = types.get(key)
+            if kind is None:
+                raise MalformedConfig(f"{path.name}: unknown key {key!r}", line=line_no)
+            if kind is Path:
                 candidate = Path(value)
                 if not candidate.is_absolute():
                     candidate = (base / candidate).resolve()
                 setattr(config, key, candidate)
-            else:
-                raise MalformedConfig(f"{path.name}: unknown key {key!r}", line=line_no)
+                continue
+            try:
+                setattr(config, key, kind(value))
+            except ValueError:
+                expected = "an integer" if kind is int else "a number"
+                message = f"{path.name}: {key} must be {expected}"
+                raise MalformedConfig(message, line=line_no) from None
         config.validate()
         return config
 
     def validate(self) -> None:
-        if not (0 <= self.window_before <= 5 and 0 <= self.window_after <= 5):
-            raise MalformedConfig(
-                f"window sizes must be in 0..5: ({self.window_before}, {self.window_after})"
-            )
+        windows = (self.window_before, self.window_after)
+        if not all(0 <= size <= MAX_WINDOW for size in windows):
+            raise MalformedConfig(f"window sizes must be in 0..{MAX_WINDOW}: {windows}")
         if not (0.0 <= self.delta <= 1.0):
             raise MalformedConfig(f"delta must be in 0..1: {self.delta}")
-        for key in self._PATH_KEYS:
-            if key == "output_dir":
-                continue
-            target = Path(getattr(self, key))
-            if not target.is_file():
-                raise MalformedConfig(f"{key} file not found: {target}")
+        for f in fields(self):
+            if f.type is Path and f.name != "output_dir":
+                target = Path(getattr(self, f.name))
+                if not target.is_file():
+                    raise MalformedConfig(f"{f.name} file not found: {target}")
 
     def echo(self) -> dict[str, str]:
         """Effective configuration as writable key=value pairs."""

@@ -2,10 +2,13 @@
 
 Parsing failures are structured: they subclass ParseError and carry an
 optional 1-based line number, so callers can report or skip a bad
-document without losing the rest of a corpus run.
+document without losing the rest of a corpus run. Every input text
+file is read through _read_utf8, which reports bad files the same way.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 
 class CitecodeError(Exception):
@@ -68,3 +71,21 @@ class NoOverlap(CitecodeError):
 
 class UnknownCategory(CitecodeError):
     """A category letter outside A..L was requested."""
+
+
+def _decode_utf8(data: bytes, what: str, error: type[ParseError]) -> str:
+    """The text of a UTF-8 input; bad bytes raise ``error`` at their line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{what} file is not UTF-8 ({exc.reason})", line=line) from None
+
+
+def _read_utf8(path: str | Path, what: str, error: type[ParseError]) -> str:
+    """The text of a UTF-8 file; one that cannot be read or decoded raises ``error``."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {what} file {path}: {exc}") from None
+    return _decode_utf8(data, what, error)

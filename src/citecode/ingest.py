@@ -22,7 +22,8 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 
-from .errors import DuplicateRefId, EmptyDocument, MalformedInput, UnparseableName
+from .codebook import VALUES
+from .errors import DuplicateRefId, EmptyDocument, MalformedInput, UnparseableName, _decode_utf8
 from .models import VENUE_TYPES, AuthorName, Document, DocumentMetadata, ReferenceEntry, Section
 from .names import normalize_author_key
 from .refparse import derive_ref_id, parse_reference_entry
@@ -33,7 +34,6 @@ FORMAT_XML = "structured_xml"
 FORMATS = (FORMAT_PLAIN, FORMAT_XML)
 
 _META_KEYS = ("id", "title", "authors", "venue", "venue-type", "year", "domain")
-_DOMAIN_VALUES = ("K1", "K2", "K3", "K4")
 
 # Section header -> location value. Lookup is case-insensitive on the
 # stripped header; "method"/"conclusion" match as prefixes.
@@ -67,15 +67,6 @@ def normalize_section_header(header: str) -> str:
         if key.startswith(prefix):
             return prefixed_value
     return "D7"
-
-
-def _decode(data: bytes | str) -> str:
-    if isinstance(data, str):
-        return data
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedInput(f"input is not valid UTF-8: {exc}") from None
 
 
 def _parse_year(text: str, warnings: list[str]) -> int | None:
@@ -145,7 +136,7 @@ def _build_document(
         warnings.append(f"unknown venue-type {venue_type!r}; using 'other'")
         venue_type = "other"
     domain = meta_fields.get("domain", "").strip() or None
-    if domain and domain not in _DOMAIN_VALUES:
+    if domain and domain not in VALUES["K"]:
         warnings.append(f"invalid domain override {domain!r} ignored")
         domain = None
     year = None
@@ -329,7 +320,7 @@ def parse_document(
     """Parse one document in the named input format."""
     if format not in FORMATS:
         raise MalformedInput(f"unknown input format {format!r}")
-    text = _decode(data)
+    text = data if isinstance(data, str) else _decode_utf8(data, "document", MalformedInput)
     if format == FORMAT_XML:
         return _parse_xml(text, abbreviations)
     return _parse_plain(text, abbreviations)

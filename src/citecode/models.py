@@ -24,6 +24,10 @@ STYLE_NUMERIC = "numeric"
 LEVEL_SINGLE = "single_sentence"
 LEVEL_CLUSTER = "sentence_cluster"
 
+# A publication year (1400..2099) as the marker and reference-entry
+# grammars read it; a regular expression with no capturing group.
+YEAR_PATTERN = r"(?:1[4-9]\d{2}|20\d{2})"
+
 
 @dataclass(frozen=True)
 class AuthorName:

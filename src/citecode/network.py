@@ -12,7 +12,6 @@ floating-point accumulation, is reproducible run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 
 from .codebook import Uncodable
@@ -41,24 +40,24 @@ class CoauthorGraph:
                     seen.append((node, other))
         return sorted(seen)
 
+    @property
+    def edge_count(self) -> int:
+        """len(self.edges), without building the list."""
+        return sum(map(len, self.adjacency.values())) // 2
+
     def __contains__(self, key: str) -> bool:
         return key in self.adjacency
 
 
 def build_coauthor_graph(corpus_metadata: list[DocumentMetadata]) -> CoauthorGraph:
     """Union of per-document author cliques, nodes and edges sorted."""
-    nodes: set[str] = set()
-    edges: set[tuple[str, str]] = set()
+    # Each author's set gains the whole clique, the author too.
+    adjacency: dict[str, set[str]] = {}
     for metadata in corpus_metadata:
-        keys = sorted({author.key for author in metadata.authors})
-        nodes.update(keys)
-        for a, b in combinations(keys, 2):
-            edges.add((a, b))
-    adjacency: dict[str, set[str]] = {node: set() for node in sorted(nodes)}
-    for a, b in edges:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    return CoauthorGraph({node: sorted(peers) for node, peers in sorted(adjacency.items())})
+        keys = {author.key for author in metadata.authors}
+        for key in keys:
+            adjacency.setdefault(key, set()).update(keys)
+    return CoauthorGraph({key: sorted(peers - {key}) for key, peers in sorted(adjacency.items())})
 
 
 def centrality_degree(graph: CoauthorGraph) -> dict[str, float]:

@@ -16,8 +16,8 @@ from pathlib import Path
 from .citations import extract_citations, extract_context, mention_counts
 from .codebook import Uncodable
 from .config import PipelineConfig
-from .errors import CitecodeError, MalformedInput
-from .ingest import FORMAT_PLAIN, FORMAT_XML, parse_document
+from .errors import CitecodeError, MalformedInput, _read_utf8
+from .ingest import FORMATS, parse_document
 from .models import (
     Document,
     InTextCitation,
@@ -33,7 +33,7 @@ from .network import (
     code_relation,
     write_edge_list,
 )
-from .records import CodedCitation, assemble_record, sort_records, write_jsonl
+from .records import CodedCitation, assemble_record, reading_order, sort_records, write_jsonl
 from .semantic import (
     LexiconSet,
     code_disposition,
@@ -53,9 +53,6 @@ from .syntactic import (
     code_location,
     code_style,
 )
-
-KNOWN_FORMATS = (FORMAT_PLAIN, FORMAT_XML)
-
 
 @dataclass(frozen=True)
 class Resources:
@@ -88,10 +85,7 @@ def read_manifest(path: str | Path) -> list[tuple[Path, str]]:
     resolved against the manifest's directory.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise MalformedInput(f"cannot read manifest {path}: {exc}") from None
+    text = _read_utf8(path, "manifest", MalformedInput)
     entries: list[tuple[Path, str]] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -103,10 +97,10 @@ def read_manifest(path: str | Path) -> list[tuple[Path, str]]:
             )
         doc_part, _, format_part = stripped.partition("\t")
         doc_format = format_part.strip()
-        if doc_format not in KNOWN_FORMATS:
+        if doc_format not in FORMATS:
             raise MalformedInput(
                 f"{path.name}: unknown format {doc_format!r} "
-                f"(expected one of {', '.join(KNOWN_FORMATS)})",
+                f"(expected one of {', '.join(FORMATS)})",
                 line=line_no,
             )
         doc_path = Path(doc_part.strip())
@@ -135,15 +129,8 @@ def parse_corpus(
     seen_ids: set[str] = set()
     for doc_path, doc_format in entries:
         try:
-            data = doc_path.read_bytes()
-        except OSError as exc:
-            message = f"cannot read {doc_path}: {exc}"
-            if strict:
-                raise MalformedInput(message) from None
-            skipped.append((str(doc_path), message))
-            continue
-        try:
-            doc = parse_document(data, doc_format, abbreviations)
+            text = _read_utf8(doc_path, "document", MalformedInput)
+            doc = parse_document(text, doc_format, abbreviations)
         except CitecodeError as exc:
             if strict:
                 # Same class and line; the message gains the document's path.
@@ -358,7 +345,7 @@ def _build_summary(
                 unresolved_items.append(item)
             else:
                 ambiguous_items.append(item)
-    key = lambda item: (item["doc_id"], len(item["citation_id"]), item["citation_id"])
+    key = lambda item: reading_order(item["doc_id"], item["citation_id"])
     unresolved_items.sort(key=key)
     ambiguous_items.sort(key=key)
     warnings = {
@@ -378,7 +365,7 @@ def _build_summary(
         "records_written": len(resolved),
         "coauthor_graph": {
             "authors": len(graph.nodes),
-            "edges": len(graph.edges),
+            "edges": graph.edge_count,
         },
         "skipped_documents": [
             {"path": path, "error": error}

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .codebook import CATEGORIES, VALUES, Uncodable
-from .errors import IncompleteCoding, MalformedInput
+from .errors import IncompleteCoding, MalformedInput, _read_utf8
+from .models import LEVEL_CLUSTER
 
 # What a category key of a coded line may hold: a codebook value, or
 # null when the category is uncodable.
@@ -145,7 +146,7 @@ def record_from_json(line: str) -> CodedCitation:
         ref_id=data.get("ref_id"),
         link_status=data["link_status"],
         sentence_index=data.get("sentence_index", 0),
-        context_level=data.get("context_level", "sentence_cluster"),
+        context_level=data.get("context_level", LEVEL_CLUSTER),
         context_sentences=tuple(data.get("context_sentences", ())),
         codes=codes,
         matched_cues=[tuple(pair) for pair in data.get("matched_cues", [])],
@@ -154,9 +155,14 @@ def record_from_json(line: str) -> CodedCitation:
     )
 
 
+def reading_order(doc_id: str, citation_id: str) -> tuple[str, int, str]:
+    """Sort key: by document, then citation ids in reading order (c9999 before c10000)."""
+    return doc_id, len(citation_id), citation_id
+
+
 def sort_records(records: list[CodedCitation]) -> list[CodedCitation]:
-    """By document, then citation ids in reading order (c9999 before c10000)."""
-    return sorted(records, key=lambda r: (r.doc_id, len(r.citation_id), r.citation_id))
+    """The records in reading order."""
+    return sorted(records, key=lambda r: reading_order(r.doc_id, r.citation_id))
 
 
 def write_jsonl(records: list[CodedCitation], path: str | Path) -> None:
@@ -170,15 +176,7 @@ def read_json_lines(path: str | Path, what: str) -> list[str]:
     Lines end at "\n" only: JSON strings may hold the other characters
     str.splitlines() breaks on, such as U+2028 in a document id.
     """
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise MalformedInput(f"cannot read {what} file {path}: {exc}") from None
-    try:
-        return data.decode("utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise MalformedInput(f"{what} file is not UTF-8 ({exc.reason})", line=line) from None
+    return _read_utf8(path, what, MalformedInput).split("\n")
 
 
 def read_jsonl(path: str | Path) -> list[CodedCitation]:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import re
 
 from .errors import UnparseableName
-from .models import AuthorName, ReferenceEntry
-from .names import _INITIALS_RE, normalize_author_key
+from .models import YEAR_PATTERN, AuthorName, ReferenceEntry
+from .names import _INITIALS_RE, normalize_author_key, surname_of
 
 SIG_PROCEEDINGS = "proceedings"
 SIG_VOLUME_ISSUE = "volume_issue"
@@ -22,7 +22,7 @@ SIG_REPORT = "report"
 SIG_URL = "url"
 
 _LABEL_RE = re.compile(r"^\[(\d{1,4})\]\s*")
-_YEAR_RE = re.compile(r"\((?P<year>1[4-9]\d{2}|20\d{2})(?P<suffix>[a-z])?[^)]*\)")
+_YEAR_RE = re.compile(rf"\((?P<year>{YEAR_PATTERN})(?P<suffix>[a-z])?[^)]*\)")
 
 # Venue signal patterns. volume(issue) requires digits on both sides so
 # a plain "(1965)" year never counts; the issue side may be a range.
@@ -158,6 +158,6 @@ def parse_reference_entry(text: str, default_ref_id: str | None = None) -> Refer
 def derive_ref_id(entry: ReferenceEntry, ordinal: int) -> str:
     """Fallback id for entries without an explicit label."""
     if entry.authors and entry.year is not None:
-        surname = entry.authors[0].key.split(",", 1)[0].replace(" ", "-")
+        surname = surname_of(entry.authors[0].key).replace(" ", "-")
         return f"{surname}-{entry.year}{entry.year_suffix or ''}"
     return f"ref-{ordinal}"

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from io import StringIO
 from pathlib import Path
 
-from .codebook import Uncodable
-from .errors import MalformedLexicon
+from .codebook import VALUES, Uncodable
+from .errors import MalformedLexicon, _read_utf8
 from .models import Document, DocumentMetadata
 
 VALID_TAGS = (
@@ -149,17 +149,23 @@ def _build_lexicon(name: str, rows: list[tuple[str, str]], source: str) -> CueLe
     return CueLexicon(name=name, entries=tuple(entries))
 
 
-def _read_csv_rows(path: Path, header: str) -> list[tuple[int, list[str]]]:
+def _read_csv_rows(path: Path, header: str, what: str) -> list[tuple[int, list[str]]]:
     """Data rows of a CSV file, each with its row number.
 
     Blank rows and # comment rows are skipped. The first other row must
     be ``header`` (compared case-insensitively on its first two cells).
     """
     expected = header.lower().split(",")
-    reader = csv.reader(StringIO(path.read_text(encoding="utf-8")))
+    text = _read_utf8(path, what, MalformedLexicon)
+    # newline=None reads "\r\n" and a lone "\r" as "\n".
+    reader = csv.reader(StringIO(text, newline=None))
+    try:
+        parsed = list(reader)
+    except csv.Error as exc:  # a field over csv.field_size_limit()
+        raise MalformedLexicon(f"{path.name}: {exc}", line=reader.line_num) from None
     rows = []
     header_seen = False
-    for line_no, row in enumerate(reader, start=1):
+    for line_no, row in enumerate(parsed, start=1):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if row[0].lstrip().startswith("#"):
@@ -177,7 +183,7 @@ def load_lexicon(path: str | Path, name: str | None = None) -> CueLexicon:
     """Load a phrase,tag CSV; # comment lines and blanks are skipped."""
     path = Path(path)
     rows = []
-    for line_no, row in _read_csv_rows(path, "phrase,tag"):
+    for line_no, row in _read_csv_rows(path, "phrase,tag", f"{name or path.stem} lexicon"):
         if len(row) < 2:
             raise MalformedLexicon(f"{path.name}: expected phrase,tag", line=line_no)
         rows.append((line_no, (row[0], row[1])))
@@ -245,8 +251,8 @@ def load_venue_map(path: str | Path) -> tuple[tuple[str, str], ...]:
     """Load venue_pattern,K_value rows; order defines match priority."""
     path = Path(path)
     mapping = []
-    for line_no, row in _read_csv_rows(path, "venue_pattern,K_value"):
-        if len(row) < 2 or row[1].strip() not in ("K1", "K2", "K3", "K4"):
+    for line_no, row in _read_csv_rows(path, "venue_pattern,K_value", "venue map"):
+        if len(row) < 2 or row[1].strip() not in VALUES["K"]:
             raise MalformedLexicon(f"{path.name}: expected pattern,K1..K4", line=line_no)
         mapping.append((row[0].strip().lower(), row[1].strip()))
     return tuple(mapping)

@@ -13,6 +13,8 @@ import re
 from functools import lru_cache
 from pathlib import Path
 
+from .errors import MalformedInput, _read_utf8
+
 _TERMINATORS = ".!?"
 _OPENERS = "(["
 _CLOSERS = ")]"
@@ -31,7 +33,7 @@ DEFAULT_ABBREVIATIONS: tuple[str, ...] = (
 def load_abbreviations(path: str | Path) -> tuple[str, ...]:
     """Read one abbreviation per line; blank lines and # comments skipped."""
     entries = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in _read_utf8(path, "abbreviation", MalformedInput).splitlines():
         token = line.strip()
         if token and not token.startswith("#"):
             entries.append(token)

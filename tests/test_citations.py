@@ -39,6 +39,7 @@ from citecode.models import (
     InTextCitation,
     Section,
 )
+from citecode.names import _PARTICLES
 from citecode.refparse import derive_ref_id, parse_reference_entry
 
 HJ_SENTENCE = (
@@ -167,6 +168,28 @@ def test_two_name_marker_needs_matching_author_prefix():
     entries = refs("Berg, J., Forsythe, R. (2001). A title. Acta, 1(1), 1-2.")
     found = detect_citations("(Berg and Nelson, 2001)", entries)
     assert found[0].link_status == LINK_UNRESOLVED
+
+
+@pytest.mark.parametrize(
+    "sentence, entry",
+    [
+        ("It was measured (di Stefano, 2001).", "di Stefano, A. (2001). A title. Acta, 1(1), 1-2."),
+        ("As al Amin (2003) argued.", "al Amin, B. (2003). A title. Acta, 1(1), 1-2."),
+        ("It was measured (el Said, 1995).", "el Said, C. (1995). A title. Acta, 1(1), 1-2."),
+    ],
+)
+def test_markers_keep_every_name_particle(sentence, entry):
+    entries = refs(entry, "Smith, J. (2001). Other. Acta, 1(1), 1-2.")
+    found = detect_citations(sentence, entries)
+    assert [(c.link_status, c.ref_id) for c in found] == [(LINK_RESOLVED, entries[0].ref_id)]
+
+
+@given(particle=st.sampled_from(sorted(_PARTICLES)), narrative=st.booleans())
+def test_markers_and_entries_share_the_particle_list(particle, narrative):
+    entries = refs(f"{particle} Xyz, A. (2001). A title. Acta, 1(1), 1-2.")
+    marker = f"{particle} Xyz (2001)" if narrative else f"({particle} Xyz, 2001)"
+    found = detect_citations(f"This was shown by {marker}.", entries)
+    assert [(c.link_status, c.ref_id) for c in found] == [(LINK_RESOLVED, entries[0].ref_id)]
 
 
 def test_span_slices_back_to_the_same_marker():

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from citecode.cli import main
+from citecode.config import PipelineConfig
 from citecode.ingest import FORMATS
 from citecode.records import read_jsonl
 
@@ -607,3 +608,187 @@ def test_report_and_eval_on_any_coded_bytes_exit_zero_or_two(coded_run, data, co
             ],
         }[command]
         assert main(argv) in (0, 2)
+
+
+# -- every input reader: unreadable bytes exit 2 and name the file -----
+
+# The config key that names each resource file, and a file name for it.
+_RESOURCE_KEYS = {
+    "lexicon": ("lexicon_negative", "lexicon_negative.csv"),
+    "venue map": ("venue_map", "venue_domains.csv"),
+    "abbreviation": ("abbreviations", "abbreviations.txt"),
+}
+
+
+def _one_document_run(root: Path, kind: str, data: bytes) -> list[str]:
+    """Write a one-document corpus with ``data`` as the file of ``kind``.
+
+    Returns the `code` argv; the output goes under ``root``.
+    """
+    (root / "paper-a.txt").write_bytes((FIXTURE_DIR / "paper-a.txt").read_bytes())
+    manifest = root / "m.tsv"
+    manifest.write_bytes(data if kind == "manifest" else b"paper-a.txt\tplain_annotated\n")
+    argv = ["code", "--manifest", str(manifest), "--out", str(root / "out")]
+    config = root / "run.cfg"
+    if kind == "config":
+        config.write_bytes(data)
+    elif kind in _RESOURCE_KEYS:
+        key, name = _RESOURCE_KEYS[kind]
+        (root / name).write_bytes(data)
+        config.write_text(f"{key}={name}\n", encoding="utf-8")
+    else:
+        return argv
+    return argv + ["--config", str(config)]
+
+
+@pytest.mark.parametrize(
+    "kind, data, message",
+    [
+        ("manifest", b"# corpus\n\xffpaper-a.txt\tplain_annotated\n",
+         "line 2: manifest file is not UTF-8"),
+        ("config", b"window_before=1\n\nwindow_after=\xc3\n", "line 3: config file is not UTF-8"),
+        ("lexicon", b"phrase,tag\nbut,negative\nlacks \xe9,negative\n",
+         "line 3: negative lexicon file is not UTF-8"),
+        ("lexicon", b"phrase,tag\n" + b"a" * 140_000 + b",negative\n",
+         "line 2: lexicon_negative.csv: field larger than field limit"),
+        ("venue map", b"venue_pattern,K_value\n\x80,K1\n", "line 2: venue map file is not UTF-8"),
+        ("abbreviation", b"e.g.\ni.e.\n\xfe\n", "line 3: abbreviation file is not UTF-8"),
+    ],
+    ids=["manifest", "config", "lexicon", "lexicon-field-limit", "venue-map", "abbreviation"],
+)
+def test_bad_input_file_exits_two_naming_kind_and_line(tmp_path, capsys, kind, data, message):
+    exit_code = main(_one_document_run(tmp_path, kind, data))
+    captured = capsys.readouterr()
+    assert exit_code == 2
+    assert message in captured.err
+    assert "internal error" not in captured.err
+
+
+def test_net_rejects_a_non_utf8_manifest(tmp_path, capsys):
+    manifest = tmp_path / "m.tsv"
+    manifest.write_bytes(b"\n\n\xff\tplain_annotated\n")
+    exit_code = main(["net", "--manifest", str(manifest), "--out", str(tmp_path / "e.tsv")])
+    assert exit_code == 2
+    assert "line 3: manifest file is not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_non_utf8_document_is_reported_with_its_line(tmp_path, capsys, strict):
+    text = (FIXTURE_DIR / "paper-a.txt").read_bytes()
+    (tmp_path / "paper-a.txt").write_bytes(text)
+    bad_line = 3
+    lines = text.split(b"\n")
+    lines[bad_line - 1] += b"\xff"
+    (tmp_path / "bad.txt").write_bytes(b"\n".join(lines))
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("paper-a.txt\tplain_annotated\nbad.txt\tplain_annotated\n",
+                        encoding="utf-8")
+    argv = ["code", "--manifest", str(manifest), "--out", str(tmp_path / "out")]
+    exit_code = main(argv + ["--strict"] * strict)
+    captured = capsys.readouterr()
+    assert exit_code == (2 if strict else 0)
+    assert f"line {bad_line}: document file is not UTF-8" in captured.err
+    assert "bad.txt" in captured.err
+
+
+_UNWRITABLE = ["missing-directory", "under-a-file"]
+
+
+def _unwritable_out(root: Path, where: str, segments: list[str]) -> Path:
+    if where == "missing-directory":
+        return root.joinpath("missing", *segments)
+    (root / "plain-file").write_text("x", encoding="utf-8")
+    return root.joinpath("plain-file", *segments)
+
+
+def _out_argv(command: str, root: Path, out: Path, coded: Path) -> list[str]:
+    manifest = root / "m.tsv"
+    (root / "paper-a.txt").write_bytes((FIXTURE_DIR / "paper-a.txt").read_bytes())
+    manifest.write_text("paper-a.txt\tplain_annotated\n", encoding="utf-8")
+    gold = write_gold(root / "gold.jsonl", [
+        {"doc_id": "paper-b", "citation_id": "c0003", "J": "J1"},
+    ])
+    return {
+        "code": ["code", "--manifest", str(manifest), "--out", str(out)],
+        "report": ["report", "--input", str(coded), "--rows", "J", "--out", str(out)],
+        "eval": [
+            "eval", "--input", str(coded), "--gold", str(gold), "--categories", "J",
+            "--out", str(out),
+        ],
+        "net": ["net", "--manifest", str(manifest), "--out", str(out)],
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command, where",
+    [("report", "missing-directory"), ("eval", "missing-directory"),
+     ("net", "missing-directory"), ("code", "under-a-file"), ("report", "under-a-file")],
+)
+def test_unwritable_output_path_exits_two(coded_run, tmp_path, capsys, command, where):
+    out = _unwritable_out(tmp_path, where, ["x.out"])
+    exit_code = main(_out_argv(command, tmp_path, out, coded_run / "coded.jsonl"))
+    captured = capsys.readouterr()
+    assert exit_code == 2
+    assert captured.err.startswith("error: ")
+    assert "internal error" not in captured.err
+
+
+_RESOURCE_BYTES = {
+    "manifest": b"paper-a.txt\tplain_annotated\n",
+    "config": b"window_before=1\nwindow_after=2\ndelta=0.3\n# note\nabbreviations=abbr.txt\n",
+    **{
+        kind: getattr(PipelineConfig(), key).read_bytes()
+        for kind, (key, _) in _RESOURCE_KEYS.items()
+    },
+}
+
+_RESOURCE_PIECES = [
+    "\n", "\r", "\r\n", ",", "\t", "=", "#", "\"", "*", ".", " ", "0", "-1", "6", "1e9", "nan",
+    "K1", "K9", "negative", "phrase,tag", "venue_pattern,K_value", "window_before",
+    "lexicon_focus", "abbreviations", "plain_annotated", "structured_xml", "paper-a.txt",
+    "\u2028", "\x85", "\x00", "\ufeff", "\u0130",
+]
+
+
+@st.composite
+def _resource_bytes(draw, kind: str):
+    data = bytearray(_RESOURCE_BYTES[kind])
+    for _ in range(draw(st.integers(0, 6))):
+        start = draw(st.integers(0, len(data)))
+        stop = draw(st.integers(start, min(len(data), start + 40)))
+        data[start:stop] = draw(
+            st.binary(max_size=6) | st.sampled_from(_RESOURCE_PIECES).map(str.encode)
+        )
+    return bytes(data)
+
+
+@given(data=st.data(), kind=st.sampled_from(["manifest", "config", *_RESOURCE_KEYS]))
+@settings(max_examples=150, deadline=None)
+def test_code_on_any_reader_bytes_exits_zero_or_two(data, kind):
+    payload = data.draw(st.binary(max_size=300) | _resource_bytes(kind))
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        if kind == "config":
+            (root / "abbr.txt").write_bytes(_RESOURCE_BYTES["abbreviation"])
+        assert main(_one_document_run(root, kind, payload)) in (0, 2)
+        if kind == "manifest":
+            argv = ["net", "--manifest", str(root / "m.tsv"), "--out", str(root / "e.tsv")]
+            assert main(argv) in (0, 2)
+
+
+@given(
+    command=st.sampled_from(["code", "report", "eval", "net"]),
+    where=st.sampled_from(_UNWRITABLE),
+    segments=st.lists(st.text(alphabet="abxy_-", min_size=1, max_size=6), min_size=1,
+                      max_size=3),
+)
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_any_unwritable_output_path_exits_zero_or_two(coded_run, command, where, segments):
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        out = _unwritable_out(root, where, segments)
+        assert main(_out_argv(command, root, out, coded_run / "coded.jsonl")) in (0, 2)

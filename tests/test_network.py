@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -80,6 +80,17 @@ def test_build_is_order_independent():
     baseline = build_coauthor_graph(docs)
     for ordering in permutations(docs):
         assert build_coauthor_graph(list(ordering)).adjacency == baseline.adjacency
+
+
+@given(st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=5), max_size=8))
+def test_graph_is_the_union_of_document_cliques(author_lists):
+    docs = [meta(f"d{i}", *keys) for i, keys in enumerate(author_lists)]
+    graph = build_coauthor_graph(docs)
+    nodes = {key for keys in author_lists for key in keys}
+    edges = {pair for keys in author_lists for pair in combinations(sorted(set(keys)), 2)}
+    assert graph.adjacency == graph_of(nodes, edges).adjacency
+    assert list(graph.adjacency) == sorted(nodes)
+    assert graph.edge_count == len(graph.edges) == len(edges)
 
 
 PATH = graph_of(["x", "y", "z"], [("x", "y"), ("y", "z")])
