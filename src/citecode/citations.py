@@ -20,7 +20,7 @@ import re
 from bisect import bisect_left
 from operator import itemgetter
 
-from .errors import InvalidCount, UnknownRef, UnparseableName
+from .errors import CitecodeError, InvalidCount, UnknownRef, UnparseableName
 from .models import (
     LEVEL_CLUSTER,
     LEVEL_SINGLE,
@@ -202,23 +202,12 @@ def _detect(
     found.sort(key=lambda item: item[:2])
     citations = []
     for number, (_, _, fields) in enumerate(found, start=first_number):
-        citation_id = f"c{number:04d}"
-        citation = InTextCitation(
-            citation_id=citation_id,
-            ref_id=None,
-            link_status=LINK_UNRESOLVED,
-            sentence_index=sentence_index,
-            **fields,
-        )
+        fields.update(citation_id=f"c{number:04d}", sentence_index=sentence_index)
+        citation = InTextCitation(ref_id=None, link_status=LINK_UNRESOLVED, **fields)
         if references is not None:
+            # A second construction costs half of dataclasses.replace.
             ref_id, status = link_citation(citation, references)
-            citation = InTextCitation(
-                citation_id=citation_id,
-                ref_id=ref_id,
-                link_status=status,
-                sentence_index=sentence_index,
-                **fields,
-            )
+            citation = InTextCitation(ref_id=ref_id, link_status=status, **fields)
         citations.append(citation)
     return citations
 
@@ -301,6 +290,12 @@ def mention_counts(doc: Document, citations: list[InTextCitation]) -> dict[str, 
     return counts
 
 
+def _check_windows(before: int, after: int, error: type[CitecodeError]) -> None:
+    """Raise ``error`` unless both window sizes are in 0..MAX_WINDOW."""
+    if not (0 <= before <= MAX_WINDOW and 0 <= after <= MAX_WINDOW):
+        raise error(f"window sizes must be in 0..{MAX_WINDOW}: ({before}, {after})")
+
+
 def extract_context(
     doc: Document,
     citation: InTextCitation,
@@ -312,8 +307,7 @@ def extract_context(
     Windows are clamped to the citing sentence's section; (0, 0) yields
     the single-sentence level.
     """
-    if not (0 <= before <= MAX_WINDOW and 0 <= after <= MAX_WINDOW):
-        raise InvalidCount(f"window sizes must be in 0..{MAX_WINDOW}: ({before}, {after})")
+    _check_windows(before, after, InvalidCount)
     section = doc.section_of(citation.sentence_index)
     low = max(section.start, citation.sentence_index - before)
     high = min(section.end - 1, citation.sentence_index + after)

@@ -11,8 +11,9 @@ from dataclasses import dataclass, field, fields
 from importlib.resources import files
 from pathlib import Path
 
-from .citations import MAX_WINDOW
+from .citations import _check_windows
 from .errors import MalformedConfig, _read_utf8
+from .network import DEFAULT_DELTA
 
 _DATA = files("citecode").joinpath("data")
 
@@ -25,7 +26,7 @@ def _data_path(name: str) -> Path:
 class PipelineConfig:
     window_before: int = 1
     window_after: int = 1
-    delta: float = 0.2
+    delta: float = DEFAULT_DELTA
     lexicon_negative: Path = field(default_factory=lambda: _data_path("lexicon_negative.csv"))
     lexicon_positive: Path = field(default_factory=lambda: _data_path("lexicon_positive.csv"))
     lexicon_evidence: Path = field(default_factory=lambda: _data_path("lexicon_evidence.csv"))
@@ -75,9 +76,7 @@ class PipelineConfig:
         return config
 
     def validate(self) -> None:
-        windows = (self.window_before, self.window_after)
-        if not all(0 <= size <= MAX_WINDOW for size in windows):
-            raise MalformedConfig(f"window sizes must be in 0..{MAX_WINDOW}: {windows}")
+        _check_windows(self.window_before, self.window_after, MalformedConfig)
         if not (0.0 <= self.delta <= 1.0):
             raise MalformedConfig(f"delta must be in 0..1: {self.delta}")
         for f in fields(self):

@@ -85,25 +85,29 @@ def centrality_harmonic(graph: CoauthorGraph) -> dict[str, float]:
     has reached its whole component and leaves the sweep.
 
     A per-source BFS sums its 1/d terms in visit order, level by level,
-    and every term of one level is the same 1/d. Each node's terms are
-    rebuilt in that order from its level sizes and summed once, so the
-    floats are the ones a BFS per source gives, bit for bit.
+    and every term of one level is the same 1/d. So at level d each node
+    adds 1/d to its running total once per newly reached source, one
+    float addition at a time, left to right. The floats are the ones a
+    BFS per source gives, bit for bit, on every Python version (sum()
+    of floats is compensated from 3.12 on, so it is not used here).
 
     Cost: D levels, where D is the largest eccentricity, each ORing a
     V-bit int along every edge of the nodes still in the sweep. That is
     O(D * E * V) bit operations, done a machine word at a time, plus
-    the V^2 float additions of the sums. The three int lists hold about
-    3 * V^2 / 8 bytes, and each node keeps one size per level it stays
-    in the sweep. Coauthorship graphs have small diameters, so the
-    sweep takes a few levels; a long path, where D is V - 1, is its
-    worst case in both time and memory.
+    the V^2 float additions of the totals. The three int lists hold
+    about 3 * V^2 / 8 bytes, and each node keeps one float. Coauthorship
+    graphs have small diameters, so the sweep takes a few levels; a long
+    path, where D is V - 1, is its worst case in time.
     """
     nodes, adjacency = _int_adjacency(graph)
     seen = [1 << node for node in range(len(nodes))]
     frontier = seen[:]
-    level_sizes: list[list[int]] = [[] for _ in nodes]
+    totals = [0.0] * len(nodes)
     live = list(range(len(nodes)))
+    depth = 0
     while live:
+        depth += 1
+        term = 1.0 / depth
         reached = [0] * len(nodes)
         still_live = []
         for node in live:
@@ -114,17 +118,14 @@ def centrality_harmonic(graph: CoauthorGraph) -> dict[str, float]:
             if bits:
                 reached[node] = bits
                 seen[node] |= bits
-                level_sizes[node].append(bits.bit_count())
+                total = totals[node]
+                for _ in range(bits.bit_count()):
+                    total += term
+                totals[node] = total
                 still_live.append(node)
         frontier = reached
         live = still_live
-    result = {}
-    for key, sizes in zip(nodes, level_sizes):
-        terms: list[float] = []
-        for depth, size in enumerate(sizes, 1):
-            terms += [1.0 / depth] * size
-        result[key] = sum(terms, 0.0)
-    return result
+    return dict(zip(nodes, totals))
 
 
 def centrality_betweenness(graph: CoauthorGraph) -> dict[str, float]:

@@ -1,10 +1,11 @@
 """End-to-end corpus runs: parse, link, code, and summarize.
 
-The run is serial, in manifest order: parse each document, extract and
-link its citations, build the coauthorship graph from every parsed
-document (relation coding needs the finished graph), code each
-document's citations, then write sorted records. Outputs carry no
-timestamps, so a corpus coded twice produces byte-identical files.
+The run is serial, in manifest order: parse each document, build the
+coauthorship graph from every parsed document's metadata (relation
+coding needs the finished graph), then make one pass per document that
+extracts, links and codes its citations, and write sorted records.
+Outputs carry no timestamps, so a corpus coded twice produces
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -166,41 +167,32 @@ def code_document(
 ) -> list[CodedCitation]:
     """Produce one full record per citation, resolved or not.
 
-    Unresolved and ambiguous citations keep their context-side codes;
-    the slots that need the linked reference entry become uncodable.
+    Each category's (value, rule) pair is stated once, in rule-trace
+    order: D F I J, then the citing-document codes G H K L, then the
+    cited-work codes A B C E. Unresolved and ambiguous citations keep
+    their context-side codes; A, B, C and E become uncodable, untraced.
     """
     meta = doc.metadata
     lexicons = resources.lexicons
     citing_keys = [a.key for a in meta.authors]
 
     # Citing-document codes are constant across the document.
-    domain_value, domain_trace = code_domain(meta, resources.venue_map)
-    focus_value, focus_trace = code_focus(
-        domain_value, document_focus_matches(doc, lexicons)
-    )
-    g_value, g_trace = code_document_type(meta)
-    h_value, h_trace = code_authorship(meta.authors, "H")
+    domain = code_domain(meta, resources.venue_map)
+    citing_codes = {
+        "G": code_document_type(meta),
+        "H": code_authorship(meta.authors, "H"),
+        "K": domain,
+        "L": code_focus(domain[0], document_focus_matches(doc, lexicons)),
+    }
     counts = mention_counts(doc, citations)
     sentence_tokens: dict[int, list[str]] = {}
 
     records = []
     for citation in citations:
-        slots: dict[str, object] = {}
-        trace: list[str] = []
-        section = doc.section_of(citation.sentence_index)
-        d_value, d_trace = code_location(section)
-        slots["D"] = d_value
-        trace.append(d_trace)
-
+        location = code_location(doc.section_of(citation.sentence_index))
         context = extract_context(
             doc, citation, config.window_before, config.window_after
         )
-        f_value, f_trace = code_style(
-            citation, doc.sentences[citation.sentence_index]
-        )
-        slots["F"] = f_value
-        trace.append(f_trace)
-
         # The window's tokens equal tokenize(context.text): no token
         # crosses the space that joins two sentences.
         tokens: list[str] = []
@@ -208,46 +200,25 @@ def code_document(
             if index not in sentence_tokens:
                 sentence_tokens[index] = tokenize(doc.sentences[index])
             tokens += sentence_tokens[index]
-        i_value, _, i_trace = code_function(tokens, d_value, lexicons)
-        slots["I"] = i_value
-        trace.append(i_trace)
-        j_value, j_matches, j_trace = code_disposition(tokens, lexicons)
-        slots["J"] = j_value
-        trace.append(j_trace)
-
-        slots["G"] = g_value
-        trace.append(g_trace)
-        slots["H"] = h_value
-        trace.append(h_trace)
-        slots["K"] = domain_value
-        trace.append(domain_trace)
-        slots["L"] = focus_value
-        trace.append(focus_trace)
-
+        i_value, _, i_rule = code_function(tokens, location[0], lexicons)
+        j_value, j_matches, j_rule = code_disposition(tokens, lexicons)
+        coded = {
+            "D": location,
+            "F": code_style(citation, doc.sentences[citation.sentence_index]),
+            "I": (i_value, i_rule),
+            "J": (j_value, j_rule),
+            **citing_codes,
+        }
         if citation.link_status == LINK_RESOLVED:
             ref = doc.reference_by_id(citation.ref_id)
-            a_value, a_trace = code_document_type(ref)
-            slots["A"] = a_value
-            trace.append(a_trace)
-            b_value, b_trace = code_authorship(ref.authors, "B")
-            slots["B"] = b_value
-            trace.append(b_trace)
-            c_value, c_trace = code_relation(
-                citing_keys,
-                [a.key for a in ref.authors],
-                graph,
-                scores,
-                config.delta,
-            )
-            slots["C"] = c_value
-            trace.append(c_trace)
-            e_value, e_trace = code_frequency(counts[citation.ref_id])
-            slots["E"] = e_value
-            trace.append(e_trace)
+            cited_keys = [a.key for a in ref.authors]
+            coded["A"] = code_document_type(ref)
+            coded["B"] = code_authorship(ref.authors, "B")
+            coded["C"] = code_relation(citing_keys, cited_keys, graph, scores, config.delta)
+            coded["E"] = code_frequency(counts[citation.ref_id])
         else:
-            reason = _LINK_REASON[citation.link_status]
-            for category in ("A", "B", "C", "E"):
-                slots[category] = Uncodable(reason)
+            uncodable = Uncodable(_LINK_REASON[citation.link_status])
+            coded.update(dict.fromkeys("ABCE", (uncodable, None)))
 
         records.append(
             assemble_record(
@@ -258,9 +229,9 @@ def code_document(
                 sentence_index=citation.sentence_index,
                 context_level=context.level,
                 context_sentences=context.sentence_indices,
-                slots=slots,
+                slots={category: value for category, (value, _) in coded.items()},
                 matched_cues=j_matches,
-                rule_trace=trace,
+                rule_trace=[rule for _, rule in coded.values() if rule is not None],
             )
         )
     return records
@@ -274,7 +245,6 @@ class RunResult:
     resolved_records: list[CodedCitation]
     documents: list[Document]
     graph: CoauthorGraph
-    scores: dict[str, CapitalScore]
     skipped: list[tuple[str, str]] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
@@ -285,82 +255,45 @@ def code_corpus(
     resources: Resources | None = None,
     skipped: list[tuple[str, str]] | None = None,
 ) -> RunResult:
-    """Code a parsed corpus: graph first, then every citation."""
+    """Code a parsed corpus: graph first, then one pass per document.
+
+    The pass extracts a document's citations, codes them, and notes its
+    unresolved and ambiguous markers for the summary.
+    """
     config = config or PipelineConfig()
     resources = resources or load_resources(config)
     skipped = list(skipped or [])
 
-    extracted = [extract_citations(doc) for doc in documents]
     graph = build_coauthor_graph([doc.metadata for doc in documents])
     scores = capital_scores(graph)
 
-    records = sort_records([
-        record
-        for doc, citations in zip(documents, extracted)
-        for record in code_document(doc, citations, resources, config, graph, scores)
-    ])
-    resolved = [r for r in records if r.link_status == LINK_RESOLVED]
-
-    summary = _build_summary(
-        documents, extracted, records, resolved, graph, skipped, config
-    )
-    return RunResult(
-        records=records,
-        resolved_records=resolved,
-        documents=documents,
-        graph=graph,
-        scores=scores,
-        skipped=skipped,
-        summary=summary,
-    )
-
-
-def _marker_text(doc: Document, citation: InTextCitation) -> str:
-    start, end = citation.char_span
-    return doc.sentences[citation.sentence_index][start:end]
-
-
-def _build_summary(
-    documents: list[Document],
-    extracted: list[list[InTextCitation]],
-    records: list[CodedCitation],
-    resolved: list[CodedCitation],
-    graph: CoauthorGraph,
-    skipped: list[tuple[str, str]],
-    config: PipelineConfig,
-) -> dict:
-    unresolved_items = []
-    ambiguous_items = []
-    for doc, citations in zip(documents, extracted):
+    records: list[CodedCitation] = []
+    unlinked: dict[str, list[dict]] = {LINK_UNRESOLVED: [], LINK_AMBIGUOUS: []}
+    for doc in documents:
+        citations = extract_citations(doc)
+        records += code_document(doc, citations, resources, config, graph, scores)
         for citation in citations:
-            if citation.link_status == LINK_RESOLVED:
-                continue
-            item = {
-                "doc_id": doc.metadata.doc_id,
-                "citation_id": citation.citation_id,
-                "sentence_index": citation.sentence_index,
-                "marker": _marker_text(doc, citation),
-            }
-            if citation.link_status == LINK_UNRESOLVED:
-                unresolved_items.append(item)
-            else:
-                ambiguous_items.append(item)
+            if citation.link_status != LINK_RESOLVED:
+                start, end = citation.char_span
+                unlinked[citation.link_status].append({
+                    "doc_id": doc.metadata.doc_id,
+                    "citation_id": citation.citation_id,
+                    "sentence_index": citation.sentence_index,
+                    "marker": doc.sentences[citation.sentence_index][start:end],
+                })
+    records = sort_records(records)
+    resolved = [r for r in records if r.link_status == LINK_RESOLVED]
     key = lambda item: reading_order(item["doc_id"], item["citation_id"])
-    unresolved_items.sort(key=key)
-    ambiguous_items.sort(key=key)
-    warnings = {
-        doc.metadata.doc_id: list(doc.warnings)
-        for doc in sorted(documents, key=lambda d: d.metadata.doc_id)
-        if doc.warnings
-    }
-    total = len(records)
-    return {
+    unresolved = sorted(unlinked[LINK_UNRESOLVED], key=key)
+    ambiguous = sorted(unlinked[LINK_AMBIGUOUS], key=key)
+
+    summary = {
         "documents": len(documents),
         "citations": {
-            "total": total,
+            "total": len(records),
             "resolved": len(resolved),
-            "unresolved": len(unresolved_items),
-            "ambiguous": len(ambiguous_items),
+            "unresolved": len(unresolved),
+            "ambiguous": len(ambiguous),
         },
         "records_written": len(resolved),
         "coauthor_graph": {
@@ -371,11 +304,23 @@ def _build_summary(
             {"path": path, "error": error}
             for path, error in sorted(skipped)
         ],
-        "unresolved_citations": unresolved_items,
-        "ambiguous_citations": ambiguous_items,
-        "document_warnings": warnings,
+        "unresolved_citations": unresolved,
+        "ambiguous_citations": ambiguous,
+        "document_warnings": {
+            doc.metadata.doc_id: list(doc.warnings)
+            for doc in sorted(documents, key=lambda d: d.metadata.doc_id)
+            if doc.warnings
+        },
         "config": config.echo(),
     }
+    return RunResult(
+        records=records,
+        resolved_records=resolved,
+        documents=documents,
+        graph=graph,
+        skipped=skipped,
+        summary=summary,
+    )
 
 
 def run_pipeline(

@@ -20,11 +20,6 @@ from .models import LEVEL_CLUSTER
 # null when the category is uncodable.
 _STORED_VALUES = {category: frozenset(VALUES[category]) | {None} for category in CATEGORIES}
 
-_FIXED_FIELDS = (
-    "doc_id", "citation_id", "ref_id", "link_status", "sentence_index",
-    "context_level", "context_sentences",
-)
-
 
 @dataclass
 class CodedCitation:

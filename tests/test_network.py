@@ -109,6 +109,13 @@ def test_harmonic_on_a_path():
     assert values["z"] == pytest.approx(1.5)
 
 
+def test_harmonic_adds_terms_left_to_right():
+    # 1 + 1/2 + 1/3 + 1/4 added in visit order; a compensated sum (the
+    # sum() of Python 3.12+) rounds it to 2.0833333333333335 instead.
+    graph = graph_of("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
+    assert centrality_harmonic(graph)["a"] == 2.083333333333333
+
+
 def test_harmonic_ignores_unreachable_nodes():
     graph = graph_of(["a", "b", "i"], [("a", "b")])
     values = centrality_harmonic(graph)
@@ -232,9 +239,11 @@ def reference_harmonic(graph):
                 if neighbor not in distances:
                     distances[neighbor] = distances[node] + 1
                     queue.append(neighbor)
-        result[source] = sum(
-            (1.0 / d for other, d in distances.items() if other != source), 0.0
-        )
+        total = 0.0
+        for other, d in distances.items():
+            if other != source:
+                total += 1.0 / d
+        result[source] = total
     return result
 
 

@@ -343,6 +343,63 @@ def test_trace_covers_every_coded_category(corpus_result):
                 assert any(t.startswith(f"{category}:") for t in record.rule_trace)
 
 
+def test_rule_trace_order(records_by_key):
+    # D F I J, then the citing-document codes G H K L, then A B C E.
+    assert records_by_key[("paper-a", "c0003")].rule_trace == [
+        "D:header:discussion",
+        "F:page-locator",
+        "I:cue:however",
+        "J:cues:negative",
+        "G:venue-type:journal",
+        "H:count=1",
+        "K:venue-match:information science",
+        "L:cue:epistemolog*",
+        "A:signal:publisher",
+        "B:count=1",
+        "C:parallel-default",
+        "E:count=1",
+    ]
+    # An unresolved citation's uncodable A, B, C and E leave no trace.
+    assert records_by_key[("paper-a", "c0001")].rule_trace == [
+        "D:header:introduction",
+        "F:narrative",
+        "I:prior:D2",
+        "J:cues:none",
+        "G:venue-type:journal",
+        "H:count=1",
+        "K:venue-match:information science",
+        "L:cue:epistemolog*",
+    ]
+
+
+def test_unlinked_markers_listed_in_reading_order():
+    from citecode.ingest import parse_document
+
+    def doc(doc_id):
+        return parse_document(
+            f"#META id: {doc_id}\n"
+            "#SECTION Introduction\n"
+            "Old claims (Smith, 2011) and (Moss, 1990).\n"
+            "Also (Smith, 2011) and (Moss, 1990).\n"
+            "#REFERENCES\n"
+            "[1] Smith, A. (2011a). First. Minerva, 4(4), 1-8.\n"
+            "[2] Smith, A. (2011b). Second. Minerva, 4(5), 9-16.\n"
+        )
+
+    def items(citation_ids, marker):
+        return [
+            {"doc_id": doc_id, "citation_id": citation_id,
+             "sentence_index": index, "marker": marker}
+            for doc_id in ("alpha", "zeta")
+            for citation_id, index in zip(citation_ids, (0, 1))
+        ]
+
+    # Manifest order zeta, alpha; reading order alpha, zeta.
+    summary = code_corpus([doc("zeta"), doc("alpha")]).summary
+    assert summary["ambiguous_citations"] == items(("c0001", "c0003"), "(Smith, 2011)")
+    assert summary["unresolved_citations"] == items(("c0002", "c0004"), "(Moss, 1990)")
+
+
 def test_run_pipeline_from_manifest(tmp_path):
     result = run_pipeline(read_manifest(make_manifest(tmp_path)))
     assert result.summary["citations"]["total"] == 22
