@@ -17,8 +17,6 @@ one reference entry is marked unresolved or ambiguous, never fatal.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
-from operator import itemgetter
 
 from .errors import CitecodeError, InvalidCount, UnknownRef, UnparseableName
 from .models import (
@@ -69,13 +67,6 @@ _NUMERIC_RE = re.compile(r"\[(\d{1,4}(?:\s*,\s*\d{1,4})*)\]")
 
 _ET_AL_RE = re.compile(r"\s*,?\s*\bet\s+al\.?", re.IGNORECASE)
 _CONJ_SPLIT_RE = re.compile(r"\s*(?:&|\band\b)\s+")
-_TOKEN_RE = re.compile(r"\S+")
-# A token that is an example cue ("e.g.", "e.g", "eg", "see", "cf.",
-# "cf") once lowercased and stripped of ",;:()". No character but the
-# ASCII capitals lowercases to these letters, so the classes are exact.
-_CUE_TOKEN_RE = re.compile(
-    r"[,;:()]*(?:[Ee]\.[Gg]\.?|[Ee][Gg]|[Ss][Ee][Ee]|[Cc][Ff]\.?)[,;:()]*"
-)
 
 
 def _strip_possessive(part: str) -> str:
@@ -94,25 +85,6 @@ def _split_names(names: str) -> tuple[tuple[str, ...], bool]:
         _strip_possessive(p.strip(" ,.")) for p in parts if p.strip(" ,.")
     )
     return surnames, et_al
-
-
-def _token_spans(sentence: str) -> list[tuple[int, int]]:
-    return [token.span() for token in _TOKEN_RE.finditer(sentence)]
-
-
-def _has_example_cue(sentence: str, end: int, tokens: list[tuple[int, int]]) -> bool:
-    """True when one of the last three tokens before `end` is an example cue.
-
-    tokens are the whitespace-separated token spans of the sentence, in
-    order; a token that runs past `end` is cut there. Only those three
-    tokens are read, so each marker costs the same however long the
-    sentence before it is.
-    """
-    last = bisect_left(tokens, end, key=itemgetter(0))
-    for start, stop in tokens[max(0, last - 3) : last]:
-        if _CUE_TOKEN_RE.fullmatch(sentence, start, min(stop, end)):
-            return True
-    return False
 
 
 def detect_citations(
@@ -140,7 +112,6 @@ def _detect(
     has_bracket = "[" in sentence
     if not (has_paren or has_bracket):
         return []
-    tokens = _token_spans(sentence)
     # (span start, reading order, InTextCitation fields) per citation.
     found: list[tuple[int, int, dict]] = []
 
@@ -164,7 +135,6 @@ def _detect(
             fields = dict(
                 char_span=span,
                 marker_style=STYLE_PARENTHETICAL,
-                inside_example_cue=_has_example_cue(sentence, order, tokens),
                 surnames=surnames,
                 year=int(work.group("year")),
                 year_suffix=work.group("suffix"),
@@ -180,7 +150,6 @@ def _detect(
         fields = dict(
             char_span=match.span(),
             marker_style=STYLE_NARRATIVE,
-            inside_example_cue=_has_example_cue(sentence, match.start(), tokens),
             surnames=surnames,
             year=int(match.group("year")),
             year_suffix=match.group("suffix"),
@@ -189,12 +158,10 @@ def _detect(
         found.append((match.start(), match.start(), fields))
 
     for match in _NUMERIC_RE.finditer(sentence) if has_bracket else ():
-        cue = _has_example_cue(sentence, match.start(), tokens)
         for position, label in enumerate(re.findall(r"\d+", match.group(1))):
             fields = dict(
                 char_span=match.span(),
                 marker_style=STYLE_NUMERIC,
-                inside_example_cue=cue,
                 numeric_label=label,
             )
             found.append((match.start(), match.start() + position, fields))
@@ -274,11 +241,12 @@ def count_mentions(
     citations: list[InTextCitation] | None = None,
 ) -> int:
     """Count resolved in-text citations linking to ref_id."""
-    if doc.reference_by_id(ref_id) is None:
-        raise UnknownRef(f"document {doc.metadata.doc_id!r} has no reference {ref_id!r}")
     if citations is None:
         citations = extract_citations(doc)
-    return mention_counts(doc, citations)[ref_id]
+    counts = mention_counts(doc, citations)
+    if ref_id not in counts:
+        raise UnknownRef(f"document {doc.metadata.doc_id!r} has no reference {ref_id!r}")
+    return counts[ref_id]
 
 
 def mention_counts(doc: Document, citations: list[InTextCitation]) -> dict[str, int]:

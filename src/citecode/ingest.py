@@ -81,9 +81,9 @@ def _parse_year(text: str, warnings: list[str]) -> int | None:
     return year
 
 
-def _parse_authors_meta(text: str, warnings: list[str]) -> list[AuthorName]:
+def _parse_authors(raws: list[str], warnings: list[str]) -> list[AuthorName]:
     authors = []
-    for raw in text.split(";"):
+    for raw in raws:
         raw = raw.strip()
         if not raw:
             continue
@@ -119,6 +119,7 @@ def _finalize_references(
 
 def _build_document(
     meta_fields: dict[str, str],
+    author_raws: list[str],
     section_blocks: list[tuple[str, list[str]]],
     entries: list[tuple[ReferenceEntry, bool, int | None]],
     warnings: list[str],
@@ -142,7 +143,7 @@ def _build_document(
     year = None
     if meta_fields.get("year", "").strip():
         year = _parse_year(meta_fields["year"], warnings)
-    authors = _parse_authors_meta(meta_fields.get("authors", ""), warnings)
+    authors = _parse_authors(author_raws, warnings)
     if not authors:
         warnings.append("metadata-incomplete: no authors")
 
@@ -249,8 +250,10 @@ def _parse_plain(text: str, abbreviations: tuple[str, ...]) -> Document:
     for line, line_no in reference_lines:
         entry = parse_reference_entry(line)
         entries.append((entry, bool(entry.ref_id), line_no))
+    # One #META authors: line lists every author, split on ";".
+    author_raws = meta_fields.get("authors", "").split(";")
     return _build_document(
-        meta_fields, section_blocks, entries, warnings,
+        meta_fields, author_raws, section_blocks, entries, warnings,
         abbreviations, had_reference_block,
     )
 
@@ -266,12 +269,12 @@ def _parse_xml(text: str, abbreviations: tuple[str, ...]) -> Document:
 
     warnings: list[str] = []
     meta_fields: dict[str, str] = {}
+    author_raws: list[str] = []
     meta_el = root.find("metadata")
     if meta_el is not None:
         for child in meta_el:
             if child.tag == "authors":
-                raws = [(a.text or "").strip() for a in child.findall("author")]
-                meta_fields["authors"] = "; ".join(r for r in raws if r)
+                author_raws = [a.text or "" for a in child.findall("author")]
             elif child.tag == "venue":
                 meta_fields["venue"] = (child.text or "").strip()
                 if child.get("type"):
@@ -307,7 +310,7 @@ def _parse_xml(text: str, abbreviations: tuple[str, ...]) -> Document:
             entry = parse_reference_entry(raw, default_ref_id=ref_el.get("id"))
             entries.append((entry, ref_el.get("id") is not None, None))
     return _build_document(
-        meta_fields, section_blocks, entries, warnings,
+        meta_fields, author_raws, section_blocks, entries, warnings,
         abbreviations, had_reference_block,
     )
 

@@ -88,12 +88,6 @@ class Document:
                 return section
         raise IndexError(f"sentence index {sentence_index} outside all sections")
 
-    def reference_by_id(self, ref_id: str) -> ReferenceEntry | None:
-        for ref in self.references:
-            if ref.ref_id == ref_id:
-                return ref
-        return None
-
 
 @dataclass(frozen=True)
 class InTextCitation:
@@ -110,7 +104,6 @@ class InTextCitation:
     sentence_index: int
     char_span: tuple[int, int]
     marker_style: str
-    inside_example_cue: bool
     surnames: tuple[str, ...] = ()
     year: int | None = None
     year_suffix: str | None = None
@@ -121,7 +114,11 @@ class InTextCitation:
 
 @dataclass(frozen=True)
 class CitationContext:
-    """The sentence window handed to the content coders."""
+    """The sentence window around a citation.
+
+    text is the window's sentences joined by single spaces; the content
+    coders get the window's tokens, which equal tokenize(text).
+    """
 
     citation_id: str
     level: str

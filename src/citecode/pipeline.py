@@ -185,6 +185,9 @@ def code_document(
         "L": code_focus(domain[0], document_focus_matches(doc, lexicons)),
     }
     counts = mention_counts(doc, citations)
+    # The entry a resolved citation names; of two entries with one id,
+    # the first wins.
+    references = {ref.ref_id: ref for ref in reversed(doc.references)}
     sentence_tokens: dict[int, list[str]] = {}
 
     records = []
@@ -210,7 +213,7 @@ def code_document(
             **citing_codes,
         }
         if citation.link_status == LINK_RESOLVED:
-            ref = doc.reference_by_id(citation.ref_id)
+            ref = references[citation.ref_id]
             cited_keys = [a.key for a in ref.authors]
             coded["A"] = code_document_type(ref)
             coded["B"] = code_authorship(ref.authors, "B")
@@ -229,9 +232,8 @@ def code_document(
                 sentence_index=citation.sentence_index,
                 context_level=context.level,
                 context_sentences=context.sentence_indices,
-                slots={category: value for category, (value, _) in coded.items()},
+                coded=coded,
                 matched_cues=j_matches,
-                rule_trace=[rule for _, rule in coded.values() if rule is not None],
             )
         )
     return records

@@ -49,23 +49,22 @@ def assemble_record(
     sentence_index: int,
     context_level: str,
     context_sentences: tuple[int, ...],
-    slots: dict[str, str | Uncodable],
+    coded: dict[str, tuple[str | Uncodable, str | None]],
     matched_cues: list[tuple[str, str]],
-    rule_trace: list[str],
 ) -> CodedCitation:
-    """Validate and build one record.
+    """Validate and build one record from each category's (value, rule) pair.
 
-    Every category must be present exactly once, either coded (with a
-    matching trace entry) or uncodable (with a reason).
+    Every category must be present exactly once, either coded, with a
+    rule that starts with "<category>:", or uncodable, with a reason.
+    The rule trace is the rules that are not None, in the order of
+    ``coded``.
     """
     codes: dict[str, str | None] = {}
     reasons: dict[str, str] = {}
-    # Categories with a trace entry: the text before an entry's first colon.
-    traced = {t.partition(":")[0] for t in rule_trace if ":" in t}
     for category in CATEGORIES:
-        if category not in slots:
+        if category not in coded:
             raise IncompleteCoding(f"{doc_id}/{citation_id}: category {category} missing")
-        value = slots[category]
+        value, rule = coded[category]
         if isinstance(value, Uncodable):
             codes[category] = None
             reasons[category] = value.reason
@@ -74,12 +73,12 @@ def assemble_record(
                 raise IncompleteCoding(
                     f"{doc_id}/{citation_id}: {value!r} is not a {category} value"
                 )
-            if category not in traced:
+            if rule is None or not rule.startswith(category + ":"):
                 raise IncompleteCoding(
                     f"{doc_id}/{citation_id}: coded category {category} has no rule trace"
                 )
             codes[category] = value
-    extra = set(slots) - set(CATEGORIES)
+    extra = set(coded) - set(CATEGORIES)
     if extra:
         raise IncompleteCoding(f"{doc_id}/{citation_id}: unknown categories {sorted(extra)}")
     return CodedCitation(
@@ -92,7 +91,7 @@ def assemble_record(
         context_sentences=tuple(context_sentences),
         codes=codes,
         matched_cues=list(matched_cues),
-        rule_trace=list(rule_trace),
+        rule_trace=[rule for _, rule in coded.values() if rule is not None],
         uncodable_reasons=reasons,
     )
 

@@ -7,9 +7,14 @@ Budgets are wall-clock seconds and are asserted, not just reported.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import citecode
 from citecode.config import PipelineConfig
 from citecode.errors import CitecodeError
 from citecode.ingest import FORMAT_PLAIN, FORMAT_XML, parse_document
@@ -167,8 +172,8 @@ def test_acceptance_5_deterministic_outputs(capsys, tmp_path):
         manifest = write_corpus(tmp_path / "corpus", 50)
         entries = read_manifest(manifest)
 
-        def run_and_write(tag, jobs):
-            result = run_pipeline(entries, jobs=jobs)
+        def run_and_write(tag):
+            result = run_pipeline(entries)
             out = tmp_path / tag
             paths = write_outputs(result, out)
             report = table_to_csv(
@@ -177,13 +182,28 @@ def test_acceptance_5_deterministic_outputs(capsys, tmp_path):
             (out / "report.csv").write_text(report, encoding="utf-8")
             return out
 
-        first = run_and_write("run1", jobs=1)
-        second = run_and_write("run2", jobs=1)
-        parallel = run_and_write("run4", jobs=4)
+        first = run_and_write("run1")
+        second = run_and_write("run2")
+        # A fresh interpreter under another hash seed iterates sets and
+        # dicts of strings in another order, which a shared one cannot.
+        other = tmp_path / "other-process"
+        seed = "999" if os.environ.get("PYTHONHASHSEED") == "12345" else "12345"
+        code = (
+            "import sys; from citecode.pipeline import read_manifest, run_pipeline, "
+            "write_outputs; write_outputs(run_pipeline(read_manifest(sys.argv[1])), sys.argv[2])"
+        )
+        subprocess.run(
+            [sys.executable, "-c", code, str(manifest), str(other)], check=True,
+            env={
+                **os.environ,
+                "PYTHONPATH": str(Path(citecode.__file__).parents[1]),
+                "PYTHONHASHSEED": seed,
+            },
+        )
         for name in ("coded.jsonl", "summary.json", "coauthors.tsv", "report.csv"):
-            baseline = (first / name).read_bytes()
-            assert (second / name).read_bytes() == baseline, name
-            assert (parallel / name).read_bytes() == baseline, name
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+        for name in ("coded.jsonl", "summary.json", "coauthors.tsv"):
+            assert (other / name).read_bytes() == (first / name).read_bytes(), name
 
 
 def test_acceptance_6_parser_fuzzing(capsys):

@@ -16,9 +16,7 @@ from citecode.citations import (
     _PAREN_GROUP_RE,
     _SEGMENT_WORK_RE,
     _YEAR_ONLY_RE,
-    _has_example_cue,
     _split_names,
-    _token_spans,
     count_mentions,
     detect_citations,
     extract_citations,
@@ -108,17 +106,10 @@ def test_year_without_comma():
     assert found[0].year == 1991
 
 
-def test_example_cue_detected():
-    found = detect_citations("Multiple equilibria exist (e.g. Spence 1973).")
-    assert len(found) == 1
-    assert found[0].inside_example_cue
-
-
 def test_page_locator_detected():
     found = detect_citations("They coexist in all domains (see, e.g., Mayr, 1997, pp. 98–99).")
     assert len(found) == 1
     assert found[0].has_page_locator
-    assert found[0].inside_example_cue
 
 
 def test_suffix_selects_between_same_year_entries():
@@ -234,7 +225,6 @@ def make_citation(index):
         sentence_index=index,
         char_span=(0, 4),
         marker_style=STYLE_PARENTHETICAL,
-        inside_example_cue=False,
     )
 
 
@@ -348,15 +338,6 @@ def test_document_citation_ids_are_sequential(corpus_documents):
 # -- the original scan, kept as the reference for the gated one ---------
 
 
-def reference_has_example_cue(prefix):
-    """The original check: lowercase and split the whole prefix."""
-    tokens = prefix.lower().split()
-    for token in tokens[-3:]:
-        if token.strip(",;:()") in {"e.g.", "e.g", "eg", "see", "cf.", "cf"}:
-            return True
-    return False
-
-
 def reference_detect_citations(sentence, references=None, sentence_index=0):
     """The original detect_citations: all three scans on every sentence."""
     found = []
@@ -376,13 +357,11 @@ def reference_detect_citations(sentence, references=None, sentence_index=0):
             surnames, et_al = _split_names(work.group("names"))
             if not surnames:
                 continue
-            prefix_in_sentence = sentence[: offset + seg_start + work.start()]
             found.append(dict(
                 span=span, order=offset + seg_start + work.start(),
                 style=STYLE_PARENTHETICAL, surnames=surnames,
                 year=int(work.group("year")), suffix=work.group("suffix"),
                 et_al=et_al, locator=bool(work.group("locator")),
-                cue=reference_has_example_cue(prefix_in_sentence),
             ))
     for match in _NARRATIVE_RE.finditer(sentence):
         surnames, et_al = _split_names(match.group("names"))
@@ -392,15 +371,13 @@ def reference_detect_citations(sentence, references=None, sentence_index=0):
             span=(match.start(), match.end()), order=match.start(),
             style=STYLE_NARRATIVE, surnames=surnames, year=int(match.group("year")),
             suffix=match.group("suffix"), et_al=et_al, locator=False,
-            cue=reference_has_example_cue(sentence[: match.start()]),
         ))
     for match in _NUMERIC_RE.finditer(sentence):
         for position, label in enumerate(re.findall(r"\d+", match.group(1))):
             found.append(dict(
                 span=(match.start(), match.end()), order=match.start() + position,
                 style=STYLE_NUMERIC, surnames=(), year=None, suffix=None,
-                et_al=False, locator=False,
-                cue=reference_has_example_cue(sentence[: match.start()]), label=label,
+                et_al=False, locator=False, label=label,
             ))
     found.sort(key=lambda item: (item["span"][0], item["order"]))
     citations = []
@@ -408,7 +385,7 @@ def reference_detect_citations(sentence, references=None, sentence_index=0):
         citation = InTextCitation(
             citation_id=f"c{position:04d}", ref_id=None, link_status=LINK_UNRESOLVED,
             sentence_index=sentence_index, char_span=item["span"],
-            marker_style=item["style"], inside_example_cue=item["cue"],
+            marker_style=item["style"],
             surnames=item["surnames"], year=item["year"], year_suffix=item["suffix"],
             et_al=item["et_al"], has_page_locator=item["locator"],
             numeric_label=item.get("label"),
@@ -434,30 +411,6 @@ def reference_extract_citations(doc):
 # capital I, dotless i, long s, the Kelvin sign and capital sigma.
 _ODD_CHARACTERS = ["\u00a0", "\u2028", "\u001c", "\u3000", "\u0130", "\u0131", "\u017f",
                    "\u212a", "\u03a3"]
-_CUE_PIECES = ["e.g.", "E.G.,", "(e.g.", "eg", "see", "SEE:", "(see", "cf.", "Cf", "cf.;",
-               "\u017fee", "e.\u0261."]
-_CUE_ALPHABET = list("eEgGsScCfF.,;:() \t\n") + _ODD_CHARACTERS
-
-
-@given(
-    st.lists(
-        st.sampled_from(_CUE_PIECES)
-        | st.text(alphabet=st.sampled_from(_CUE_ALPHABET), max_size=5),
-        max_size=12,
-    ).map("".join)
-)
-@example("(see, e.g., ")
-@example("x e.g.\u2028(")
-@example("\u03a3EE see\u00a0x y")
-@settings(max_examples=300)
-def test_example_cue_reads_the_same_as_the_whole_prefix_check(sentence):
-    tokens = _token_spans(sentence)
-    for end in range(len(sentence) + 1):
-        assert _has_example_cue(sentence, end, tokens) == reference_has_example_cue(
-            sentence[:end]
-        ), end
-
-
 _MARKER_REFS = HJ_REFS + refs(
     "[3] Smith, J. (2011). A title. A Journal, 4(2), 1-10.",
     "Smith, J. (2011a). Another title. Press.",

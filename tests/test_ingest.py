@@ -29,6 +29,7 @@ from citecode.ingest import (
     parse_document,
     serialize_document,
 )
+from citecode.models import AuthorName
 
 from conftest import ALL_FIXTURES, load_fixture
 
@@ -184,6 +185,19 @@ def test_xml_sample_parses():
     assert doc.metadata.year == 2015
     assert [s.normalized_location for s in doc.sections] == ["D2", "D6"]
     assert len(doc.sentences) == 4
+
+
+def test_xml_author_with_semicolon_stays_one_author():
+    doc = parse_document(
+        "<document><metadata><id>x</id>"
+        "<authors><author>Smith; J.</author></authors></metadata>"
+        "<body><section header='Introduction'><paragraph>Text.</paragraph></section></body>"
+        "</document>",
+        FORMAT_XML,
+    )
+    assert doc.metadata.authors == [AuthorName(raw="Smith; J.", key="smith,j")]
+    again = parse_document(serialize_document(doc), FORMAT_XML)
+    assert again.metadata == doc.metadata
 
 
 def test_xml_explicit_and_derived_reference_ids():

@@ -7,11 +7,13 @@ not that the table needs casual updating.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
+from citecode import cli, pipeline
 from citecode.config import PipelineConfig
 from citecode.errors import EmptyDocument, MalformedInput
 from citecode.pipeline import (
@@ -22,6 +24,7 @@ from citecode.pipeline import (
     run_pipeline,
     write_outputs,
 )
+from citecode.records import read_jsonl
 
 from conftest import FIXTURE_DIR, make_manifest
 
@@ -444,3 +447,38 @@ def test_style_fixture_counts_mentions_across_styles(corpus_result):
     styles = [r for r in corpus_result.records if r.doc_id == "style-fixture"]
     assert [r.codes["F"] for r in styles] == ["F1", "F2", "F3"]
     assert all(r.codes["E"] == "E2" for r in styles)
+
+
+def _load_tracing():
+    """perfbench/tracing.py, the benchmark's per-layer tracer."""
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_fires(tmp_path):
+    """A refactor that renames or bypasses a traced function fails here."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        entries = pipeline.read_manifest(make_manifest(tmp_path))
+        paths = pipeline.write_outputs(pipeline.run_pipeline(entries), tmp_path / "out")
+        coded = str(paths["coded"])
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text("".join(
+            json.dumps({"doc_id": r.doc_id, "citation_id": r.citation_id, "I": r.codes["I"]})
+            + "\n"
+            for r in read_jsonl(coded)
+        ), encoding="utf-8")
+        assert cli.main(["report", "--input", coded, "--rows", "D", "--cols", "I",
+                         "--out", str(tmp_path / "report.csv")]) == 0
+        assert cli.main(["eval", "--input", coded, "--gold", str(gold), "--categories", "I",
+                         "--out", str(tmp_path / "eval.csv")]) == 0
+    finally:
+        tracer.remove()
+    assert {span[0] for span in tracer.spans()} == {name for name, *_ in tracing.SPANS}
+    # remove() put the originals back.
+    assert pipeline.run_pipeline is run_pipeline

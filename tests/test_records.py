@@ -23,10 +23,13 @@ FULL_SLOTS = {
     "A": "A1", "B": "B1", "C": "C2", "D": "D2", "E": "E1", "F": "F1",
     "G": "G1", "H": "H2", "I": "I1", "J": "J4", "K": "K1", "L": "L2",
 }
-FULL_TRACE = [f"{cat}:rule" for cat in CATEGORIES]
+FULL_RULES = {cat: f"{cat}:rule" for cat in CATEGORIES}
 
 
-def build(slots=None, trace=None, **overrides):
+def build(slots=None, rules=None, **overrides):
+    """One record; slots and rules override the full coding's values and rules."""
+    slots = FULL_SLOTS if slots is None else slots
+    rules = {**FULL_RULES, **(rules or {})}
     kwargs = dict(
         doc_id="doc-1",
         citation_id="c0001",
@@ -35,9 +38,8 @@ def build(slots=None, trace=None, **overrides):
         sentence_index=4,
         context_level="sentence_cluster",
         context_sentences=(3, 4, 5),
-        slots=dict(FULL_SLOTS if slots is None else slots),
+        coded={cat: (value, rules.get(cat)) for cat, value in slots.items()},
         matched_cues=[("but", "negative")],
-        rule_trace=list(FULL_TRACE if trace is None else trace),
     )
     kwargs.update(overrides)
     return assemble_record(**kwargs)
@@ -48,6 +50,7 @@ def test_assemble_keeps_all_twelve_slots():
     assert set(record.codes) == set(CATEGORIES)
     assert record.codes["A"] == "A1"
     assert record.uncodable_reasons == {}
+    assert record.rule_trace == list(FULL_RULES.values())
 
 
 def test_assemble_uncodable_slot():
@@ -78,9 +81,8 @@ def test_assemble_extra_category():
 
 @pytest.mark.parametrize("j_trace", ["J", "JX:cue", "I:J:cue"])
 def test_assemble_trace_entry_must_start_with_category_and_colon(j_trace):
-    trace = [t for t in FULL_TRACE if not t.startswith("J:")] + [j_trace]
     with pytest.raises(IncompleteCoding) as err:
-        build(trace=trace)
+        build(rules={"J": j_trace})
     assert "coded category J has no rule trace" in str(err.value)
 
 
@@ -99,18 +101,17 @@ def test_assemble_value_from_wrong_category():
 
 
 def test_assemble_coded_value_requires_trace():
-    trace = [t for t in FULL_TRACE if not t.startswith("J:")]
     with pytest.raises(IncompleteCoding) as err:
-        build(trace=trace)
+        build(rules={"J": None})
     assert "J" in str(err.value)
 
 
 def test_assemble_uncodable_needs_no_trace():
     slots = dict(FULL_SLOTS)
     slots["K"] = Uncodable("unmapped-venue")
-    trace = [t for t in FULL_TRACE if not t.startswith("K:")]
-    record = build(slots=slots, trace=trace)
+    record = build(slots=slots, rules={"K": None})
     assert record.codes["K"] is None
+    assert record.rule_trace == [rule for cat, rule in FULL_RULES.items() if cat != "K"]
 
 
 def test_json_line_key_order():

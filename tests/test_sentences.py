@@ -7,6 +7,7 @@ import time
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from citecode.config import PipelineConfig
 from citecode.sentences import (
     _CLOSERS,
     _OPENERS,
@@ -86,6 +87,11 @@ def test_abbreviation_file_loader(tmp_path):
     path = tmp_path / "abbrev.txt"
     path.write_text("# comment\ne.g.\n\nqq.\n", encoding="utf-8")
     assert load_abbreviations(path) == ("e.g.", "qq.")
+
+
+def test_shipped_abbreviation_file_equals_the_default():
+    # `code` reads the configured file, `net` and parse_document the constant.
+    assert load_abbreviations(PipelineConfig().abbreviations) == DEFAULT_ABBREVIATIONS
 
 
 def test_custom_abbreviations_change_splits():
