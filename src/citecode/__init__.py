@@ -60,7 +60,6 @@ from .models import (
 )
 from .names import fold_to_ascii, normalize_author_key, surname_of
 from .network import (
-    CapitalScore,
     CoauthorGraph,
     build_coauthor_graph,
     capital_scores,

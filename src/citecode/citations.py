@@ -77,14 +77,9 @@ def _strip_possessive(part: str) -> str:
     return part
 
 
-def _split_names(names: str) -> tuple[tuple[str, ...], bool]:
-    et_al = bool(_ET_AL_RE.search(names))
-    cleaned = _ET_AL_RE.sub("", names)
-    parts = _CONJ_SPLIT_RE.split(cleaned)
-    surnames = tuple(
-        _strip_possessive(p.strip(" ,.")) for p in parts if p.strip(" ,.")
-    )
-    return surnames, et_al
+def _split_names(names: str) -> tuple[str, ...]:
+    parts = _CONJ_SPLIT_RE.split(_ET_AL_RE.sub("", names))
+    return tuple(_strip_possessive(p.strip(" ,.")) for p in parts if p.strip(" ,."))
 
 
 def detect_citations(
@@ -128,7 +123,7 @@ def _detect(
             work = _SEGMENT_WORK_RE.search(segment)
             if not work:
                 continue
-            surnames, et_al = _split_names(work.group("names"))
+            surnames = _split_names(work.group("names"))
             if not surnames:
                 continue
             order = offset + seg_start + work.start()
@@ -138,13 +133,12 @@ def _detect(
                 surnames=surnames,
                 year=int(work.group("year")),
                 year_suffix=work.group("suffix"),
-                et_al=et_al,
                 has_page_locator=bool(work.group("locator")),
             )
             found.append((span[0], order, fields))
 
     for match in _NARRATIVE_RE.finditer(sentence) if has_paren else ():
-        surnames, et_al = _split_names(match.group("names"))
+        surnames = _split_names(match.group("names"))
         if not surnames:
             continue
         fields = dict(
@@ -153,7 +147,6 @@ def _detect(
             surnames=surnames,
             year=int(match.group("year")),
             year_suffix=match.group("suffix"),
-            et_al=et_al,
         )
         found.append((match.start(), match.start(), fields))
 
@@ -191,9 +184,11 @@ def link_citation(
 ) -> tuple[str | None, str]:
     """Match one citation against the reference list.
 
-    Author-year markers match on normalized surnames plus year (plus
-    suffix when the marker carries one); numeric markers match the
-    explicit label. Exactly one candidate is required to resolve.
+    An author-year marker matches an entry of its year (and suffix,
+    when the marker carries one) whose first authors' surnames are the
+    marker's parseable surnames, in order; "et al." adds no condition.
+    A numeric marker matches the explicit label. Exactly one candidate
+    is required to resolve.
     """
     if citation.marker_style == STYLE_NUMERIC:
         candidates = [r for r in references if r.ref_id == citation.numeric_label]
@@ -201,21 +196,13 @@ def link_citation(
         wanted = [s for s in (_marker_surname(n) for n in citation.surnames) if s]
         if not wanted or citation.year is None:
             return None, LINK_UNRESOLVED
-        candidates = []
-        for ref in references:
-            if ref.year != citation.year:
-                continue
-            if citation.year_suffix and ref.year_suffix != citation.year_suffix:
-                continue
-            ref_surnames = [surname_of(a.key) for a in ref.authors]
-            if len(ref_surnames) < len(wanted):
-                continue
-            if citation.et_al and len(wanted) == 1:
-                if ref_surnames[0] != wanted[0]:
-                    continue
-            elif ref_surnames[: len(wanted)] != wanted:
-                continue
-            candidates.append(ref)
+        candidates = [
+            ref
+            for ref in references
+            if ref.year == citation.year
+            and (not citation.year_suffix or ref.year_suffix == citation.year_suffix)
+            and [surname_of(a.key) for a in ref.authors[: len(wanted)]] == wanted
+        ]
     if len(candidates) == 1:
         return candidates[0].ref_id, LINK_RESOLVED
     if not candidates:
@@ -281,9 +268,4 @@ def extract_context(
     high = min(section.end - 1, citation.sentence_index + after)
     indices = tuple(range(low, high + 1))
     level = LEVEL_SINGLE if before == 0 and after == 0 else LEVEL_CLUSTER
-    return CitationContext(
-        citation_id=citation.citation_id,
-        level=level,
-        sentence_indices=indices,
-        text=" ".join(doc.sentences[i] for i in indices),
-    )
+    return CitationContext(level=level, sentence_indices=indices)

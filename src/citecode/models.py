@@ -107,7 +107,6 @@ class InTextCitation:
     surnames: tuple[str, ...] = ()
     year: int | None = None
     year_suffix: str | None = None
-    et_al: bool = False
     has_page_locator: bool = False
     numeric_label: str | None = None
 
@@ -116,11 +115,9 @@ class InTextCitation:
 class CitationContext:
     """The sentence window around a citation.
 
-    text is the window's sentences joined by single spaces; the content
-    coders get the window's tokens, which equal tokenize(text).
+    The content coders get the tokens of the sentences at
+    sentence_indices.
     """
 
-    citation_id: str
     level: str
     sentence_indices: tuple[int, ...]
-    text: str

@@ -45,9 +45,6 @@ class CoauthorGraph:
         """len(self.edges), without building the list."""
         return sum(map(len, self.adjacency.values())) // 2
 
-    def __contains__(self, key: str) -> bool:
-        return key in self.adjacency
-
 
 def build_coauthor_graph(corpus_metadata: list[DocumentMetadata]) -> CoauthorGraph:
     """Union of per-document author cliques, nodes and edges sorted."""
@@ -201,50 +198,28 @@ def percentile_ranks(values: dict[str, float]) -> dict[str, float]:
     return ranks
 
 
-@dataclass(frozen=True)
-class CapitalScore:
-    author: str
-    degree: float
-    harmonic: float
-    betweenness: float
-    composite: float
+def capital_scores(graph: CoauthorGraph) -> dict[str, float]:
+    """Composite capital per author: unweighted mean of the three percentile ranks."""
+    degree_pct = percentile_ranks(centrality_degree(graph))
+    harmonic_pct = percentile_ranks(centrality_harmonic(graph))
+    betweenness_pct = percentile_ranks(centrality_betweenness(graph))
+    return {
+        node: (degree_pct[node] + harmonic_pct[node] + betweenness_pct[node]) / 3.0
+        for node in graph.adjacency
+    }
 
 
-def capital_scores(graph: CoauthorGraph) -> dict[str, CapitalScore]:
-    """Composite capital: unweighted mean of the three percentile ranks."""
-    degree = centrality_degree(graph)
-    harmonic = centrality_harmonic(graph)
-    betweenness = centrality_betweenness(graph)
-    degree_pct = percentile_ranks(degree)
-    harmonic_pct = percentile_ranks(harmonic)
-    betweenness_pct = percentile_ranks(betweenness)
-    scores = {}
-    for node in graph.adjacency:
-        composite = (degree_pct[node] + harmonic_pct[node] + betweenness_pct[node]) / 3.0
-        scores[node] = CapitalScore(
-            author=node,
-            degree=degree[node],
-            harmonic=harmonic[node],
-            betweenness=betweenness[node],
-            composite=composite,
-        )
-    return scores
-
-
-def _max_composite(keys: list[str], scores: dict[str, CapitalScore]) -> float:
+def _max_composite(keys: set[str], scores: dict[str, float]) -> float:
     # Authors outside the corpus graph carry no capital information and
     # sit at the neutral midpoint, mirroring the degenerate-graph rule.
-    composites = [
-        scores[key].composite if key in scores else _NEUTRAL_COMPOSITE for key in keys
-    ]
-    return max(composites) if composites else _NEUTRAL_COMPOSITE
+    return max(scores.get(key, _NEUTRAL_COMPOSITE) for key in keys)
 
 
 def code_relation(
     citing_authors: list[str],
     cited_authors: list[str],
     graph: CoauthorGraph,
-    scores: dict[str, CapitalScore],
+    scores: dict[str, float],
     delta: float = DEFAULT_DELTA,
 ) -> tuple[str | Uncodable, str]:
     """Relation between citing and cited author sets.
@@ -265,7 +240,7 @@ def code_relation(
         for cited_key in sorted(cited):
             if cited_key in peers:
                 return "C2", f"C:coauthor-edge:{citing_key}~{cited_key}"
-    gap = _max_composite(sorted(cited), scores) - _max_composite(sorted(citing), scores)
+    gap = _max_composite(cited, scores) - _max_composite(citing, scores)
     if gap >= delta:
         return "C3", f"C:capital-gap:{gap:.3f}"
     return "C2", "C:parallel-default"

@@ -27,7 +27,6 @@ from .models import (
     LINK_UNRESOLVED,
 )
 from .network import (
-    CapitalScore,
     CoauthorGraph,
     build_coauthor_graph,
     capital_scores,
@@ -163,7 +162,7 @@ def code_document(
     resources: Resources,
     config: PipelineConfig,
     graph: CoauthorGraph,
-    scores: dict[str, CapitalScore],
+    scores: dict[str, float],
 ) -> list[CodedCitation]:
     """Produce one full record per citation, resolved or not.
 
@@ -196,8 +195,8 @@ def code_document(
         context = extract_context(
             doc, citation, config.window_before, config.window_after
         )
-        # The window's tokens equal tokenize(context.text): no token
-        # crosses the space that joins two sentences.
+        # The window's tokens equal tokenize() of its sentences joined
+        # by spaces: no token crosses the space between two sentences.
         tokens: list[str] = []
         for index in context.sentence_indices:
             if index not in sentence_tokens:

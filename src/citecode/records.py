@@ -174,14 +174,18 @@ def read_json_lines(path: str | Path, what: str) -> list[str]:
 
 
 def read_jsonl(path: str | Path) -> list[CodedCitation]:
-    """Read coded records; a bad file or line raises MalformedInput."""
+    """Read coded records; a bad file or line raises MalformedInput.
+
+    A second record for one (doc_id, citation_id) is a bad line too.
+    """
     path = Path(path)
     records = []
+    seen = set()
     for line_no, line in enumerate(read_json_lines(path, "coded"), start=1):
         if not line.strip():
             continue
         try:
-            records.append(record_from_json(line))
+            record = record_from_json(line)
         except json.JSONDecodeError as exc:
             raise MalformedInput(f"{path.name}: bad JSON ({exc})", line=line_no) from None
         except KeyError as exc:
@@ -190,4 +194,11 @@ def read_jsonl(path: str | Path) -> list[CodedCitation]:
             raise MalformedInput(f"{path.name}: not a coded record", line=line_no) from None
         except ValueError as exc:
             raise MalformedInput(f"{path.name}: {exc}", line=line_no) from None
+        key = (record.doc_id, record.citation_id)
+        if key in seen:
+            raise MalformedInput(
+                f"{path.name}: duplicate record {key[0]}/{key[1]}", line=line_no
+            )
+        seen.add(key)
+        records.append(record)
     return records

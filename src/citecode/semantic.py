@@ -254,7 +254,11 @@ def load_venue_map(path: str | Path) -> tuple[tuple[str, str], ...]:
     for line_no, row in _read_csv_rows(path, "venue_pattern,K_value", "venue map"):
         if len(row) < 2 or row[1].strip() not in VALUES["K"]:
             raise MalformedLexicon(f"{path.name}: expected pattern,K1..K4", line=line_no)
-        mapping.append((row[0].strip().lower(), row[1].strip()))
+        pattern = row[0].strip().lower()
+        if not pattern:
+            # The empty string is a substring of every venue name.
+            raise MalformedLexicon(f"{path.name}: empty venue pattern", line=line_no)
+        mapping.append((pattern, row[1].strip()))
     return tuple(mapping)
 
 

@@ -16,6 +16,7 @@ from citecode.citations import (
     _PAREN_GROUP_RE,
     _SEGMENT_WORK_RE,
     _YEAR_ONLY_RE,
+    _marker_surname,
     _split_names,
     count_mentions,
     detect_citations,
@@ -32,12 +33,15 @@ from citecode.models import (
     STYLE_NARRATIVE,
     STYLE_NUMERIC,
     STYLE_PARENTHETICAL,
+    AuthorName,
+    CitationContext,
     Document,
     DocumentMetadata,
     InTextCitation,
+    ReferenceEntry,
     Section,
 )
-from citecode.names import _PARTICLES
+from citecode.names import _PARTICLES, normalize_author_key, surname_of
 from citecode.refparse import derive_ref_id, parse_reference_entry
 
 HJ_SENTENCE = (
@@ -95,8 +99,7 @@ def test_multi_work_group_splits_on_semicolons():
     sentence = "(Berg et al. 2001; Wolfers and Zitzewitz 2004; Goel et al. 2010)"
     found = detect_citations(sentence)
     assert [c.year for c in found] == [2001, 2004, 2010]
-    assert found[0].et_al and not found[1].et_al and found[2].et_al
-    assert found[1].surnames == ("Wolfers", "Zitzewitz")
+    assert [c.surnames for c in found] == [("Berg",), ("Wolfers", "Zitzewitz"), ("Goel",)]
 
 
 def test_year_without_comma():
@@ -153,6 +156,92 @@ def test_et_al_matches_on_first_author():
     entries = refs("Berg, J., Forsythe, R., Nelson, F., & Rietz, T. (2001). Acta, 1(1), 1-2.")
     found = detect_citations("Markets forecast well (Berg et al. 2001).", entries)
     assert found[0].link_status == LINK_RESOLVED
+
+
+# -- the original linker, kept as the reference for the one-test linker --
+
+
+def reference_link_citation(citation, references, et_al):
+    """The original link_citation; et_al is whether the marker read "et al."."""
+    if citation.marker_style == STYLE_NUMERIC:
+        candidates = [r for r in references if r.ref_id == citation.numeric_label]
+    else:
+        wanted = [s for s in (_marker_surname(n) for n in citation.surnames) if s]
+        if not wanted or citation.year is None:
+            return None, LINK_UNRESOLVED
+        candidates = []
+        for ref in references:
+            if ref.year != citation.year:
+                continue
+            if citation.year_suffix and ref.year_suffix != citation.year_suffix:
+                continue
+            ref_surnames = [surname_of(a.key) for a in ref.authors]
+            if len(ref_surnames) < len(wanted):
+                continue
+            if et_al and len(wanted) == 1:
+                if ref_surnames[0] != wanted[0]:
+                    continue
+            elif ref_surnames[: len(wanted)] != wanted:
+                continue
+            candidates.append(ref)
+    if len(candidates) == 1:
+        return candidates[0].ref_id, LINK_RESOLVED
+    if not candidates:
+        return None, LINK_UNRESOLVED
+    return None, LINK_AMBIGUOUS
+
+
+# Entry authors as written, particles included; marker names as written,
+# "0x" being one with no letter, which the linker skips.
+_ENTRY_AUTHORS = ["Smith, J.", "Smyth, A.", "Berg, K.", "van Berg, L.", "di Stefano, M."]
+_MARKER_NAMES = ["Smith", "Smyth", "Berg", "van Berg", "di Stefano", "Stefano", "0x"]
+_YEARS = [2001, 2002]
+_SUFFIXES = [None, "a", "b"]
+_LABELS = ["1", "2", "3"]
+
+_ENTRIES = st.lists(
+    st.builds(
+        lambda ref_id, authors, year, suffix: ReferenceEntry(
+            ref_id=ref_id,
+            raw="",
+            authors=[AuthorName(raw, normalize_author_key(raw)) for raw in authors],
+            year=year,
+            year_suffix=suffix,
+        ),
+        st.sampled_from(_LABELS + ["smith-2001"]),
+        st.lists(st.sampled_from(_ENTRY_AUTHORS), max_size=4),
+        st.sampled_from(_YEARS + [None]),
+        st.sampled_from(_SUFFIXES),
+    ),
+    max_size=6,
+)
+
+
+@st.composite
+def _markers(draw):
+    """An in-text citation and whether its marker read "et al."."""
+    if draw(st.booleans()):
+        citation = InTextCitation(
+            citation_id="c0001", ref_id=None, link_status=LINK_UNRESOLVED,
+            sentence_index=0, char_span=(0, 3), marker_style=STYLE_NUMERIC,
+            numeric_label=draw(st.sampled_from(_LABELS + ["4"])),
+        )
+        return citation, False
+    surnames = draw(st.lists(st.sampled_from(_MARKER_NAMES), min_size=1, max_size=3))
+    citation = InTextCitation(
+        citation_id="c0001", ref_id=None, link_status=LINK_UNRESOLVED,
+        sentence_index=0, char_span=(0, 3), marker_style=STYLE_PARENTHETICAL,
+        surnames=tuple(surnames), year=draw(st.sampled_from(_YEARS)),
+        year_suffix=draw(st.sampled_from(_SUFFIXES)),
+    )
+    return citation, draw(st.booleans())
+
+
+@given(entries=_ENTRIES, marker=_markers())
+@settings(max_examples=400)
+def test_linker_matches_the_original(entries, marker):
+    citation, et_al = marker
+    assert link_citation(citation, entries) == reference_link_citation(citation, entries, et_al)
 
 
 def test_two_name_marker_needs_matching_author_prefix():
@@ -250,9 +339,7 @@ def test_window_clamped_at_section_end():
 def test_zero_window_is_single_sentence_level():
     doc = make_doc([(0, 10)], 10)
     ctx = extract_context(doc, make_citation(5), 0, 0)
-    assert ctx.level == "single_sentence"
-    assert ctx.sentence_indices == (5,)
-    assert ctx.text == "Sentence number 5."
+    assert ctx == CitationContext(level="single_sentence", sentence_indices=(5,))
 
 
 def test_window_bounds_validated():
@@ -354,30 +441,30 @@ def reference_detect_citations(sentence, references=None, sentence_index=0):
             work = _SEGMENT_WORK_RE.search(segment)
             if not work:
                 continue
-            surnames, et_al = _split_names(work.group("names"))
+            surnames = _split_names(work.group("names"))
             if not surnames:
                 continue
             found.append(dict(
                 span=span, order=offset + seg_start + work.start(),
                 style=STYLE_PARENTHETICAL, surnames=surnames,
                 year=int(work.group("year")), suffix=work.group("suffix"),
-                et_al=et_al, locator=bool(work.group("locator")),
+                locator=bool(work.group("locator")),
             ))
     for match in _NARRATIVE_RE.finditer(sentence):
-        surnames, et_al = _split_names(match.group("names"))
+        surnames = _split_names(match.group("names"))
         if not surnames:
             continue
         found.append(dict(
             span=(match.start(), match.end()), order=match.start(),
             style=STYLE_NARRATIVE, surnames=surnames, year=int(match.group("year")),
-            suffix=match.group("suffix"), et_al=et_al, locator=False,
+            suffix=match.group("suffix"), locator=False,
         ))
     for match in _NUMERIC_RE.finditer(sentence):
         for position, label in enumerate(re.findall(r"\d+", match.group(1))):
             found.append(dict(
                 span=(match.start(), match.end()), order=match.start() + position,
                 style=STYLE_NUMERIC, surnames=(), year=None, suffix=None,
-                et_al=False, locator=False, label=label,
+                locator=False, label=label,
             ))
     found.sort(key=lambda item: (item["span"][0], item["order"]))
     citations = []
@@ -387,7 +474,7 @@ def reference_detect_citations(sentence, references=None, sentence_index=0):
             sentence_index=sentence_index, char_span=item["span"],
             marker_style=item["style"],
             surnames=item["surnames"], year=item["year"], year_suffix=item["suffix"],
-            et_al=item["et_al"], has_page_locator=item["locator"],
+            has_page_locator=item["locator"],
             numeric_label=item.get("label"),
         )
         if references is not None:

@@ -355,10 +355,16 @@ def _set_key(line, key, value):
         ),
         (lambda line: _set_key(line, "I", []), "line 2: coded.jsonl: not a coded record"),
         (lambda line: _set_key(line, "uncodable_reasons", "ab c"), "line 2: coded.jsonl: "),
+        # Line 1 is hj-peer/c0001 and line 2 hj-peer/c0002.
+        (
+            lambda line: _set_key(line, "citation_id", "c0001"),
+            "line 2: coded.jsonl: duplicate record hj-peer/c0001",
+        ),
     ],
     ids=[
         "missing-file", "truncated-line", "no-doc-id", "no-link-status", "not-an-object",
         "numeric-doc-id", "value-outside-codebook", "list-value", "string-reasons",
+        "duplicate-record",
     ],
 )
 @pytest.mark.parametrize("command", ["report", "eval"])
@@ -652,9 +658,13 @@ def _one_document_run(root: Path, kind: str, data: bytes) -> list[str]:
         ("lexicon", b"phrase,tag\n" + b"a" * 140_000 + b",negative\n",
          "line 2: lexicon_negative.csv: field larger than field limit"),
         ("venue map", b"venue_pattern,K_value\n\x80,K1\n", "line 2: venue map file is not UTF-8"),
+        # An empty pattern is a substring of every venue name.
+        ("venue map", b"venue_pattern,K_value\njournal,K1\n  ,K3\n",
+         "line 3: venue_domains.csv: empty venue pattern"),
         ("abbreviation", b"e.g.\ni.e.\n\xfe\n", "line 3: abbreviation file is not UTF-8"),
     ],
-    ids=["manifest", "config", "lexicon", "lexicon-field-limit", "venue-map", "abbreviation"],
+    ids=["manifest", "config", "lexicon", "lexicon-field-limit", "venue-map",
+         "venue-map-empty-pattern", "abbreviation"],
 )
 def test_bad_input_file_exits_two_naming_kind_and_line(tmp_path, capsys, kind, data, message):
     exit_code = main(_one_document_run(tmp_path, kind, data))

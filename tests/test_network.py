@@ -446,17 +446,17 @@ def test_percentiles_land_in_unit_interval(values):
 def test_composite_all_tied_graph():
     scores = capital_scores(TRIANGLE)
     for node in TRIANGLE.nodes:
-        assert scores[node].composite == pytest.approx(0.5)
+        assert scores[node] == pytest.approx(0.5)
 
 
 def test_composite_star_center_tops_out():
     scores = capital_scores(STAR4)
-    assert scores["c"].composite == pytest.approx(1.0)
+    assert scores["c"] == pytest.approx(1.0)
 
 
 def test_composite_single_author():
     graph = build_coauthor_graph([meta("d1", "solo")])
-    assert capital_scores(graph)["solo"].composite == pytest.approx(0.5)
+    assert capital_scores(graph)["solo"] == pytest.approx(0.5)
 
 
 def test_composite_empty_graph():
@@ -488,11 +488,11 @@ def hub_scores(hub_graph):
 
 def test_hub_fixture_composites(hub_graph, hub_scores):
     assert centrality_betweenness(hub_graph)["hub,h"] == pytest.approx(6.0)
-    assert hub_scores["hub,h"].composite == pytest.approx(1.0)
+    assert hub_scores["hub,h"] == pytest.approx(1.0)
     expected_spoke = (3.5 / 6 + 3.5 / 6 + 0.5) / 3
     for spoke in ("s1,a", "s2,b", "s3,c", "s4,d"):
-        assert hub_scores[spoke].composite == pytest.approx(expected_spoke)
-    assert hub_scores["iso,x"].composite == pytest.approx((1 / 6 + 1 / 6 + 0.5) / 3)
+        assert hub_scores[spoke] == pytest.approx(expected_spoke)
+    assert hub_scores["iso,x"] == pytest.approx((1 / 6 + 1 / 6 + 0.5) / 3)
 
 
 def test_relation_shared_author_wins(hub_graph, hub_scores):
