@@ -7,7 +7,6 @@ agreement against gold annotations.
 
 from .aggregate import aggregate, table_to_csv
 from .citations import (
-    count_mentions,
     detect_citations,
     extract_citations,
     extract_context,
@@ -29,7 +28,6 @@ from .errors import (
     NoOverlap,
     ParseError,
     UnknownCategory,
-    UnknownRef,
     UnparseableName,
 )
 from .ingest import (

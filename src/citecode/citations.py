@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import CitecodeError, InvalidCount, UnknownRef, UnparseableName
+from .errors import CitecodeError, InvalidCount, UnparseableName
 from .models import (
     LEVEL_CLUSTER,
     LEVEL_SINGLE,
@@ -220,20 +220,6 @@ def extract_citations(doc: Document) -> list[InTextCitation]:
     for index, sentence in enumerate(doc.sentences):
         citations += _detect(sentence, doc.references, index, len(citations) + 1)
     return citations
-
-
-def count_mentions(
-    doc: Document,
-    ref_id: str,
-    citations: list[InTextCitation] | None = None,
-) -> int:
-    """Count resolved in-text citations linking to ref_id."""
-    if citations is None:
-        citations = extract_citations(doc)
-    counts = mention_counts(doc, citations)
-    if ref_id not in counts:
-        raise UnknownRef(f"document {doc.metadata.doc_id!r} has no reference {ref_id!r}")
-    return counts[ref_id]
 
 
 def mention_counts(doc: Document, citations: list[InTextCitation]) -> dict[str, int]:

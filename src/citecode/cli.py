@@ -61,26 +61,27 @@ def cmd_code(args: argparse.Namespace) -> int:
     for path, error in result.skipped:
         print(f"skipped {path}: {error}", file=sys.stderr)
 
+    summary = result.summary
     log_lines = [
         f"started: {datetime.datetime.now(datetime.timezone.utc).isoformat()}",
         f"elapsed_seconds: {time.monotonic() - started:.3f}",
         f"manifest: {args.manifest}",
-        f"documents: {len(result.documents)}",
-        f"records_written: {len(result.resolved_records)}",
+        f"documents: {summary['documents']}",
+        f"records_written: {summary['records_written']}",
         f"skipped: {len(result.skipped)}",
     ]
-    for doc in result.documents:
-        for warning in doc.warnings:
-            log_lines.append(f"warning [{doc.metadata.doc_id}]: {warning}")
+    for doc_id, warnings in summary["document_warnings"].items():
+        for warning in warnings:
+            log_lines.append(f"warning [{doc_id}]: {warning}")
     for path, error in result.skipped:
         log_lines.append(f"skipped: {path}: {error}")
     (Path(config.output_dir) / "run.log").write_text(
         "\n".join(log_lines) + "\n", encoding="utf-8"
     )
 
-    counts = result.summary["citations"]
+    counts = summary["citations"]
     print(
-        f"coded {counts['total']} citations from {len(result.documents)} documents "
+        f"coded {counts['total']} citations from {summary['documents']} documents "
         f"({counts['resolved']} resolved, {counts['unresolved']} unresolved, "
         f"{counts['ambiguous']} ambiguous)"
     )

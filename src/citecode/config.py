@@ -12,7 +12,7 @@ from importlib.resources import files
 from pathlib import Path
 
 from .citations import _check_windows
-from .errors import MalformedConfig, _read_utf8
+from .errors import MalformedConfig, _read_lines
 from .network import DEFAULT_DELTA
 
 _DATA = files("citecode").joinpath("data")
@@ -47,20 +47,18 @@ class PipelineConfig:
         base = path.parent
         config = cls()
         types = {f.name: f.type for f in fields(cls)}
-        text = _read_utf8(path, "config", MalformedConfig)
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
+        for line_no, line in _read_lines(path, "config", MalformedConfig):
+            if "=" not in line:
                 raise MalformedConfig(f"{path.name}: expected key=value", line=line_no)
-            key, _, value = stripped.partition("=")
+            key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
             kind = types.get(key)
             if kind is None:
                 raise MalformedConfig(f"{path.name}: unknown key {key!r}", line=line_no)
             if kind is Path:
+                if "\0" in value:
+                    raise MalformedConfig(f"{path.name}: {key} holds a NUL byte", line=line_no)
                 candidate = Path(value)
                 if not candidate.is_absolute():
                     candidate = (base / candidate).resolve()

@@ -49,10 +49,6 @@ class UnparseableName(CitecodeError):
     """Author name contains no usable alphabetic content."""
 
 
-class UnknownRef(CitecodeError):
-    """A ref_id was requested that the document does not define."""
-
-
 class InvalidCount(CitecodeError):
     """A mention count outside the valid range was supplied."""
 
@@ -86,6 +82,18 @@ def _read_utf8(path: str | Path, what: str, error: type[ParseError]) -> str:
     """The text of a UTF-8 file; one that cannot be read or decoded raises ``error``."""
     try:
         data = Path(path).read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise error(f"cannot read {what} file {path}: {exc}") from None
     return _decode_utf8(data, what, error)
+
+
+def _read_lines(path: str | Path, what: str, error: type[ParseError]) -> list[tuple[int, str]]:
+    """The stripped lines of a UTF-8 file with their 1-based numbers.
+
+    Blank lines and # comment lines are skipped.
+    """
+    return [
+        (line_no, stripped)
+        for line_no, line in enumerate(_read_utf8(path, what, error).splitlines(), start=1)
+        if (stripped := line.strip()) and not stripped.startswith("#")
+    ]

@@ -24,7 +24,9 @@ import xml.etree.ElementTree as ET
 
 from .codebook import VALUES
 from .errors import DuplicateRefId, EmptyDocument, MalformedInput, UnparseableName, _decode_utf8
-from .models import VENUE_TYPES, AuthorName, Document, DocumentMetadata, ReferenceEntry, Section
+from .models import (
+    VENUE_TYPES, YEAR_PATTERN, AuthorName, Document, DocumentMetadata, ReferenceEntry, Section,
+)
 from .names import normalize_author_key
 from .refparse import derive_ref_id, parse_reference_entry
 from .sentences import DEFAULT_ABBREVIATIONS, segment_sentences
@@ -69,16 +71,16 @@ def normalize_section_header(header: str) -> str:
     return "D7"
 
 
+_YEAR_RE = re.compile(YEAR_PATTERN)
+
+
 def _parse_year(text: str, warnings: list[str]) -> int | None:
-    try:
-        year = int(text.strip())
-    except ValueError:
-        warnings.append(f"unparseable year {text!r} ignored")
+    """A metadata year, read by the grammar markers and entries use."""
+    text = text.strip()
+    if _YEAR_RE.fullmatch(text) is None:
+        warnings.append(f"year {text!r} is not a year in 1400..2099; ignored")
         return None
-    if not 1400 <= year <= 2100:
-        warnings.append(f"year {year} outside 1400..2100 ignored")
-        return None
-    return year
+    return int(text)
 
 
 def _parse_authors(raws: list[str], warnings: list[str]) -> list[AuthorName]:

@@ -17,7 +17,7 @@ from pathlib import Path
 from .citations import extract_citations, extract_context, mention_counts
 from .codebook import Uncodable
 from .config import PipelineConfig
-from .errors import CitecodeError, MalformedInput, _read_utf8
+from .errors import CitecodeError, MalformedInput, _read_lines, _read_utf8
 from .ingest import FORMATS, parse_document
 from .models import (
     Document,
@@ -85,17 +85,13 @@ def read_manifest(path: str | Path) -> list[tuple[Path, str]]:
     resolved against the manifest's directory.
     """
     path = Path(path)
-    text = _read_utf8(path, "manifest", MalformedInput)
     entries: list[tuple[Path, str]] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "\t" not in stripped:
+    for line_no, line in _read_lines(path, "manifest", MalformedInput):
+        if "\t" not in line:
             raise MalformedInput(
                 f"{path.name}: expected <path><TAB><format>", line=line_no
             )
-        doc_part, _, format_part = stripped.partition("\t")
+        doc_part, _, format_part = line.partition("\t")
         doc_format = format_part.strip()
         if doc_format not in FORMATS:
             raise MalformedInput(
@@ -243,7 +239,6 @@ class RunResult:
     """Everything a corpus run produces, before any file is written."""
 
     records: list[CodedCitation]
-    resolved_records: list[CodedCitation]
     documents: list[Document]
     graph: CoauthorGraph
     skipped: list[tuple[str, str]] = field(default_factory=list)
@@ -283,7 +278,7 @@ def code_corpus(
                     "marker": doc.sentences[citation.sentence_index][start:end],
                 })
     records = sort_records(records)
-    resolved = [r for r in records if r.link_status == LINK_RESOLVED]
+    resolved = sum(r.link_status == LINK_RESOLVED for r in records)
     key = lambda item: reading_order(item["doc_id"], item["citation_id"])
     unresolved = sorted(unlinked[LINK_UNRESOLVED], key=key)
     ambiguous = sorted(unlinked[LINK_AMBIGUOUS], key=key)
@@ -292,11 +287,11 @@ def code_corpus(
         "documents": len(documents),
         "citations": {
             "total": len(records),
-            "resolved": len(resolved),
+            "resolved": resolved,
             "unresolved": len(unresolved),
             "ambiguous": len(ambiguous),
         },
-        "records_written": len(resolved),
+        "records_written": resolved,
         "coauthor_graph": {
             "authors": len(graph.nodes),
             "edges": graph.edge_count,
@@ -316,7 +311,6 @@ def code_corpus(
     }
     return RunResult(
         records=records,
-        resolved_records=resolved,
         documents=documents,
         graph=graph,
         skipped=skipped,
@@ -356,7 +350,8 @@ def write_outputs(result: RunResult, output_dir: str | Path) -> dict[str, Path]:
         "summary": out / "summary.json",
         "edges": out / "coauthors.tsv",
     }
-    write_jsonl(result.resolved_records, paths["coded"])
+    resolved = [r for r in result.records if r.link_status == LINK_RESOLVED]
+    write_jsonl(resolved, paths["coded"])
     paths["summary"].write_text(
         json.dumps(result.summary, indent=2, ensure_ascii=False) + "\n",
         encoding="utf-8",

@@ -13,7 +13,7 @@ import re
 from functools import lru_cache
 from pathlib import Path
 
-from .errors import MalformedInput, _read_utf8
+from .errors import MalformedInput, _read_lines
 
 _TERMINATORS = ".!?"
 _OPENERS = "(["
@@ -32,12 +32,7 @@ DEFAULT_ABBREVIATIONS: tuple[str, ...] = (
 
 def load_abbreviations(path: str | Path) -> tuple[str, ...]:
     """Read one abbreviation per line; blank lines and # comments skipped."""
-    entries = []
-    for line in _read_utf8(path, "abbreviation", MalformedInput).splitlines():
-        token = line.strip()
-        if token and not token.startswith("#"):
-            entries.append(token)
-    return tuple(entries)
+    return tuple(token for _, token in _read_lines(path, "abbreviation", MalformedInput))
 
 
 def _collapse(text: str) -> str:

@@ -91,7 +91,7 @@ def test_cross_tab_csv_grid_shape():
 
 
 def test_csv_totals_match_record_count(corpus_result):
-    records = corpus_result.resolved_records
+    records = corpus_result.records
     for category in CATEGORIES:
         csv_text = table_to_csv(aggregate(records, category), category)
         total = sum(
@@ -101,7 +101,7 @@ def test_csv_totals_match_record_count(corpus_result):
 
 
 def test_cross_tab_totals_match_record_count(corpus_result):
-    records = corpus_result.resolved_records
+    records = corpus_result.records
     csv_text = table_to_csv(aggregate(records, "D", "I"), "D", "I")
     total = sum(
         int(cell)

@@ -18,14 +18,13 @@ from citecode.citations import (
     _YEAR_ONLY_RE,
     _marker_surname,
     _split_names,
-    count_mentions,
     detect_citations,
     extract_citations,
     extract_context,
     link_citation,
     mention_counts,
 )
-from citecode.errors import InvalidCount, UnknownRef
+from citecode.errors import InvalidCount
 from citecode.models import (
     LINK_AMBIGUOUS,
     LINK_RESOLVED,
@@ -386,22 +385,21 @@ def test_mentions_counted_across_sections():
     from citecode.ingest import parse_document
 
     doc = parse_document(COUNT_DOC)
-    assert count_mentions(doc, "smith-2011") == 3
+    assert mention_counts(doc, extract_citations(doc))["smith-2011"] == 3
 
 
 def test_uncited_reference_counts_zero():
     from citecode.ingest import parse_document
 
     doc = parse_document(COUNT_DOC)
-    assert count_mentions(doc, "unused-2009") == 0
+    assert mention_counts(doc, extract_citations(doc))["unused-2009"] == 0
 
 
-def test_unknown_ref_id_raises():
+def test_unknown_ref_id_has_no_count():
     from citecode.ingest import parse_document
 
     doc = parse_document(COUNT_DOC)
-    with pytest.raises(UnknownRef):
-        count_mentions(doc, "nobody-1900")
+    assert "nobody-1900" not in mention_counts(doc, extract_citations(doc))
 
 
 def test_mention_counts_sum_to_resolved_total(corpus_documents):

@@ -7,7 +7,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from citecode.cli import main
@@ -43,6 +43,36 @@ def test_code_writes_artifacts_and_reports(tmp_path, capsys):
     for name in ("coded.jsonl", "summary.json", "coauthors.tsv", "run.log"):
         assert (out_dir / name).is_file(), name
     assert len((out_dir / "coded.jsonl").read_text(encoding="utf-8").splitlines()) == 21
+
+
+def test_run_log_counts_and_warnings_match_the_summary(tmp_path):
+    (tmp_path / "paper-a.txt").write_bytes((FIXTURE_DIR / "paper-a.txt").read_bytes())
+    (tmp_path / "zeta.txt").write_text(
+        "#META id: zeta\n#META year: 2100\n#SECTION Introduction\nText (Smith, 2011).\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "alpha.txt").write_text(
+        "#META id: alpha\n#META authors: Doe, A.\n#NOTE x\n#SECTION Introduction\nText.\n"
+        "#REFERENCES\n",
+        encoding="utf-8",
+    )
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text(
+        "".join(f"{name}\tplain_annotated\n" for name in ("paper-a.txt", "zeta.txt", "alpha.txt")),
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "out"
+    assert main(["code", "--manifest", str(manifest), "--out", str(out_dir)]) == 0
+    summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+    log = (out_dir / "run.log").read_text(encoding="utf-8").splitlines()
+    assert f"documents: {summary['documents']}" in log
+    assert f"records_written: {summary['records_written']}" in log
+    assert list(summary["document_warnings"]) == ["alpha", "zeta"]
+    assert [line for line in log if line.startswith("warning [")] == [
+        f"warning [{doc_id}]: {warning}"
+        for doc_id, warnings in summary["document_warnings"].items()
+        for warning in warnings
+    ]
 
 
 def test_code_respects_config_windows(tmp_path):
@@ -662,9 +692,15 @@ def _one_document_run(root: Path, kind: str, data: bytes) -> list[str]:
         ("venue map", b"venue_pattern,K_value\njournal,K1\n  ,K3\n",
          "line 3: venue_domains.csv: empty venue pattern"),
         ("abbreviation", b"e.g.\ni.e.\n\xfe\n", "line 3: abbreviation file is not UTF-8"),
+        # A path holding a NUL byte cannot be opened or resolved.
+        ("config", b"window_before=1\nlexicon_negative=a\x00b\n",
+         "line 2: run.cfg: lexicon_negative holds a NUL byte"),
+        ("config", b"abbreviations=a\x00b\n", "line 1: run.cfg: abbreviations holds a NUL byte"),
+        ("config", b"# out\noutput_dir=o\x00x\n", "line 2: run.cfg: output_dir holds a NUL byte"),
     ],
     ids=["manifest", "config", "lexicon", "lexicon-field-limit", "venue-map",
-         "venue-map-empty-pattern", "abbreviation"],
+         "venue-map-empty-pattern", "abbreviation", "config-nul-lexicon",
+         "config-nul-abbreviations", "config-nul-output-dir"],
 )
 def test_bad_input_file_exits_two_naming_kind_and_line(tmp_path, capsys, kind, data, message):
     exit_code = main(_one_document_run(tmp_path, kind, data))
@@ -672,6 +708,30 @@ def test_bad_input_file_exits_two_naming_kind_and_line(tmp_path, capsys, kind, d
     assert exit_code == 2
     assert message in captured.err
     assert "internal error" not in captured.err
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_nul_byte_in_a_manifest_path_is_reported(tmp_path, capsys, strict):
+    manifest = tmp_path / "m.tsv"
+    manifest.write_bytes(b"paper-a.txt\tplain_annotated\na\x00b.txt\tplain_annotated\n")
+    (tmp_path / "paper-a.txt").write_bytes((FIXTURE_DIR / "paper-a.txt").read_bytes())
+    argv = ["code", "--manifest", str(manifest), "--out", str(tmp_path / "out")]
+    exit_code = main(argv + ["--strict"] * strict)
+    captured = capsys.readouterr()
+    assert exit_code == (2 if strict else 0)
+    assert "a\x00b.txt: cannot read document file" in captured.err
+    assert "embedded null byte" in captured.err
+    assert "internal error" not in captured.err
+    if not strict:
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+        assert summary["documents"] == 1
+        assert [item["path"] for item in summary["skipped_documents"]] == [
+            str(tmp_path / "a\x00b.txt")
+        ]
+    exit_code = main(["net", "--manifest", str(manifest), "--out", str(tmp_path / "e.tsv")])
+    captured = capsys.readouterr()
+    assert exit_code == 0
+    assert "a\x00b.txt: cannot read document file" in captured.err
 
 
 def test_net_rejects_a_non_utf8_manifest(tmp_path, capsys):
@@ -772,10 +832,17 @@ def _resource_bytes(draw, kind: str):
     return bytes(data)
 
 
-@given(data=st.data(), kind=st.sampled_from(["manifest", "config", *_RESOURCE_KEYS]))
+_READER_INPUTS = st.sampled_from(["manifest", "config", *_RESOURCE_KEYS]).flatmap(
+    lambda kind: st.tuples(st.just(kind), st.binary(max_size=300) | _resource_bytes(kind))
+)
+
+
+@given(case=_READER_INPUTS)
+@example(case=("manifest", b"a\x00b.txt\tplain_annotated\n"))
+@example(case=("config", b"abbreviations=a\x00b\n"))
 @settings(max_examples=150, deadline=None)
-def test_code_on_any_reader_bytes_exits_zero_or_two(data, kind):
-    payload = data.draw(st.binary(max_size=300) | _resource_bytes(kind))
+def test_code_on_any_reader_bytes_exits_zero_or_two(case):
+    kind, payload = case
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch)
         if kind == "config":

@@ -132,7 +132,35 @@ def test_year_bounds_enforced():
     text = "#META id: d9\n#META year: 1200\n#SECTION Introduction\nText.\n"
     doc = parse_document(text, FORMAT_PLAIN)
     assert doc.metadata.year is None
-    assert any("1400..2100" in w for w in doc.warnings)
+    assert any("1400..2099" in w for w in doc.warnings)
+
+
+@pytest.mark.parametrize("year", ["2100", "1_999", "+2001", "\u0661\u0669\u0669\u0669", "1399"])
+@pytest.mark.parametrize("fmt", [FORMAT_PLAIN, FORMAT_XML])
+def test_metadata_year_outside_the_year_grammar_warns(year, fmt):
+    doc = parse_document(_year_document(year, fmt), fmt)
+    assert doc.metadata.year is None
+    assert [w for w in doc.warnings if "year" in w] == [
+        f"year {year!r} is not a year in 1400..2099; ignored"
+    ]
+
+
+@pytest.mark.parametrize("year", ["1400", "2099", " 1999 "])
+@pytest.mark.parametrize("fmt", [FORMAT_PLAIN, FORMAT_XML])
+def test_metadata_year_inside_the_year_grammar_is_kept(year, fmt):
+    doc = parse_document(_year_document(year, fmt), fmt)
+    assert doc.metadata.year == int(year)
+    assert not any("year" in w for w in doc.warnings)
+
+
+def _year_document(year, fmt):
+    if fmt == FORMAT_XML:
+        return (
+            f"<document><metadata><id>y</id><year>{year}</year></metadata>"
+            "<body><section header='Introduction'><paragraph>Text.</paragraph>"
+            "</section></body><references/></document>"
+        )
+    return f"#META id: y\n#META year: {year}\n#SECTION Introduction\nText.\n#REFERENCES\n"
 
 
 def test_unknown_directive_and_stray_text_warn():

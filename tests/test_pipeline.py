@@ -286,7 +286,7 @@ def test_summary_counts(corpus_result):
     assert summary["config"] == PipelineConfig().echo()
 
 
-def test_unresolved_record_reasons(corpus_result):
+def test_unresolved_record_reasons(corpus_result, tmp_path):
     record = next(r for r in corpus_result.records if r.link_status == "unresolved")
     assert (record.doc_id, record.citation_id) == ("paper-a", "c0001")
     assert record.uncodable_reasons == {
@@ -295,7 +295,10 @@ def test_unresolved_record_reasons(corpus_result):
         "C": "unresolved-reference",
         "E": "unresolved-reference",
     }
-    assert record not in corpus_result.resolved_records
+    written = read_jsonl(write_outputs(corpus_result, tmp_path)["coded"])
+    assert (record.doc_id, record.citation_id) not in {
+        (r.doc_id, r.citation_id) for r in written
+    }
 
 
 def test_ambiguous_citation_reasons():
@@ -406,7 +409,7 @@ def test_unlinked_markers_listed_in_reading_order():
 def test_run_pipeline_from_manifest(tmp_path):
     result = run_pipeline(read_manifest(make_manifest(tmp_path)))
     assert result.summary["citations"]["total"] == 22
-    assert len(result.resolved_records) == 21
+    assert result.summary["records_written"] == 21
     assert result.skipped == []
 
 
