@@ -84,7 +84,6 @@ from .records import (
     read_jsonl,
     record_from_json,
     record_to_json,
-    sort_records,
     write_jsonl,
 )
 from .refparse import detect_venue_signals, parse_reference_entry

@@ -58,23 +58,23 @@ def cmd_code(args: argparse.Namespace) -> int:
     result = run_pipeline(entries, config, resources, strict=args.strict)
     paths = write_outputs(result, config.output_dir)
 
-    for path, error in result.skipped:
-        print(f"skipped {path}: {error}", file=sys.stderr)
-
     summary = result.summary
+    skipped = [f"{item['path']}: {item['error']}" for item in summary["skipped_documents"]]
+    for line in skipped:
+        print(f"skipped {line}", file=sys.stderr)
+
     log_lines = [
         f"started: {datetime.datetime.now(datetime.timezone.utc).isoformat()}",
         f"elapsed_seconds: {time.monotonic() - started:.3f}",
         f"manifest: {args.manifest}",
         f"documents: {summary['documents']}",
         f"records_written: {summary['records_written']}",
-        f"skipped: {len(result.skipped)}",
+        f"skipped: {len(skipped)}",
     ]
     for doc_id, warnings in summary["document_warnings"].items():
         for warning in warnings:
             log_lines.append(f"warning [{doc_id}]: {warning}")
-    for path, error in result.skipped:
-        log_lines.append(f"skipped: {path}: {error}")
+    log_lines += [f"skipped: {line}" for line in skipped]
     (Path(config.output_dir) / "run.log").write_text(
         "\n".join(log_lines) + "\n", encoding="utf-8"
     )

@@ -9,7 +9,9 @@ round-trip comparisons look only at content.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 VENUE_TYPES = ("journal", "conference", "book", "report", "web", "other")
 
@@ -25,8 +27,9 @@ LEVEL_SINGLE = "single_sentence"
 LEVEL_CLUSTER = "sentence_cluster"
 
 # A publication year (1400..2099) as the marker and reference-entry
-# grammars read it; a regular expression with no capturing group.
-YEAR_PATTERN = r"(?:1[4-9]\d{2}|20\d{2})"
+# grammars read it; a regular expression with no capturing group. The
+# digits are ASCII: \d would also take "19٩٩", which int() reads as 1999.
+YEAR_PATTERN = r"(?:1[4-9][0-9]{2}|20[0-9]{2})"
 
 
 @dataclass(frozen=True)
@@ -83,8 +86,16 @@ class Document:
     warnings: list[str] = field(default_factory=list, compare=False)
 
     def section_of(self, sentence_index: int) -> Section:
-        for section in self.sections:
-            if section.start <= sentence_index < section.end:
+        """The section holding the sentence, by bisection on the section starts.
+
+        Sections are contiguous and in order, so only the last one that
+        starts at or before the index can hold it; an empty section
+        holds nothing.
+        """
+        position = bisect_right(self.sections, sentence_index, key=attrgetter("start"))
+        if position:
+            section = self.sections[position - 1]
+            if sentence_index < section.end:
                 return section
         raise IndexError(f"sentence index {sentence_index} outside all sections")
 

@@ -33,12 +33,13 @@ class CoauthorGraph:
 
     @property
     def edges(self) -> list[tuple[str, str]]:
+        """Each edge once, in order: build_coauthor_graph sorts the adjacency."""
         seen = []
         for node, neighbors in self.adjacency.items():
             for other in neighbors:
                 if node < other:
                     seen.append((node, other))
-        return sorted(seen)
+        return seen
 
     @property
     def edge_count(self) -> int:

@@ -1,11 +1,11 @@
 """End-to-end corpus runs: parse, link, code, and summarize.
 
-The run is serial, in manifest order: parse each document, build the
+The run is serial: parse each document in manifest order, build the
 coauthorship graph from every parsed document's metadata (relation
-coding needs the finished graph), then make one pass per document that
-extracts, links and codes its citations, and write sorted records.
-Outputs carry no timestamps, so a corpus coded twice produces
-byte-identical files.
+coding needs the finished graph), then make one pass per document, in
+document-id order, that extracts, links and codes its citations. So
+no output depends on manifest order, and outputs carry no timestamps:
+a corpus coded twice produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .network import (
     code_relation,
     write_edge_list,
 )
-from .records import CodedCitation, assemble_record, reading_order, sort_records, write_jsonl
+from .records import CodedCitation, assemble_record, write_jsonl
 from .semantic import (
     LexiconSet,
     code_disposition,
@@ -184,6 +184,9 @@ def code_document(
     # the first wins.
     references = {ref.ref_id: ref for ref in reversed(doc.references)}
     sentence_tokens: dict[int, list[str]] = {}
+    # I and J read the window's tokens and the location of its section;
+    # a window lies in one section, so its sentence indices fix both.
+    window_codes: dict[tuple[int, ...], tuple[tuple, tuple]] = {}
 
     records = []
     for citation in citations:
@@ -191,15 +194,20 @@ def code_document(
         context = extract_context(
             doc, citation, config.window_before, config.window_after
         )
-        # The window's tokens equal tokenize() of its sentences joined
-        # by spaces: no token crosses the space between two sentences.
-        tokens: list[str] = []
-        for index in context.sentence_indices:
-            if index not in sentence_tokens:
-                sentence_tokens[index] = tokenize(doc.sentences[index])
-            tokens += sentence_tokens[index]
-        i_value, _, i_rule = code_function(tokens, location[0], lexicons)
-        j_value, j_matches, j_rule = code_disposition(tokens, lexicons)
+        window = context.sentence_indices
+        if window not in window_codes:
+            # The window's tokens equal tokenize() of its sentences joined
+            # by spaces: no token crosses the space between two sentences.
+            tokens: list[str] = []
+            for index in window:
+                if index not in sentence_tokens:
+                    sentence_tokens[index] = tokenize(doc.sentences[index])
+                tokens += sentence_tokens[index]
+            window_codes[window] = (
+                code_function(tokens, location[0], lexicons),
+                code_disposition(tokens, lexicons),
+            )
+        (i_value, _, i_rule), (j_value, j_matches, j_rule) = window_codes[window]
         coded = {
             "D": location,
             "F": code_style(citation, doc.sentences[citation.sentence_index]),
@@ -241,7 +249,6 @@ class RunResult:
     records: list[CodedCitation]
     documents: list[Document]
     graph: CoauthorGraph
-    skipped: list[tuple[str, str]] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
 
@@ -253,12 +260,16 @@ def code_corpus(
 ) -> RunResult:
     """Code a parsed corpus: graph first, then one pass per document.
 
-    The pass extracts a document's citations, codes them, and notes its
+    Document ids must be distinct, as ``parse_corpus`` leaves them. The
+    documents are coded in id order, and a document's citation ids run
+    in reading order, so the records, the unlinked-citation lists and
+    the warnings come out in output order without a further sort. The
+    pass extracts a document's citations, codes them, and notes its
     unresolved and ambiguous markers for the summary.
     """
     config = config or PipelineConfig()
     resources = resources or load_resources(config)
-    skipped = list(skipped or [])
+    documents = sorted(documents, key=lambda doc: doc.metadata.doc_id)
 
     graph = build_coauthor_graph([doc.metadata for doc in documents])
     scores = capital_scores(graph)
@@ -277,11 +288,9 @@ def code_corpus(
                     "sentence_index": citation.sentence_index,
                     "marker": doc.sentences[citation.sentence_index][start:end],
                 })
-    records = sort_records(records)
     resolved = sum(r.link_status == LINK_RESOLVED for r in records)
-    key = lambda item: reading_order(item["doc_id"], item["citation_id"])
-    unresolved = sorted(unlinked[LINK_UNRESOLVED], key=key)
-    ambiguous = sorted(unlinked[LINK_AMBIGUOUS], key=key)
+    unresolved = unlinked[LINK_UNRESOLVED]
+    ambiguous = unlinked[LINK_AMBIGUOUS]
 
     summary = {
         "documents": len(documents),
@@ -298,24 +307,18 @@ def code_corpus(
         },
         "skipped_documents": [
             {"path": path, "error": error}
-            for path, error in sorted(skipped)
+            for path, error in sorted(skipped or [])
         ],
         "unresolved_citations": unresolved,
         "ambiguous_citations": ambiguous,
         "document_warnings": {
             doc.metadata.doc_id: list(doc.warnings)
-            for doc in sorted(documents, key=lambda d: d.metadata.doc_id)
+            for doc in documents
             if doc.warnings
         },
         "config": config.echo(),
     }
-    return RunResult(
-        records=records,
-        documents=documents,
-        graph=graph,
-        skipped=skipped,
-        summary=summary,
-    )
+    return RunResult(records=records, documents=documents, graph=graph, summary=summary)
 
 
 def run_pipeline(

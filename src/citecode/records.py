@@ -2,8 +2,9 @@
 
 A record carries every category slot A..L, either as a value or as an
 uncodable reason, plus the cue matches and rule trace that justify the
-coded values. Serialization uses a fixed key order and sorted records
-so repeated runs are byte-identical.
+coded values. Serialization uses a fixed key order and writes the
+records in the order the caller gives them, so the same records give
+the same bytes.
 """
 
 from __future__ import annotations
@@ -149,18 +150,9 @@ def record_from_json(line: str) -> CodedCitation:
     )
 
 
-def reading_order(doc_id: str, citation_id: str) -> tuple[str, int, str]:
-    """Sort key: by document, then citation ids in reading order (c9999 before c10000)."""
-    return doc_id, len(citation_id), citation_id
-
-
-def sort_records(records: list[CodedCitation]) -> list[CodedCitation]:
-    """The records in reading order."""
-    return sorted(records, key=lambda r: reading_order(r.doc_id, r.citation_id))
-
-
 def write_jsonl(records: list[CodedCitation], path: str | Path) -> None:
-    lines = [record_to_json(r) for r in sort_records(records)]
+    """One line per record, in the caller's order; a non-empty file ends in a newline."""
+    lines = [record_to_json(r) for r in records]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 

@@ -6,6 +6,7 @@ short rule identifier recorded in the audit trail of the final record.
 
 from __future__ import annotations
 
+import functools
 import re
 
 from .codebook import Uncodable
@@ -87,6 +88,8 @@ def code_frequency(count: int) -> tuple[str, str]:
     return value, f"E:count={count}"
 
 
+# Memoized: every citation of a sentence asks about the same sentence.
+@functools.lru_cache(maxsize=1024)
 def _has_attributed_quote(sentence: str) -> bool:
     for match in _QUOTE_RE.finditer(sentence):
         span = match.group(1) or match.group(2) or ""

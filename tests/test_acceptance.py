@@ -226,7 +226,7 @@ def test_acceptance_7_throughput(capsys, tmp_path):
         result = run_pipeline(entries, jobs=1)
         assert result.summary["documents"] == 1000
         assert result.summary["citations"]["total"] > 10_000
-        assert result.skipped == []
+        assert result.summary["skipped_documents"] == []
 
 
 def test_acceptance_8_lexicon_ablation(capsys, tmp_path):

@@ -45,8 +45,11 @@ def test_code_writes_artifacts_and_reports(tmp_path, capsys):
     assert len((out_dir / "coded.jsonl").read_text(encoding="utf-8").splitlines()) == 21
 
 
-def test_run_log_counts_and_warnings_match_the_summary(tmp_path):
+def test_run_log_counts_and_warnings_match_the_summary(tmp_path, capsys):
     (tmp_path / "paper-a.txt").write_bytes((FIXTURE_DIR / "paper-a.txt").read_bytes())
+    # Two documents without a section, listed against path order.
+    for name in ("zz-empty.txt", "aa-empty.txt"):
+        (tmp_path / name).write_text("#META id: empty\n", encoding="utf-8")
     (tmp_path / "zeta.txt").write_text(
         "#META id: zeta\n#META year: 2100\n#SECTION Introduction\nText (Smith, 2011).\n",
         encoding="utf-8",
@@ -58,7 +61,10 @@ def test_run_log_counts_and_warnings_match_the_summary(tmp_path):
     )
     manifest = tmp_path / "m.tsv"
     manifest.write_text(
-        "".join(f"{name}\tplain_annotated\n" for name in ("paper-a.txt", "zeta.txt", "alpha.txt")),
+        "".join(
+            f"{name}\tplain_annotated\n"
+            for name in ("paper-a.txt", "zz-empty.txt", "zeta.txt", "aa-empty.txt", "alpha.txt")
+        ),
         encoding="utf-8",
     )
     out_dir = tmp_path / "out"
@@ -72,6 +78,15 @@ def test_run_log_counts_and_warnings_match_the_summary(tmp_path):
         f"warning [{doc_id}]: {warning}"
         for doc_id, warnings in summary["document_warnings"].items()
         for warning in warnings
+    ]
+    skipped = summary["skipped_documents"]
+    assert [Path(item["path"]).name for item in skipped] == ["aa-empty.txt", "zz-empty.txt"]
+    assert "skipped: 2" in log
+    assert log[-2:] == [
+        f"skipped: {item['path']}: {item['error']}" for item in skipped
+    ]
+    assert capsys.readouterr().err.splitlines() == [
+        f"skipped {item['path']}: {item['error']}" for item in skipped
     ]
 
 

@@ -14,6 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import citecode
+from citecode.citations import extract_citations
 from citecode.errors import (
     CitecodeError,
     DuplicateRefId,
@@ -151,6 +152,24 @@ def test_metadata_year_inside_the_year_grammar_is_kept(year, fmt):
     doc = parse_document(_year_document(year, fmt), fmt)
     assert doc.metadata.year == int(year)
     assert not any("year" in w for w in doc.warnings)
+
+
+def test_years_take_ascii_digits_only():
+    # "19\u0669\u0669" ends in two Arabic-Indic nines, which int() reads
+    # as 1999. It is no year for the metadata, an entry or a marker.
+    year = "19\u0669\u0669"
+    doc = parse_document(
+        f"#META id: y\n#META year: {year}\n#SECTION Introduction\n"
+        f"First (Smith, {year}). Then (Smith, 1999).\n#REFERENCES\n"
+        f"[1] Smith, A. ({year}). One. Minerva, 2(1), 1-2.\n"
+        "[2] Smith, A. (1999). Two. Minerva, 3(1), 3-4.\n",
+        FORMAT_PLAIN,
+    )
+    assert doc.metadata.year is None
+    assert [ref.year for ref in doc.references] == [None, 1999]
+    assert [(c.sentence_index, c.year, c.ref_id) for c in extract_citations(doc)] == [
+        (1, 1999, "2")
+    ]
 
 
 def _year_document(year, fmt):

@@ -9,13 +9,18 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from citecode import cli, pipeline
 from citecode.config import PipelineConfig
 from citecode.errors import EmptyDocument, MalformedInput
+from citecode.ingest import FORMAT_PLAIN, parse_document
 from citecode.pipeline import (
     code_corpus,
     load_resources,
@@ -25,6 +30,7 @@ from citecode.pipeline import (
     write_outputs,
 )
 from citecode.records import read_jsonl
+from citecode.synth import write_corpus
 
 from conftest import FIXTURE_DIR, make_manifest
 
@@ -410,7 +416,7 @@ def test_run_pipeline_from_manifest(tmp_path):
     result = run_pipeline(read_manifest(make_manifest(tmp_path)))
     assert result.summary["citations"]["total"] == 22
     assert result.summary["records_written"] == 21
-    assert result.skipped == []
+    assert result.summary["skipped_documents"] == []
 
 
 def test_parallel_run_is_identical(tmp_path, corpus_result):
@@ -450,6 +456,93 @@ def test_style_fixture_counts_mentions_across_styles(corpus_result):
     styles = [r for r in corpus_result.records if r.doc_id == "style-fixture"]
     assert [r.codes["F"] for r in styles] == ["F1", "F2", "F3"]
     assert all(r.codes["E"] == "E2" for r in styles)
+
+
+def _output_bytes(entries, resources):
+    with tempfile.TemporaryDirectory() as out:
+        paths = write_outputs(run_pipeline(entries, resources=resources), out)
+        return {key: path.read_bytes() for key, path in paths.items()}
+
+
+@pytest.fixture(scope="module")
+def mixed_manifest(tmp_path_factory, resources):
+    """Synth documents, the fixtures and four written files, and their outputs."""
+    root = tmp_path_factory.mktemp("mixed")
+    entries = read_manifest(write_corpus(root / "synth", 12, seed=3, sentences=12, refs=6))
+    entries += read_manifest(make_manifest(root))
+    for name in ("broken-a.xml", "broken-b.xml"):
+        (root / name).write_text("<document><unclosed>", encoding="utf-8")
+        entries.append((root / name, "structured_xml"))
+    for doc_id in ("warn-a", "warn-b"):
+        (root / f"{doc_id}.txt").write_text(
+            f"#META id: {doc_id}\n#NOTE x\n#SECTION Introduction\n"
+            "Old (Smith, 2011) and (Moss, 1990).\n#REFERENCES\n"
+            "[1] Smith, A. (2011a). First. Minerva, 4(4), 1-8.\n"
+            "[2] Smith, A. (2011b). Second. Minerva, 4(5), 9-16.\n",
+            encoding="utf-8",
+        )
+        entries.append((root / f"{doc_id}.txt", "plain_annotated"))
+    return entries, _output_bytes(entries, resources)
+
+
+def test_mixed_manifest_fills_every_summary_list(mixed_manifest):
+    summary = json.loads(mixed_manifest[1]["summary"])
+    assert len(summary["skipped_documents"]) == 2
+    for key in ("unresolved_citations", "ambiguous_citations"):
+        assert len({item["doc_id"] for item in summary[key]}) >= 2
+    assert len(summary["document_warnings"]) >= 2
+
+
+@settings(
+    max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_outputs_do_not_depend_on_manifest_order(data, mixed_manifest, resources):
+    entries, expected = mixed_manifest
+    assert _output_bytes(data.draw(st.permutations(entries)), resources) == expected
+
+
+def test_records_keep_reading_order_past_c9999():
+    # Ten thousand and one sentences, one citation each.
+    text = (
+        "#META id: long\n#SECTION Introduction\n"
+        + "Shown (Smith, 2011).\n\n" * 10_001
+        + "#REFERENCES\nSmith, A. (2011). One. Minerva, 2(1), 1-2.\n"
+    )
+    records = code_corpus([parse_document(text, FORMAT_PLAIN)]).records
+    ids = [r.citation_id for r in records]
+    assert ids[9_998:] == ["c9999", "c10000", "c10001"]
+
+
+def _best_code_time(doc, resources, repeats=3):
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        code_corpus([doc], resources=resources)
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def test_coding_time_is_linear_in_markers_per_sentence(resources):
+    # One sentence holding every marker, between two plain ones.
+    # Quadrupling the markers must cost well under the 16x that coding
+    # each citation's window from scratch would; 8x leaves room for
+    # timer noise.
+    def doc(markers):
+        labels = " ".join(f"[{i % 5 + 1}]" for i in range(markers))
+        entries = "".join(
+            f"[{i}] Smith, A. ({2000 + i}). T{i}. Minerva, 2(1), 1-2.\n" for i in range(1, 6)
+        )
+        return parse_document(
+            "#META id: many\n#SECTION Introduction\n"
+            f"A first claim. A survey shows \"the same three results\" {labels}. A last claim.\n"
+            f"#REFERENCES\n{entries}",
+            FORMAT_PLAIN,
+        )
+
+    small, large = doc(500), doc(2_000)
+    assert len(code_corpus([large], resources=resources).records) == 2_000
+    assert _best_code_time(large, resources) < 8 * _best_code_time(small, resources)
 
 
 def _load_tracing():

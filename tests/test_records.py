@@ -15,7 +15,6 @@ from citecode.records import (
     read_jsonl,
     record_from_json,
     record_to_json,
-    sort_records,
     write_jsonl,
 )
 
@@ -160,7 +159,7 @@ def test_round_trip_over_random_slots(slots, sentence_index):
     assert record_to_json(again) == record_to_json(record)
 
 
-def test_write_jsonl_sorts_and_terminates(tmp_path):
+def test_write_jsonl_keeps_the_given_order_and_terminates(tmp_path):
     records = [
         build(doc_id="zeta", citation_id="c0001"),
         build(doc_id="alpha", citation_id="c0002"),
@@ -171,7 +170,7 @@ def test_write_jsonl_sorts_and_terminates(tmp_path):
     text = path.read_text(encoding="utf-8")
     assert text.endswith("\n")
     lines = text.splitlines()
-    assert [json.loads(l)["doc_id"] for l in lines] == ["alpha", "alpha", "zeta"]
+    assert [json.loads(l)["doc_id"] for l in lines] == ["zeta", "alpha", "alpha"]
     assert [json.loads(l)["citation_id"] for l in lines] == ["c0001", "c0002", "c0001"]
 
 
@@ -180,7 +179,7 @@ def test_write_jsonl_is_byte_deterministic(tmp_path):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"
     write_jsonl(records, a)
-    write_jsonl(list(reversed(records)), b)
+    write_jsonl(read_jsonl(a), b)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -196,28 +195,3 @@ def test_read_jsonl_skips_blank_lines(tmp_path):
     path = tmp_path / "coded.jsonl"
     path.write_text(record_to_json(record) + "\n\n\n", encoding="utf-8")
     assert read_jsonl(path) == [record]
-
-
-def test_sort_records_is_stable_key():
-    records = [
-        build(doc_id="b", citation_id="c0002"),
-        build(doc_id="b", citation_id="c0001"),
-        build(doc_id="a", citation_id="c0009"),
-    ]
-    ordered = sort_records(records)
-    assert [(r.doc_id, r.citation_id) for r in ordered] == [
-        ("a", "c0009"), ("b", "c0001"), ("b", "c0002"),
-    ]
-
-
-def test_sort_records_keeps_reading_order_past_c9999():
-    records = [
-        build(doc_id="b", citation_id="c0001"),
-        build(doc_id="a", citation_id="c10000"),
-        build(doc_id="a", citation_id="c9999"),
-        build(doc_id="a", citation_id="c0001"),
-    ]
-    ordered = sort_records(records)
-    assert [(r.doc_id, r.citation_id) for r in ordered] == [
-        ("a", "c0001"), ("a", "c9999"), ("a", "c10000"), ("b", "c0001"),
-    ]

@@ -62,7 +62,7 @@ def test_generated_corpus_codes_cleanly(tmp_path):
     manifest = write_corpus(tmp_path, 6, seed=5, sentences=25, refs=8)
     result = run_pipeline(read_manifest(manifest))
     assert result.summary["documents"] == 6
-    assert result.skipped == []
+    assert result.summary["skipped_documents"] == []
     assert result.summary["citations"]["total"] > 0
     assert result.summary["citations"]["resolved"] > 0
     # Document 0 carries one marker that matches no reference entry.
