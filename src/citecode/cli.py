@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from .aggregate import aggregate, table_to_csv
-from .codebook import require_category, value_order
+from .codebook import CATEGORIES, require_category, value_order
 from .config import PipelineConfig
 from .errors import CitecodeError, MalformedInput, NoOverlap
 from .metrics import agreement_report
@@ -29,7 +29,7 @@ from .pipeline import (
     run_pipeline,
     write_outputs,
 )
-from .records import read_json_lines, read_jsonl
+from .records import decode_line, read_json_lines, read_jsonl
 from .sentences import DEFAULT_ABBREVIATIONS
 
 
@@ -99,12 +99,20 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def _read_gold(path: str) -> dict[tuple[str, str], dict[str, str]]:
+    """Gold values by (doc_id, citation_id); a bad file or line raises.
+
+    A line is checked in this order: its JSON, its shape, a repeated
+    key, every field a category, every value one of that category's.
+    """
+    allowed = {
+        category: {value: value for value in value_order(category)} for category in CATEGORIES
+    }
     gold: dict[tuple[str, str], dict[str, str]] = {}
     for line_no, line in enumerate(read_json_lines(path, "gold"), start=1):
         if not line.strip():
             continue
         try:
-            item = json.loads(line)
+            item = decode_line(line)
         except json.JSONDecodeError as exc:
             raise MalformedInput(f"gold: bad JSON ({exc})", line=line_no) from None
         if not isinstance(item, dict) or "doc_id" not in item or "citation_id" not in item:
@@ -114,14 +122,20 @@ def _read_gold(path: str) -> dict[tuple[str, str], dict[str, str]]:
         key = (str(item["doc_id"]), str(item["citation_id"]))
         if key in gold:
             raise MalformedInput(f"gold: duplicate item {key[0]}/{key[1]}", line=line_no)
-        values = {
-            require_category(field): str(value)
-            for field, value in item.items()
-            if field not in ("doc_id", "citation_id")
-        }
-        for category, value in values.items():
-            if value not in value_order(category):
-                raise MalformedInput(f"gold: {value!r} is not a {category} value", line=line_no)
+        values = {}
+        invalid = None
+        for field, value in item.items():
+            if field == "doc_id" or field == "citation_id":
+                continue
+            if field not in allowed:
+                require_category(field)
+            value = str(value)
+            # The codebook's own string, or None for a value outside it.
+            values[field] = stored = allowed[field].get(value)
+            if stored is None and invalid is None:
+                invalid = f"gold: {value!r} is not a {field} value"
+        if invalid is not None:
+            raise MalformedInput(invalid, line=line_no)
         gold[key] = values
     return gold
 
@@ -132,10 +146,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ]
     if not categories:
         raise MalformedInput("no categories requested")
-    records = {(r.doc_id, r.citation_id): r for r in read_jsonl(args.input)}
+    records = read_jsonl(args.input)
     gold = _read_gold(args.gold)
 
-    aligned = [(records[key], values) for key, values in gold.items() if key in records]
+    aligned = [
+        (record, values)
+        for record in records
+        if (values := gold.get((record.doc_id, record.citation_id))) is not None
+    ]
     unmatched = len(gold) - len(aligned)
     if not aligned:
         raise NoOverlap("no gold item matches any coded citation")

@@ -115,14 +115,16 @@ def parse_corpus(
 ) -> tuple[list[Document], list[tuple[str, str]]]:
     """Parse every manifest entry in order; failures are skipped unless strict.
 
-    Returns the parsed documents in manifest order plus a list of
-    (path, error message) pairs for the skipped ones. Strict mode
-    raises on the first bad document: unreadable, unparseable, or
-    repeating an earlier document's id. Its message names the path.
+    Returns the parsed documents in the manifest order of their ids'
+    first appearance, plus a list of (path, error message) pairs for the
+    skipped ones. Of documents that share an id, the one whose path
+    sorts first is kept and the others are skipped, so the choice does
+    not depend on manifest order. Strict mode raises on the first bad
+    document: unreadable, unparseable, or repeating an earlier
+    document's id. Its message names the path.
     """
     skipped: list[tuple[str, str]] = []
-    documents: list[Document] = []
-    seen_ids: set[str] = set()
+    kept: dict[str, tuple[Path, Document]] = {}
     for doc_path, doc_format in entries:
         try:
             text = _read_utf8(doc_path, "document", MalformedInput)
@@ -135,15 +137,19 @@ def parse_corpus(
             skipped.append((str(doc_path), str(exc)))
             continue
         doc_id = doc.metadata.doc_id
-        if doc_id in seen_ids:
+        if doc_id in kept:
             message = f"duplicate document id {doc_id!r}"
             if strict:
                 raise MalformedInput(f"{doc_path}: {message}")
-            skipped.append((str(doc_path), message))
+            dropped = doc_path
+            kept_path = kept[doc_id][0]
+            if str(doc_path) < str(kept_path):
+                kept[doc_id] = (doc_path, doc)
+                dropped = kept_path
+            skipped.append((str(dropped), message))
             continue
-        seen_ids.add(doc_id)
-        documents.append(doc)
-    return documents, skipped
+        kept[doc_id] = (doc_path, doc)
+    return [doc for _, doc in kept.values()], skipped
 
 
 _LINK_REASON = {

@@ -18,11 +18,19 @@ from .errors import IncompleteCoding, MalformedInput, _read_utf8
 from .models import LEVEL_CLUSTER
 
 # What a category key of a coded line may hold: a codebook value, or
-# null when the category is uncodable.
-_STORED_VALUES = {category: frozenset(VALUES[category]) | {None} for category in CATEGORIES}
+# null when the category is uncodable. Each maps to the codebook's own
+# string, so read records share the twelve values in place of holding a
+# decoded copy each.
+_STORED_VALUES = {
+    category: {value: value for value in VALUES[category]} | {None: None}
+    for category in CATEGORIES
+}
+
+_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(", ", ": "))
+_scan_once = json.JSONDecoder().scan_once
 
 
-@dataclass
+@dataclass(slots=True)
 class CodedCitation:
     doc_id: str
     citation_id: str
@@ -115,7 +123,22 @@ def record_to_json(record: CodedCitation) -> str:
     payload["uncodable_reasons"] = {
         k: record.uncodable_reasons[k] for k in sorted(record.uncodable_reasons)
     }
-    return json.dumps(payload, ensure_ascii=False, separators=(", ", ": "))
+    return _ENCODER.encode(payload)
+
+
+def decode_line(line: str):
+    """The value of one JSON text, exactly as ``json.loads`` gives it.
+
+    The decoder's scanner reads a line that holds one JSON value and
+    nothing else. Any other line, such as one with a byte-order mark,
+    surrounding whitespace or bad JSON, goes to ``json.loads``, so its
+    value or its JSONDecodeError is the one ``json.loads`` gives.
+    """
+    try:
+        value, end = _scan_once(line, 0)
+    except (StopIteration, ValueError):
+        return json.loads(line)
+    return value if end == len(line) else json.loads(line)
 
 
 def record_from_json(line: str) -> CodedCitation:
@@ -123,37 +146,47 @@ def record_from_json(line: str) -> CodedCitation:
 
     A missing required key raises KeyError, a line that is not a coded
     record (or a category holding a list or an object) TypeError, and
-    a category value outside the codebook ValueError.
+    a category value outside the codebook ValueError. The checks run in
+    key order, so a line with several faults raises for the first.
     """
-    data = json.loads(line)
+    data = decode_line(line)
     for key in ("doc_id", "citation_id", "link_status"):
         if not isinstance(data[key], str):
             raise TypeError(f"{key} is not a string")
-    codes = {}
-    for category in CATEGORIES:
-        value = data.get(category)
-        if value not in _STORED_VALUES[category]:
-            raise ValueError(f"{value!r} is not a {category} value")
-        codes[category] = value
+    get = data.get
+    try:
+        codes = {category: stored[get(category)] for category, stored in _STORED_VALUES.items()}
+    except KeyError:
+        # Some value is outside the codebook: name the first.
+        for category, stored in _STORED_VALUES.items():
+            if (value := get(category)) not in stored:
+                raise ValueError(f"{value!r} is not a {category} value") from None
+    trace = get("rule_trace", [])
+    reasons = get("uncodable_reasons", {})
     return CodedCitation(
         doc_id=data["doc_id"],
         citation_id=data["citation_id"],
-        ref_id=data.get("ref_id"),
+        ref_id=get("ref_id"),
         link_status=data["link_status"],
-        sentence_index=data.get("sentence_index", 0),
-        context_level=data.get("context_level", LEVEL_CLUSTER),
-        context_sentences=tuple(data.get("context_sentences", ())),
+        sentence_index=get("sentence_index", 0),
+        context_level=get("context_level", LEVEL_CLUSTER),
+        context_sentences=tuple(get("context_sentences", ())),
         codes=codes,
-        matched_cues=[tuple(pair) for pair in data.get("matched_cues", [])],
-        rule_trace=list(data.get("rule_trace", [])),
-        uncodable_reasons=dict(data.get("uncodable_reasons", {})),
+        matched_cues=[tuple(pair) for pair in get("matched_cues", [])],
+        # A decoded list or object is already what the record stores.
+        rule_trace=trace if type(trace) is list else list(trace),
+        uncodable_reasons=reasons if type(reasons) is dict else dict(reasons),
     )
 
 
 def write_jsonl(records: list[CodedCitation], path: str | Path) -> None:
-    """One line per record, in the caller's order; a non-empty file ends in a newline."""
-    lines = [record_to_json(r) for r in records]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    """One line per record, in the caller's order; a non-empty file ends in a newline.
+
+    Each line goes to the open file as it is made, so the whole text is
+    never held at once.
+    """
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines(f"{record_to_json(record)}\n" for record in records)
 
 
 def read_json_lines(path: str | Path, what: str) -> list[str]:

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from citecode.cli import main
+from citecode.cli import _read_gold, main
+from citecode.codebook import require_category, value_order
 from citecode.config import PipelineConfig
+from citecode.errors import MalformedInput
 from citecode.ingest import FORMATS
-from citecode.records import read_jsonl
+from citecode.records import read_json_lines, read_jsonl
 
 from conftest import FIXTURE_DIR, make_manifest
 
@@ -527,6 +529,79 @@ def test_eval_accepts_uncodable_gold_value(coded_run, tmp_path, capsys):
     )
     assert exit_code == 0
     assert capsys.readouterr().out.splitlines()[1] == "K,1,0.000000,0.000000"
+
+
+# -- the previous gold reader, kept as the reference for the one-pass reader --
+
+
+def reference_read_gold(path):
+    gold = {}
+    for line_no, line in enumerate(read_json_lines(path, "gold"), start=1):
+        if not line.strip():
+            continue
+        try:
+            item = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedInput(f"gold: bad JSON ({exc})", line=line_no) from None
+        if not isinstance(item, dict) or "doc_id" not in item or "citation_id" not in item:
+            raise MalformedInput(
+                "gold: every line needs doc_id and citation_id", line=line_no
+            )
+        key = (str(item["doc_id"]), str(item["citation_id"]))
+        if key in gold:
+            raise MalformedInput(f"gold: duplicate item {key[0]}/{key[1]}", line=line_no)
+        values = {
+            require_category(field): str(value)
+            for field, value in item.items()
+            if field not in ("doc_id", "citation_id")
+        }
+        for category, value in values.items():
+            if value not in value_order(category):
+                raise MalformedInput(f"gold: {value!r} is not a {category} value", line=line_no)
+        gold[key] = values
+    return gold
+
+
+def outcome(function, *args):
+    """What a call gives: its value, or its error's type and message."""
+    try:
+        return "value", function(*args)
+    except Exception as exc:  # the comparison is the point
+        return "error", type(exc), str(exc)
+
+
+_GOLD_VALUES = st.one_of(
+    st.sampled_from(["I1", "I4", "J2", "K3", "uncodable", "Z1", "", "c1"]),
+    st.none(),
+    st.integers(0, 2),
+    st.lists(st.just("I1"), max_size=1),
+)
+_GOLD_ITEMS = st.fixed_dictionaries(
+    {"doc_id": st.sampled_from(["d1", "d2", 1]), "citation_id": st.sampled_from(["c1", "1"])},
+    optional={field: _GOLD_VALUES for field in ("I", "J", "K", "Z", "i", "Id")},
+)
+# A gold line: an item, maybe missing an id, or a line that is not one.
+_GOLD_LINES = st.one_of(
+    st.tuples(_GOLD_ITEMS, st.sets(st.sampled_from(["doc_id", "citation_id"]))).map(
+        lambda pair: json.dumps({k: v for k, v in pair[0].items() if k not in pair[1]})
+    ),
+    _GOLD_ITEMS.map(lambda item: json.dumps(item)[:-1]),
+    _GOLD_ITEMS.map(lambda item: "\ufeff" + json.dumps(item)),
+    _GOLD_ITEMS.map(lambda item: f" {json.dumps(item)}\r"),
+    st.sampled_from(["", "  ", "[]", '"d1"', "null", "not json", "NaN", '{"doc_id": NaN, "citation_id": 1}']),
+)
+
+
+@pytest.fixture(scope="module")
+def gold_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("gold") / "gold.jsonl"
+
+
+@given(lines=st.lists(_GOLD_LINES, min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_read_gold_matches_the_reference(gold_path, lines):
+    gold_path.write_text("\n".join(lines), encoding="utf-8")
+    assert outcome(_read_gold, str(gold_path)) == outcome(reference_read_gold, str(gold_path))
 
 
 def test_net_exports_edges(tmp_path, capsys):

@@ -238,6 +238,24 @@ def test_parse_corpus_strict_stops_at_first_bad_document(tmp_path, resources):
     ]
 
 
+def test_repeated_document_id_codes_the_first_path_in_any_manifest_order(tmp_path, resources):
+    # One id, two contents: a.txt cites in its Introduction, b.txt in
+    # its Methods, so the coded D value shows which one was kept.
+    for name, section in (("a.txt", "Introduction"), ("b.txt", "Methods")):
+        (tmp_path / name).write_text(
+            f"#META id: same\n#SECTION {section}\nShown (Smith, 2011).\n#REFERENCES\n"
+            "Smith, A. (2011). One. Minerva, 2(1), 1-2.\n",
+            encoding="utf-8",
+        )
+    entries = [(tmp_path / name, "plain_annotated") for name in ("a.txt", "b.txt")]
+    forward = _output_bytes(entries, resources)
+    assert _output_bytes(entries[::-1], resources) == forward
+    assert json.loads(forward["coded"])["D"] == "D2"
+    assert json.loads(forward["summary"])["skipped_documents"] == [
+        {"path": str(tmp_path / "b.txt"), "error": "duplicate document id 'same'"}
+    ]
+
+
 def test_parse_corpus_skips_unreadable_path(tmp_path, resources):
     entries = [(tmp_path / "ghost.txt", "plain_annotated")]
     documents, skipped = parse_corpus(entries, resources.abbreviations)

@@ -5,13 +5,16 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citecode.codebook import CATEGORIES, VALUES, Uncodable
 from citecode.errors import IncompleteCoding
+from citecode.models import LEVEL_CLUSTER
 from citecode.records import (
+    CodedCitation,
     assemble_record,
+    decode_line,
     read_jsonl,
     record_from_json,
     record_to_json,
@@ -195,3 +198,133 @@ def test_read_jsonl_skips_blank_lines(tmp_path):
     path = tmp_path / "coded.jsonl"
     path.write_text(record_to_json(record) + "\n\n\n", encoding="utf-8")
     assert read_jsonl(path) == [record]
+
+
+def test_read_records_hold_the_codebook_strings(tmp_path):
+    path = tmp_path / "coded.jsonl"
+    write_jsonl([build(), build(citation_id="c0002")], path)
+    codebook = {id(value) for values in VALUES.values() for value in values}
+    for record in read_jsonl(path):
+        assert all(id(value) in codebook for value in record.codes.values())
+
+
+# -- the previous reader, kept as the reference for the one-pass reader --
+
+_REFERENCE_STORED = {category: frozenset(VALUES[category]) | {None} for category in CATEGORIES}
+
+
+def reference_record_from_json(line):
+    data = json.loads(line)
+    for key in ("doc_id", "citation_id", "link_status"):
+        if not isinstance(data[key], str):
+            raise TypeError(f"{key} is not a string")
+    codes = {}
+    for category in CATEGORIES:
+        value = data.get(category)
+        if value not in _REFERENCE_STORED[category]:
+            raise ValueError(f"{value!r} is not a {category} value")
+        codes[category] = value
+    return CodedCitation(
+        doc_id=data["doc_id"],
+        citation_id=data["citation_id"],
+        ref_id=data.get("ref_id"),
+        link_status=data["link_status"],
+        sentence_index=data.get("sentence_index", 0),
+        context_level=data.get("context_level", LEVEL_CLUSTER),
+        context_sentences=tuple(data.get("context_sentences", ())),
+        codes=codes,
+        matched_cues=[tuple(pair) for pair in data.get("matched_cues", [])],
+        rule_trace=list(data.get("rule_trace", [])),
+        uncodable_reasons=dict(data.get("uncodable_reasons", {})),
+    )
+
+
+def outcome(function, *args):
+    """What a call gives: its value's repr (NaN equals itself there), or its error."""
+    try:
+        return "value", repr(function(*args))
+    except Exception as exc:  # the comparison is the point
+        return "error", type(exc), str(exc)
+
+
+_CODE_VALUES = [value for category in CATEGORIES for value in VALUES[category]]
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 2),
+    st.just(1.5),
+    st.just(float("nan")),
+    st.sampled_from(["", "ab", "ab c", "resolved", "uncodable", *_CODE_VALUES]),
+)
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["A", "J", "ab", "x"]), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+_DROP = object()
+_CONTAINER_KEYS = ["matched_cues", "rule_trace", "uncodable_reasons", "context_sentences"]
+_RECORD_KEYS = list(json.loads(record_to_json(build())))
+# Every container key gets a string, a list or an int; any key may go,
+# or get any small JSON value.
+_MUTATIONS = st.one_of(
+    st.tuples(
+        st.sampled_from(_CONTAINER_KEYS),
+        st.one_of(st.text(alphabet="ab c", max_size=4), st.lists(_JSON_VALUES, max_size=3),
+                  st.integers(-2, 2)),
+    ),
+    st.tuples(st.sampled_from([*_RECORD_KEYS, "extra"]), _JSON_VALUES),
+    st.sampled_from(_RECORD_KEYS).map(lambda key: (key, _DROP)),
+)
+
+
+@given(
+    slots=record_strategy,
+    mutations=st.lists(_MUTATIONS, max_size=3),
+    whole=st.one_of(st.none(), _JSON_VALUES),
+)
+@settings(max_examples=400, deadline=None)
+def test_record_from_json_matches_the_reference(slots, mutations, whole):
+    payload = json.loads(record_to_json(build(
+        slots=slots,
+        matched_cues=[("but", "negative"), ("however", "negative")],
+    )))
+    for key, value in mutations:
+        if value is _DROP:
+            payload.pop(key, None)
+        else:
+            payload[key] = value
+    line = json.dumps(payload if whole is None else whole)
+    assert outcome(record_from_json, line) == outcome(reference_record_from_json, line)
+
+
+def _damaged(value, cut, before, after):
+    text = json.dumps(value)
+    return before + (text if cut is None else text[:cut]) + after
+
+
+# A JSON text with a byte-order mark or whitespace before it, whitespace,
+# "\r" or more text after it, or cut short; or any short run of JSON's
+# characters.
+_RAW_LINES = st.one_of(
+    st.builds(
+        _damaged,
+        _JSON_VALUES,
+        st.none() | st.integers(0, 40),
+        st.sampled_from(["", "\ufeff", " ", "\t", "\r", "\ufeff "]),
+        st.sampled_from(["", " ", "\r", "\t\r", "x", "]", ", 1", "NaN"]),
+    ),
+    st.text(alphabet='{}[]",:0123456789.eE+- \ufeff\r\tnulltrueNaInfiy', max_size=12),
+)
+
+
+@given(line=_RAW_LINES)
+@settings(max_examples=600, deadline=None)
+@example(line="")
+@example(line="[1")
+@example(line='{"A": 1.5} 2')
+@example(line=" null")
+def test_decode_line_matches_json_loads(line):
+    assert outcome(decode_line, line) == outcome(json.loads, line)
