@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import sys
 import time
 from pathlib import Path
@@ -113,7 +112,7 @@ def _read_gold(path: str) -> dict[tuple[str, str], dict[str, str]]:
             continue
         try:
             item = decode_line(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
             raise MalformedInput(f"gold: bad JSON ({exc})", line=line_no) from None
         if not isinstance(item, dict) or "doc_id" not in item or "citation_id" not in item:
             raise MalformedInput(
@@ -128,7 +127,7 @@ def _read_gold(path: str) -> dict[tuple[str, str], dict[str, str]]:
             if field == "doc_id" or field == "citation_id":
                 continue
             if field not in allowed:
-                require_category(field)
+                raise MalformedInput(f"gold: {field!r} is not a category", line=line_no)
             value = str(value)
             # The codebook's own string, or None for a value outside it.
             values[field] = stored = allowed[field].get(value)

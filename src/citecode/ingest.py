@@ -99,8 +99,14 @@ def _parse_authors(raws: list[str], warnings: list[str]) -> list[AuthorName]:
 def _finalize_references(
     entries: list[tuple[ReferenceEntry, bool, int | None]], warnings: list[str]
 ) -> list[ReferenceEntry]:
-    """Assign ids, enforce uniqueness of explicit labels."""
+    """Assign ids, enforce uniqueness of explicit labels.
+
+    A repeated id becomes ``<id>-<n>`` with the least free n from 2.
+    ``seen`` only grows, so every n below a base's last pick stays
+    taken and the next search for that base starts after it.
+    """
     seen: dict[str, bool] = {}
+    next_counter: dict[str, int] = {}
     out = []
     for ordinal, (entry, explicit, line_no) in enumerate(entries, start=1):
         ref_id = entry.ref_id or derive_ref_id(entry, ordinal)
@@ -108,9 +114,10 @@ def _finalize_references(
             if explicit and seen[ref_id]:
                 raise DuplicateRefId(f"duplicate reference label {ref_id!r}", line=line_no)
             base = ref_id
-            counter = 2
+            counter = next_counter.get(base, 2)
             while f"{base}-{counter}" in seen:
                 counter += 1
+            next_counter[base] = counter + 1
             ref_id = f"{base}-{counter}"
             warnings.append(f"derived reference id {base!r} repeated; using {ref_id!r}")
         seen[ref_id] = explicit
@@ -194,7 +201,7 @@ def _build_document(
 def _parse_plain(text: str, abbreviations: tuple[str, ...]) -> Document:
     meta_fields: dict[str, str] = {}
     section_blocks: list[tuple[str, list[str]]] = []
-    reference_lines: list[tuple[str, int]] = []
+    entries: list[tuple[ReferenceEntry, bool, int | None]] = []
     warnings: list[str] = []
     in_references = False
     had_reference_block = False
@@ -240,7 +247,8 @@ def _parse_plain(text: str, abbreviations: tuple[str, ...]) -> Document:
             warnings.append(f"line {line_no}: unknown directive {stripped.split()[0]!r} skipped")
         elif in_references:
             if stripped:
-                reference_lines.append((stripped, line_no))
+                entry = parse_reference_entry(stripped)
+                entries.append((entry, bool(entry.ref_id), line_no))
         elif not stripped:
             flush_paragraph()
         elif not section_blocks:
@@ -248,10 +256,6 @@ def _parse_plain(text: str, abbreviations: tuple[str, ...]) -> Document:
         else:
             paragraph.append(stripped)
     flush_paragraph()
-    entries: list[tuple[ReferenceEntry, bool, int | None]] = []
-    for line, line_no in reference_lines:
-        entry = parse_reference_entry(line)
-        entries.append((entry, bool(entry.ref_id), line_no))
     # One #META authors: line lists every author, split on ";".
     author_raws = meta_fields.get("authors", "").split(";")
     return _build_document(

@@ -213,11 +213,11 @@ def code_document(
                 code_function(tokens, location[0], lexicons),
                 code_disposition(tokens, lexicons),
             )
-        (i_value, _, i_rule), (j_value, j_matches, j_rule) = window_codes[window]
+        i_code, (j_value, j_matches, j_rule) = window_codes[window]
         coded = {
             "D": location,
             "F": code_style(citation, doc.sentences[citation.sentence_index]),
-            "I": (i_value, i_rule),
+            "I": i_code,
             "J": (j_value, j_rule),
             **citing_codes,
         }
@@ -231,20 +231,7 @@ def code_document(
         else:
             uncodable = Uncodable(_LINK_REASON[citation.link_status])
             coded.update(dict.fromkeys("ABCE", (uncodable, None)))
-
-        records.append(
-            assemble_record(
-                doc_id=meta.doc_id,
-                citation_id=citation.citation_id,
-                ref_id=citation.ref_id,
-                link_status=citation.link_status,
-                sentence_index=citation.sentence_index,
-                context_level=context.level,
-                context_sentences=context.sentence_indices,
-                coded=coded,
-                matched_cues=j_matches,
-            )
-        )
+        records.append(assemble_record(meta.doc_id, citation, context, coded, j_matches))
     return records
 
 

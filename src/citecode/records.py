@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .codebook import CATEGORIES, VALUES, Uncodable
 from .errors import IncompleteCoding, MalformedInput, _read_utf8
-from .models import LEVEL_CLUSTER
+from .models import LEVEL_CLUSTER, CitationContext, InTextCitation
 
 # What a category key of a coded line may hold: a codebook value, or
 # null when the category is uncodable. Each maps to the codebook's own
@@ -52,22 +52,20 @@ class CodedCitation:
 
 def assemble_record(
     doc_id: str,
-    citation_id: str,
-    ref_id: str | None,
-    link_status: str,
-    sentence_index: int,
-    context_level: str,
-    context_sentences: tuple[int, ...],
+    citation: InTextCitation,
+    context: CitationContext,
     coded: dict[str, tuple[str | Uncodable, str | None]],
     matched_cues: list[tuple[str, str]],
 ) -> CodedCitation:
     """Validate and build one record from each category's (value, rule) pair.
 
-    Every category must be present exactly once, either coded, with a
-    rule that starts with "<category>:", or uncodable, with a reason.
-    The rule trace is the rules that are not None, in the order of
-    ``coded``.
+    The citation gives the record's ids, link status and sentence, the
+    context its window. Every category must be present exactly once,
+    either coded, with a rule that starts with "<category>:", or
+    uncodable, with a reason. The rule trace is the rules that are not
+    None, in the order of ``coded``.
     """
+    citation_id = citation.citation_id
     codes: dict[str, str | None] = {}
     reasons: dict[str, str] = {}
     for category in CATEGORIES:
@@ -87,17 +85,18 @@ def assemble_record(
                     f"{doc_id}/{citation_id}: coded category {category} has no rule trace"
                 )
             codes[category] = value
-    extra = set(coded) - set(CATEGORIES)
-    if extra:
-        raise IncompleteCoding(f"{doc_id}/{citation_id}: unknown categories {sorted(extra)}")
+    if len(coded) > len(CATEGORIES):
+        # Every category is present, so only extra keys make it longer.
+        extra = sorted(set(coded) - set(CATEGORIES))
+        raise IncompleteCoding(f"{doc_id}/{citation_id}: unknown categories {extra}")
     return CodedCitation(
         doc_id=doc_id,
         citation_id=citation_id,
-        ref_id=ref_id,
-        link_status=link_status,
-        sentence_index=sentence_index,
-        context_level=context_level,
-        context_sentences=tuple(context_sentences),
+        ref_id=citation.ref_id,
+        link_status=citation.link_status,
+        sentence_index=citation.sentence_index,
+        context_level=context.level,
+        context_sentences=context.sentence_indices,
         codes=codes,
         matched_cues=list(matched_cues),
         rule_trace=[rule for _, rule in coded.values() if rule is not None],
@@ -114,12 +113,14 @@ def record_to_json(record: CodedCitation) -> str:
         "link_status": record.link_status,
         "sentence_index": record.sentence_index,
         "context_level": record.context_level,
-        "context_sentences": list(record.context_sentences),
+        "context_sentences": record.context_sentences,
     }
     for category in CATEGORIES:
         payload[category] = record.codes.get(category)
-    payload["matched_cues"] = [list(pair) for pair in record.matched_cues]
-    payload["rule_trace"] = list(record.rule_trace)
+    # The encoder writes a tuple as an array, so the record's own tuple
+    # and lists go in as they are.
+    payload["matched_cues"] = record.matched_cues
+    payload["rule_trace"] = record.rule_trace
     payload["uncodable_reasons"] = {
         k: record.uncodable_reasons[k] for k in sorted(record.uncodable_reasons)
     }

@@ -227,7 +227,7 @@ _LOCATION_PRIOR = {
 
 def code_function(
     tokens: list[str], location: str, lexicons: LexiconSet
-) -> tuple[str, list[tuple[str, str]], str]:
+) -> tuple[str, str]:
     """Why the work is cited: criticism, evidence, method, background.
 
     ``tokens`` are the context window's tokens. Cue precedence is
@@ -236,15 +236,14 @@ def code_function(
     """
     negative = lexicons.negative.match(tokens)
     if negative:
-        return "I4", negative, f"I:cue:{negative[0][0]}"
+        return "I4", f"I:cue:{negative[0][0]}"
     evidence = lexicons.evidence.match(tokens)
     if evidence:
-        return "I3", evidence, f"I:cue:{evidence[0][0]}"
+        return "I3", f"I:cue:{evidence[0][0]}"
     framework = lexicons.framework.match(tokens)
     if framework:
-        return "I2", framework, f"I:cue:{framework[0][0]}"
-    value = _LOCATION_PRIOR[location]
-    return value, [], f"I:prior:{location}"
+        return "I2", f"I:cue:{framework[0][0]}"
+    return _LOCATION_PRIOR[location], f"I:prior:{location}"
 
 
 def load_venue_map(path: str | Path) -> tuple[tuple[str, str], ...]:

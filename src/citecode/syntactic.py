@@ -9,10 +9,11 @@ from __future__ import annotations
 import functools
 import re
 
-from .codebook import Uncodable
+from .codebook import VALUES, Uncodable
 from .errors import InvalidCount
 from .models import (
     STYLE_NARRATIVE,
+    VENUE_TYPES,
     AuthorName,
     DocumentMetadata,
     InTextCitation,
@@ -31,14 +32,8 @@ _SIGNAL_ORDER = (
     (SIG_URL, "A5"),
 )
 
-_VENUE_TYPE_TO_G = {
-    "journal": "G1",
-    "conference": "G2",
-    "book": "G3",
-    "report": "G4",
-    "web": "G5",
-    "other": "G6",
-}
+# The codebook lists G1..G6 in the order of the venue types.
+_VENUE_TYPE_TO_G = dict(zip(VENUE_TYPES, VALUES["G"]))
 
 _QUOTE_RE = re.compile(r"\"([^\"]{1,400})\"|“([^”]{1,400})”")
 _MIN_QUOTE_TOKENS = 3

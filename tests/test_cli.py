@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from citecode.cli import _read_gold, main
-from citecode.codebook import require_category, value_order
+from citecode.codebook import CATEGORIES, value_order
 from citecode.config import PipelineConfig
 from citecode.errors import MalformedInput
 from citecode.ingest import FORMATS
@@ -226,7 +226,8 @@ def test_report_unknown_category(coded_run, capsys):
 
 
 def write_gold(path, items):
-    lines = [json.dumps(item) for item in items]
+    """One line per item: a string as it is, anything else as its JSON."""
+    lines = [item if isinstance(item, str) else json.dumps(item) for item in items]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -496,8 +497,23 @@ def test_report_reads_ids_holding_a_line_separator(tmp_path, capsys):
             ],
             "line 2: gold: 'I1' is not a J value",
         ),
+        (
+            [
+                {"doc_id": "paper-b", "citation_id": "c0003", "J": "J1"},
+                {"doc_id": "paper-b", "citation_id": "c0004", "Q": "J1"},
+            ],
+            "line 2: gold: 'Q' is not a category",
+        ),
+        (
+            [
+                {"doc_id": "paper-b", "citation_id": "c0003", "J": "J1"},
+                '{"doc_id": "paper-b", "citation_id": "c0004", "J": ' + "9" * 5000 + "}",
+            ],
+            # json reads no integer of more than 4,300 digits.
+            "line 2: gold: bad JSON (Exceeds the limit",
+        ),
     ],
-    ids=["duplicate-item", "value-of-other-category"],
+    ids=["duplicate-item", "value-of-other-category", "unknown-category", "over-long-integer"],
 )
 def test_eval_rejects_bad_gold_items(coded_run, tmp_path, capsys, items, message):
     gold = write_gold(tmp_path / "gold.jsonl", items)
@@ -550,11 +566,13 @@ def reference_read_gold(path):
         key = (str(item["doc_id"]), str(item["citation_id"]))
         if key in gold:
             raise MalformedInput(f"gold: duplicate item {key[0]}/{key[1]}", line=line_no)
-        values = {
-            require_category(field): str(value)
-            for field, value in item.items()
-            if field not in ("doc_id", "citation_id")
-        }
+        values = {}
+        for field, value in item.items():
+            if field in ("doc_id", "citation_id"):
+                continue
+            if field not in CATEGORIES:
+                raise MalformedInput(f"gold: {field!r} is not a category", line=line_no)
+            values[field] = str(value)
         for category, value in values.items():
             if value not in value_order(category):
                 raise MalformedInput(f"gold: {value!r} is not a {category} value", line=line_no)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 from xml.sax import saxutils
 
@@ -25,12 +27,14 @@ from citecode.ingest import (
     FORMAT_PLAIN,
     FORMAT_XML,
     _escape,
+    _finalize_references,
     _quoteattr,
     normalize_section_header,
     parse_document,
     serialize_document,
 )
-from citecode.models import AuthorName
+from citecode.models import AuthorName, ReferenceEntry
+from citecode.refparse import derive_ref_id
 
 from conftest import ALL_FIXTURES, load_fixture
 
@@ -111,6 +115,90 @@ def test_derived_id_collision_is_disambiguated():
     doc = parse_document(text, FORMAT_PLAIN)
     assert [r.ref_id for r in doc.references] == ["smith-2011", "smith-2011-2"]
     assert any("repeated" in w for w in doc.warnings)
+
+
+# -- the previous id assignment, kept as the reference for repeated ids --
+
+
+def reference_finalize_references(entries, warnings):
+    seen = {}
+    out = []
+    for ordinal, (entry, explicit, line_no) in enumerate(entries, start=1):
+        ref_id = entry.ref_id or derive_ref_id(entry, ordinal)
+        if ref_id in seen:
+            if explicit and seen[ref_id]:
+                raise DuplicateRefId(f"duplicate reference label {ref_id!r}", line=line_no)
+            base = ref_id
+            counter = 2
+            while f"{base}-{counter}" in seen:
+                counter += 1
+            ref_id = f"{base}-{counter}"
+            warnings.append(f"derived reference id {base!r} repeated; using {ref_id!r}")
+        seen[ref_id] = explicit
+        entry.ref_id = ref_id
+        out.append(entry)
+    return out
+
+
+def _smith_entry(label=None):
+    """An entry whose derived id is smith-2011, with an optional label."""
+    return ReferenceEntry(
+        ref_id=label, raw="", authors=[AuthorName("Smith, A.", "smith,a")], year=2011
+    )
+
+
+def _finalized(finalize, entries):
+    """The ids and warnings a finalizer gives, or its error and line."""
+    entries = copy.deepcopy(entries)
+    warnings = []
+    try:
+        out = finalize(entries, warnings)
+    except DuplicateRefId as exc:
+        return "error", str(exc), exc.line
+    return [entry.ref_id for entry in out], warnings
+
+
+# Labels that collide with smith-2011, with its -<n> forms, and with
+# the ordinal ids of unlabelled entries that have no author.
+_LABELS = st.sampled_from(
+    [None, "smith-2011", "smith-2011-2", "smith-2011-3", "smith-2011-2-2", "ref-2", "1"]
+)
+_ENTRIES = st.lists(
+    st.tuples(_LABELS, st.booleans(), st.booleans()).map(
+        lambda drawn: (
+            _smith_entry(drawn[0]) if drawn[2] else ReferenceEntry(ref_id=drawn[0], raw=""),
+            drawn[1],
+            None,
+        )
+    ),
+    max_size=12,
+)
+
+
+@given(_ENTRIES)
+@example([(_smith_entry(), False, None)] * 3 + [(_smith_entry("smith-2011-4"), True, 4)]
+         + [(_smith_entry(), False, None)] * 2)
+def test_finalize_references_matches_the_reference(entries):
+    assert _finalized(_finalize_references, entries) == _finalized(
+        reference_finalize_references, entries
+    )
+
+
+def _best_finalize_time(count, repeats=5):
+    best = float("inf")
+    for _ in range(repeats):
+        entries = [(_smith_entry(), False, None) for _ in range(count)]
+        started = time.perf_counter()
+        _finalize_references(entries, [])
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def test_repeated_derived_id_time_is_linear_in_entries():
+    # Every entry derives smith-2011. Quadrupling the entries must cost
+    # well under the 16x that searching each repeat's suffix from 2
+    # would; 8x leaves room for timer noise.
+    assert _best_finalize_time(8_000) < 8 * _best_finalize_time(2_000)
 
 
 def test_unknown_venue_type_downgraded():

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from citecode import cli, pipeline
 from citecode.config import PipelineConfig
 from citecode.errors import EmptyDocument, MalformedInput
-from citecode.ingest import FORMAT_PLAIN, parse_document
+from citecode.ingest import FORMAT_PLAIN, FORMAT_XML, FORMATS, parse_document, serialize_document
 from citecode.pipeline import (
     code_corpus,
     load_resources,
@@ -518,6 +518,31 @@ def test_mixed_manifest_fills_every_summary_list(mixed_manifest):
 def test_outputs_do_not_depend_on_manifest_order(data, mixed_manifest, resources):
     entries, expected = mixed_manifest
     assert _output_bytes(data.draw(st.permutations(entries)), resources) == expected
+
+
+def test_recoding_from_canonical_xml_changes_nothing(tmp_path, resources):
+    # Each document re-parsed from serialize_document codes as before.
+    # Parse-time warnings such as an unknown directive are not part of
+    # the document, so only the summary's document_warnings may differ.
+    entries = read_manifest(write_corpus(tmp_path / "corpus", 12, seed=5, sentences=25, refs=8))
+    assert {doc_format for _, doc_format in entries} == set(FORMATS)
+    documents, skipped = parse_corpus(entries, resources.abbreviations)
+    assert not skipped
+    reparsed = [
+        parse_document(serialize_document(doc), FORMAT_XML, resources.abbreviations)
+        for doc in documents
+    ]
+    original = code_corpus(documents, resources=resources)
+    again = code_corpus(reparsed, resources=resources)
+    assert again.records == original.records
+    edges = [
+        write_outputs(result, tmp_path / name)["edges"].read_bytes()
+        for name, result in (("original", original), ("again", again))
+    ]
+    assert edges[0] == edges[1]
+    assert original.summary.pop("document_warnings")
+    again.summary.pop("document_warnings")
+    assert again.summary == original.summary
 
 
 def test_records_keep_reading_order_past_c9999():

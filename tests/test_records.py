@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from citecode.codebook import CATEGORIES, VALUES, Uncodable
 from citecode.errors import IncompleteCoding
-from citecode.models import LEVEL_CLUSTER
+from citecode.models import (
+    LEVEL_CLUSTER, STYLE_PARENTHETICAL, CitationContext, InTextCitation,
+)
 from citecode.records import (
     CodedCitation,
     assemble_record,
@@ -28,23 +30,27 @@ FULL_SLOTS = {
 FULL_RULES = {cat: f"{cat}:rule" for cat in CATEGORIES}
 
 
-def build(slots=None, rules=None, **overrides):
-    """One record; slots and rules override the full coding's values and rules."""
+def build(slots=None, rules=None, doc_id="doc-1", matched_cues=(("but", "negative"),),
+          **citation_fields):
+    """One record; slots and rules override the full coding's values and rules.
+
+    ``citation_fields`` override the citation's id, ref_id, link status
+    and sentence index.
+    """
     slots = FULL_SLOTS if slots is None else slots
     rules = {**FULL_RULES, **(rules or {})}
-    kwargs = dict(
-        doc_id="doc-1",
-        citation_id="c0001",
-        ref_id="smith-2011",
-        link_status="resolved",
-        sentence_index=4,
-        context_level="sentence_cluster",
-        context_sentences=(3, 4, 5),
-        coded={cat: (value, rules.get(cat)) for cat, value in slots.items()},
-        matched_cues=[("but", "negative")],
-    )
-    kwargs.update(overrides)
-    return assemble_record(**kwargs)
+    citation = InTextCitation(**{
+        "citation_id": "c0001",
+        "ref_id": "smith-2011",
+        "link_status": "resolved",
+        "sentence_index": 4,
+        "char_span": (0, 13),
+        "marker_style": STYLE_PARENTHETICAL,
+        **citation_fields,
+    })
+    context = CitationContext(level="sentence_cluster", sentence_indices=(3, 4, 5))
+    coded = {cat: (value, rules.get(cat)) for cat, value in slots.items()}
+    return assemble_record(doc_id, citation, context, coded, list(matched_cues))
 
 
 def test_assemble_keeps_all_twelve_slots():

@@ -297,16 +297,15 @@ def test_disposition_neutral(lexicons):
 
 
 def test_function_criticism_cue_wins(lexicons):
-    value, matches, trace = code_function(
+    value, trace = code_function(
         tokenize("However, empirical work has shown the framework fails."), "D5", lexicons
     )
     assert value == "I4"
     assert trace == "I:cue:however"
-    assert all(tag == "negative" for _, tag in matches)
 
 
 def test_function_evidence_cue(lexicons):
-    value, _, trace = code_function(
+    value, trace = code_function(
         tokenize("Empirical work has shown that interest forecasts citation."), "D2", lexicons
     )
     assert value == "I3"
@@ -314,7 +313,7 @@ def test_function_evidence_cue(lexicons):
 
 
 def test_function_framework_cue(lexicons):
-    value, _, trace = code_function(
+    value, trace = code_function(
         tokenize("We adopt the solution concept from classical game theory."), "D5", lexicons
     )
     assert value == "I2"
@@ -322,10 +321,10 @@ def test_function_framework_cue(lexicons):
 
 
 def test_function_prior_from_location(lexicons):
-    value, matches, trace = code_function(
+    value, trace = code_function(
         tokenize("Kuhn wrote a famous book about science."), "D2", lexicons
     )
-    assert (value, matches, trace) == ("I1", [], "I:prior:D2")
+    assert (value, trace) == ("I1", "I:prior:D2")
 
 
 @pytest.mark.parametrize(
@@ -341,7 +340,7 @@ def test_function_prior_from_location(lexicons):
     ],
 )
 def test_function_prior_table(location, expected, lexicons):
-    value, _, trace = code_function(tokenize("Nothing cue-like appears here."), location, lexicons)
+    value, trace = code_function(tokenize("Nothing cue-like appears here."), location, lexicons)
     assert value == expected
     assert trace == f"I:prior:{location}"
 
@@ -359,9 +358,8 @@ def test_function_with_empty_lexicons_is_pure_prior():
         ("D1", "I1"), ("D2", "I1"), ("D3", "I1"), ("D4", "I2"),
         ("D5", "I3"), ("D6", "I4"), ("D7", "I1"),
     ):
-        value, matches, trace = code_function(tokenize(KUHN_SENTENCE), location, lexicons)
+        value, trace = code_function(tokenize(KUHN_SENTENCE), location, lexicons)
         assert value == expected
-        assert matches == []
         assert trace == f"I:prior:{location}"
 
 
