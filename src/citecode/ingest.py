@@ -101,29 +101,35 @@ def _finalize_references(
 ) -> list[ReferenceEntry]:
     """Assign ids, enforce uniqueness of explicit labels.
 
-    A repeated id becomes ``<id>-<n>`` with the least free n from 2.
-    ``seen`` only grows, so every n below a base's last pick stays
-    taken and the next search for that base starts after it.
+    Explicit labels claim their ids first, so a label is never renamed;
+    a repeated one raises at its line. Every other entry keeps its id
+    when it is free and otherwise takes ``<id>-<n>`` with the least n
+    from 2 that is free. ``taken`` only grows, so every n below a
+    base's last pick stays taken and the next search for that base
+    starts after it.
     """
-    seen: dict[str, bool] = {}
+    taken: set[str] = set()
+    for entry, explicit, line_no in entries:
+        if explicit and entry.ref_id:
+            if entry.ref_id in taken:
+                raise DuplicateRefId(f"duplicate reference label {entry.ref_id!r}", line=line_no)
+            taken.add(entry.ref_id)
     next_counter: dict[str, int] = {}
-    out = []
-    for ordinal, (entry, explicit, line_no) in enumerate(entries, start=1):
+    for ordinal, (entry, explicit, _) in enumerate(entries, start=1):
+        if explicit and entry.ref_id:
+            continue
         ref_id = entry.ref_id or derive_ref_id(entry, ordinal)
-        if ref_id in seen:
-            if explicit and seen[ref_id]:
-                raise DuplicateRefId(f"duplicate reference label {ref_id!r}", line=line_no)
+        if ref_id in taken:
             base = ref_id
             counter = next_counter.get(base, 2)
-            while f"{base}-{counter}" in seen:
+            while f"{base}-{counter}" in taken:
                 counter += 1
             next_counter[base] = counter + 1
             ref_id = f"{base}-{counter}"
             warnings.append(f"derived reference id {base!r} repeated; using {ref_id!r}")
-        seen[ref_id] = explicit
+        taken.add(ref_id)
         entry.ref_id = ref_id
-        out.append(entry)
-    return out
+    return [entry for entry, _, _ in entries]
 
 
 def _build_document(

@@ -5,10 +5,13 @@ Matching is whole-token: "butter" never matches the cue "but". A
 trailing * on a phrase's last token turns it into a prefix wildcard,
 so "suffer*" covers "suffering" without loosening exact entries.
 
-Each lexicon caches, per distinct token it has been asked about, the
-entries that can start a hit at that token. The cache grows by one
-dict slot per distinct token seen, so its memory follows the corpus
-vocabulary, not the corpus length.
+Matching searches text rather than walking tokens: a lexicon turns each
+entry into a literal needle (" but " for an exact phrase, " suffer" for
+a prefix) and looks for it in the window's tokens joined by single
+spaces, with one space at each end. A leading space can only match at a
+token's start and a trailing one at a token's end, so a substring hit is
+a whole-token hit. This holds for tokens as ``tokenize`` gives them:
+non-empty and without spaces.
 """
 
 from __future__ import annotations
@@ -48,77 +51,52 @@ class CueEntry:
     wildcard: bool  # last token is a prefix
 
 
-# A match candidate: the hit's (phrase, tag) key, and the entry still to
-# check at the position, or None when the first token decides the hit.
-_Candidate = tuple[tuple[str, str], CueEntry | None]
-
-
 @dataclass
 class CueLexicon:
     """A named list of cue phrases with tags, matched over token lists."""
 
     name: str
     entries: tuple[CueEntry, ...] = ()
-    _index: dict[str, list[CueEntry]] = field(default_factory=dict, repr=False, compare=False)
-    _wildcard_singles: list[CueEntry] = field(default_factory=list, repr=False, compare=False)
-    _candidates: dict[str, tuple[_Candidate, ...]] = field(
-        default_factory=dict, repr=False, compare=False
+    _needles: tuple[tuple[str, tuple[str, str]], ...] = field(
+        init=False, repr=False, compare=False
     )
+    _any: re.Pattern[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # Entries are indexed by their exact first token; single-token
-        # wildcards are kept apart and tested by prefix.
-        for entry in self.entries:
-            if entry.wildcard and len(entry.tokens) == 1:
-                self._wildcard_singles.append(entry)
-            else:
-                self._index.setdefault(entry.tokens[0], []).append(entry)
-
-    def _candidates_for(self, token: str) -> tuple[_Candidate, ...]:
-        """(key, entry) for each entry that can start a hit at ``token``.
-
-        Exact-first-token entries come first, then the single-token
-        wildcards whose prefix ``token`` starts with, in entry order.
-        A one-token entry is a hit already and carries None.
-        """
-        entries = self._index.get(token, []) + [
-            entry for entry in self._wildcard_singles
-            if token.startswith(entry.tokens[0][:-1])
-        ]
-        return tuple(
-            ((entry.phrase, entry.tag), None if len(entry.tokens) == 1 else entry)
-            for entry in entries
+        # Needles are ranked as hits at one token are ordered: entries
+        # with an exact first token, then single-token wildcards, each
+        # kind in entry order (the sort is stable).
+        ranked = sorted(self.entries, key=lambda e: e.wildcard and len(e.tokens) == 1)
+        self._needles = tuple(
+            (_needle(entry), (entry.phrase, entry.tag)) for entry in ranked
         )
+        # "(?!)" never matches: an empty alternation would match anything.
+        self._any = re.compile("|".join(re.escape(n) for n, _ in self._needles) or "(?!)")
 
     def match(self, tokens: list[str]) -> list[tuple[str, str]]:
-        """All (phrase, tag) hits in first-occurrence order, deduplicated."""
-        hits: list[tuple[str, str]] = []
-        seen: set[tuple[str, str]] = set()
-        cache = self._candidates
-        for position, token in enumerate(tokens):
-            candidates = cache.get(token)
-            if candidates is None:
-                candidates = cache[token] = self._candidates_for(token)
-            for key, entry in candidates:
-                if entry is None or self._matches_at(entry, tokens, position):
-                    if key not in seen:
-                        seen.add(key)
-                        hits.append(key)
-        return hits
+        """All (phrase, tag) hits in first-occurrence order, deduplicated.
 
-    @staticmethod
-    def _matches_at(entry: CueEntry, tokens: list[str], position: int) -> bool:
-        if position + len(entry.tokens) > len(tokens):
-            return False
-        for offset, want in enumerate(entry.tokens):
-            have = tokens[position + offset]
-            last = offset == len(entry.tokens) - 1
-            if entry.wildcard and last:
-                if not have.startswith(want[:-1]):
-                    return False
-            elif have != want:
-                return False
-        return True
+        ``tokens`` are as ``tokenize`` gives them. One regex search over
+        the joined window answers whether anything hits; only then does
+        each needle's first offset place its hit. Hits at one token keep
+        the needles' rank.
+        """
+        text = f" {' '.join(tokens)} "
+        if not self._any.search(text):
+            return []
+        found = []
+        for rank, (needle, key) in enumerate(self._needles):
+            offset = text.find(needle)
+            if offset >= 0:
+                found.append((offset, rank, key))
+        found.sort()
+        return list(dict.fromkeys(key for _, _, key in found))
+
+
+def _needle(entry: CueEntry) -> str:
+    """The entry's tokens between spaces; a prefix leaves its end open."""
+    words = " ".join(entry.tokens)
+    return f" {words[:-1]}" if entry.wildcard else f" {words} "
 
 
 def _build_lexicon(name: str, rows: list[tuple[str, str]], source: str) -> CueLexicon:

@@ -117,25 +117,45 @@ def test_derived_id_collision_is_disambiguated():
     assert any("repeated" in w for w in doc.warnings)
 
 
-# -- the previous id assignment, kept as the reference for repeated ids --
+def test_explicit_label_keeps_its_id_over_an_earlier_derived_one():
+    # The authorless entry derives ref-1; the label ref-1 is the one
+    # its author wrote, so the derived id moves instead.
+    text = (
+        "<document><metadata><id>x</id></metadata><body>"
+        "<section header='Introduction'><paragraph>Text.</paragraph></section></body>"
+        "<references><reference>A title without authors.</reference>"
+        "<reference id='ref-1'>Smith, A. (2011). One. Minerva, 2(1), 1-2.</reference>"
+        "</references></document>"
+    )
+    doc = parse_document(text, FORMAT_XML)
+    assert [r.ref_id for r in doc.references] == ["ref-1-2", "ref-1"]
+    assert "derived reference id 'ref-1' repeated; using 'ref-1-2'" in doc.warnings
+
+
+# -- the id assignment that searches each suffix from 2, kept as the
+# reference for repeated ids --
 
 
 def reference_finalize_references(entries, warnings):
-    seen = {}
+    taken = set()
+    for entry, explicit, line_no in entries:
+        if explicit and entry.ref_id:
+            if entry.ref_id in taken:
+                raise DuplicateRefId(f"duplicate reference label {entry.ref_id!r}", line=line_no)
+            taken.add(entry.ref_id)
     out = []
-    for ordinal, (entry, explicit, line_no) in enumerate(entries, start=1):
-        ref_id = entry.ref_id or derive_ref_id(entry, ordinal)
-        if ref_id in seen:
-            if explicit and seen[ref_id]:
-                raise DuplicateRefId(f"duplicate reference label {ref_id!r}", line=line_no)
-            base = ref_id
-            counter = 2
-            while f"{base}-{counter}" in seen:
-                counter += 1
-            ref_id = f"{base}-{counter}"
-            warnings.append(f"derived reference id {base!r} repeated; using {ref_id!r}")
-        seen[ref_id] = explicit
-        entry.ref_id = ref_id
+    for ordinal, (entry, explicit, _) in enumerate(entries, start=1):
+        if not (explicit and entry.ref_id):
+            ref_id = entry.ref_id or derive_ref_id(entry, ordinal)
+            if ref_id in taken:
+                base = ref_id
+                counter = 2
+                while f"{base}-{counter}" in taken:
+                    counter += 1
+                ref_id = f"{base}-{counter}"
+                warnings.append(f"derived reference id {base!r} repeated; using {ref_id!r}")
+            taken.add(ref_id)
+            entry.ref_id = ref_id
         out.append(entry)
     return out
 

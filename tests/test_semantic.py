@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import time
 
 import pytest
 from hypothesis import example, given
@@ -155,7 +156,7 @@ def _reference_matches_at(entry, tokens, position):
 
 
 def reference_match(lexicon, tokens):
-    """The uncached matcher: every single-token wildcard tried at every token."""
+    """The positional matcher: every entry that can start at a token tried there."""
     index = {}
     wildcard_singles = []
     for entry in lexicon.entries:
@@ -237,7 +238,62 @@ def test_lexicons_never_share_cached_candidates():
     for _ in range(2):
         assert exact.match(["but", "butter"]) == [("but", "negative")]
         assert prefix.match(["but", "butter"]) == [("but*", "positive")]
-    assert exact._candidates is not prefix._candidates
+
+
+@st.composite
+def _generated_lexicon_and_tokens(draw):
+    """A small lexicon and a token list over one 2- or 3-letter alphabet.
+
+    Every token is a possible prefix of another, so exact phrases,
+    prefixes and multi-token phrases overlap often. The phrases are
+    unique; up to two entries are then repeated, as a directly built
+    lexicon may repeat one.
+    """
+    alphabet = draw(st.sampled_from(["ab", "abc"]))
+    word = st.text(alphabet=alphabet, min_size=1, max_size=3)
+    phrase = st.builds(
+        lambda words, star: " ".join(words) + ("*" if star else ""),
+        st.lists(word, min_size=1, max_size=3),
+        st.booleans(),
+    )
+    phrases = draw(st.lists(phrase, min_size=1, max_size=6, unique=True))
+    entries = [cue(p, draw(st.sampled_from(["negative", "positive"]))) for p in phrases]
+    entries += draw(st.lists(st.sampled_from(entries), max_size=2))
+    entries = draw(st.permutations(entries))
+    tokens = draw(st.lists(word, max_size=12))
+    return CueLexicon(name="generated", entries=tuple(entries)), tokens
+
+
+@given(_generated_lexicon_and_tokens())
+@example((CueLexicon(name="ranked", entries=(cue("a*"), cue("a"))), ["a"]))
+@example((CueLexicon(name="exact", entries=(cue("ab"),)), ["abb"]))
+@example((CueLexicon(name="repeated", entries=(cue("a"), cue("a"))), ["a"]))
+def test_match_equals_reference_scan_on_generated_lexicons(lexicon_and_tokens):
+    lexicon, tokens = lexicon_and_tokens
+    assert lexicon.match(tokens) == reference_match(lexicon, tokens)
+
+
+# Near misses: each word is a prefix or an extension of a negative cue
+# and matches none.
+_NEAR_MISSES = ("limi", "butter", "howeve", "weaker", "proble", "suffe", "buttress")
+
+
+def _best_match_time(lexicon, count, repeats=5):
+    # The one cue at the end makes every needle scan the whole window.
+    tokens = [_NEAR_MISSES[i % len(_NEAR_MISSES)] for i in range(count)] + ["however"]
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        assert lexicon.match(tokens) == [("however", "negative")]
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def test_match_time_is_linear_in_window_length(lexicons):
+    # Quadrupling the window must cost well under the 16x of a quadratic
+    # scan; 8x leaves room for timer noise.
+    negative = lexicons.negative
+    assert _best_match_time(negative, 80_000) < 8 * _best_match_time(negative, 20_000)
 
 
 @given(st.lists(st.text(max_size=20), max_size=6))
