@@ -104,6 +104,7 @@ from .syntactic import (
     code_frequency,
     code_location,
     code_style,
+    has_attributed_quote,
 )
 
 __version__ = "0.1.0"

@@ -97,28 +97,29 @@ def _parse_authors(raws: list[str], warnings: list[str]) -> list[AuthorName]:
 
 
 def _finalize_references(
-    entries: list[tuple[ReferenceEntry, bool, int | None]], warnings: list[str]
+    entries: list[tuple[ReferenceEntry, int | None]], warnings: list[str]
 ) -> list[ReferenceEntry]:
     """Assign ids, enforce uniqueness of explicit labels.
 
-    Explicit labels claim their ids first, so a label is never renamed;
-    a repeated one raises at its line. Every other entry keeps its id
-    when it is free and otherwise takes ``<id>-<n>`` with the least n
-    from 2 that is free. ``taken`` only grows, so every n below a
-    base's last pick stays taken and the next search for that base
-    starts after it.
+    An entry that has an id once parsed is explicit, whatever form its
+    label took. Explicit ids are claimed first, so a label is never
+    renamed; a repeated one raises at its line. Every other entry
+    derives an id, keeps it when it is free and otherwise takes
+    ``<id>-<n>`` with the least n from 2 that is free. ``taken`` only
+    grows, so every n below a base's last pick stays taken and the
+    next search for that base starts after it.
     """
     taken: set[str] = set()
-    for entry, explicit, line_no in entries:
-        if explicit and entry.ref_id:
+    for entry, line_no in entries:
+        if entry.ref_id:
             if entry.ref_id in taken:
                 raise DuplicateRefId(f"duplicate reference label {entry.ref_id!r}", line=line_no)
             taken.add(entry.ref_id)
     next_counter: dict[str, int] = {}
-    for ordinal, (entry, explicit, _) in enumerate(entries, start=1):
-        if explicit and entry.ref_id:
+    for ordinal, (entry, _) in enumerate(entries, start=1):
+        if entry.ref_id:
             continue
-        ref_id = entry.ref_id or derive_ref_id(entry, ordinal)
+        ref_id = derive_ref_id(entry, ordinal)
         if ref_id in taken:
             base = ref_id
             counter = next_counter.get(base, 2)
@@ -129,14 +130,14 @@ def _finalize_references(
             warnings.append(f"derived reference id {base!r} repeated; using {ref_id!r}")
         taken.add(ref_id)
         entry.ref_id = ref_id
-    return [entry for entry, _, _ in entries]
+    return [entry for entry, _ in entries]
 
 
 def _build_document(
     meta_fields: dict[str, str],
     author_raws: list[str],
     section_blocks: list[tuple[str, list[str]]],
-    entries: list[tuple[ReferenceEntry, bool, int | None]],
+    entries: list[tuple[ReferenceEntry, int | None]],
     warnings: list[str],
     abbreviations: tuple[str, ...],
     had_reference_block: bool,
@@ -207,7 +208,7 @@ def _build_document(
 def _parse_plain(text: str, abbreviations: tuple[str, ...]) -> Document:
     meta_fields: dict[str, str] = {}
     section_blocks: list[tuple[str, list[str]]] = []
-    entries: list[tuple[ReferenceEntry, bool, int | None]] = []
+    entries: list[tuple[ReferenceEntry, int | None]] = []
     warnings: list[str] = []
     in_references = False
     had_reference_block = False
@@ -254,7 +255,7 @@ def _parse_plain(text: str, abbreviations: tuple[str, ...]) -> Document:
         elif in_references:
             if stripped:
                 entry = parse_reference_entry(stripped)
-                entries.append((entry, bool(entry.ref_id), line_no))
+                entries.append((entry, line_no))
         elif not stripped:
             flush_paragraph()
         elif not section_blocks:
@@ -310,7 +311,7 @@ def _parse_xml(text: str, abbreviations: tuple[str, ...]) -> Document:
             ]
             section_blocks.append((header, [p for p in paragraphs if p]))
 
-    entries: list[tuple[ReferenceEntry, bool, int | None]] = []
+    entries: list[tuple[ReferenceEntry, int | None]] = []
     refs_el = root.find("references")
     had_reference_block = refs_el is not None
     if refs_el is not None:
@@ -319,8 +320,9 @@ def _parse_xml(text: str, abbreviations: tuple[str, ...]) -> Document:
             if not raw:
                 warnings.append("empty <reference> element skipped")
                 continue
-            entry = parse_reference_entry(raw, default_ref_id=ref_el.get("id"))
-            entries.append((entry, ref_el.get("id") is not None, None))
+            entry = parse_reference_entry(raw)
+            entry.ref_id = entry.ref_id or ref_el.get("id", "")  # a "[n]" label wins
+            entries.append((entry, None))
     return _build_document(
         meta_fields, author_raws, section_blocks, entries, warnings,
         abbreviations, had_reference_block,

@@ -3,15 +3,16 @@
 The run is serial: parse each document in manifest order, build the
 coauthorship graph from every parsed document's metadata (relation
 coding needs the finished graph), then make one pass per document, in
-document-id order, that extracts, links and codes its citations. So
-no output depends on manifest order, and outputs carry no timestamps:
-a corpus coded twice produces byte-identical files.
+document-id order, that extracts, links and codes its citations, one
+citing sentence at a time. No output depends on manifest order, and
+outputs carry no timestamps: a corpus coded twice is byte-identical.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 
 from .citations import extract_citations, extract_context, mention_counts
@@ -52,6 +53,7 @@ from .syntactic import (
     code_frequency,
     code_location,
     code_style,
+    has_attributed_quote,
 )
 
 @dataclass(frozen=True)
@@ -168,10 +170,13 @@ def code_document(
 ) -> list[CodedCitation]:
     """Produce one full record per citation, resolved or not.
 
-    Each category's (value, rule) pair is stated once, in rule-trace
-    order: D F I J, then the citing-document codes G H K L, then the
-    cited-work codes A B C E. Unresolved and ambiguous citations keep
-    their context-side codes; A, B, C and E become uncodable, untraced.
+    Citations come in reading order, so the loop takes each citing
+    sentence's citations together and codes D, the context window, I, J
+    and the quote test once for them all. Each category's (value, rule)
+    pair is stated once, in rule-trace order: D F I J, then the
+    citing-document codes G H K L, then the cited-work codes A B C E.
+    Unresolved and ambiguous citations keep their context-side codes;
+    A, B, C and E become uncodable, untraced.
     """
     meta = doc.metadata
     lexicons = resources.lexicons
@@ -189,49 +194,43 @@ def code_document(
     # The entry a resolved citation names; of two entries with one id,
     # the first wins.
     references = {ref.ref_id: ref for ref in reversed(doc.references)}
+    # Neighbouring windows overlap: each sentence is tokenized once.
     sentence_tokens: dict[int, list[str]] = {}
-    # I and J read the window's tokens and the location of its section;
-    # a window lies in one section, so its sentence indices fix both.
-    window_codes: dict[tuple[int, ...], tuple[tuple, tuple]] = {}
 
     records = []
-    for citation in citations:
-        location = code_location(doc.section_of(citation.sentence_index))
-        context = extract_context(
-            doc, citation, config.window_before, config.window_after
-        )
-        window = context.sentence_indices
-        if window not in window_codes:
-            # The window's tokens equal tokenize() of its sentences joined
-            # by spaces: no token crosses the space between two sentences.
-            tokens: list[str] = []
-            for index in window:
-                if index not in sentence_tokens:
-                    sentence_tokens[index] = tokenize(doc.sentences[index])
-                tokens += sentence_tokens[index]
-            window_codes[window] = (
-                code_function(tokens, location[0], lexicons),
-                code_disposition(tokens, lexicons),
-            )
-        i_code, (j_value, j_matches, j_rule) = window_codes[window]
-        coded = {
-            "D": location,
-            "F": code_style(citation, doc.sentences[citation.sentence_index]),
-            "I": i_code,
-            "J": (j_value, j_rule),
-            **citing_codes,
-        }
-        if citation.link_status == LINK_RESOLVED:
-            ref = references[citation.ref_id]
-            cited_keys = [a.key for a in ref.authors]
-            coded["A"] = code_document_type(ref)
-            coded["B"] = code_authorship(ref.authors, "B")
-            coded["C"] = code_relation(citing_keys, cited_keys, graph, scores, config.delta)
-            coded["E"] = code_frequency(counts[citation.ref_id])
-        else:
-            uncodable = Uncodable(_LINK_REASON[citation.link_status])
-            coded.update(dict.fromkeys("ABCE", (uncodable, None)))
-        records.append(assemble_record(meta.doc_id, citation, context, coded, j_matches))
+    for index, group in groupby(citations, key=lambda c: c.sentence_index):
+        group = list(group)
+        location = code_location(doc.section_of(index))
+        context = extract_context(doc, group[0], config.window_before, config.window_after)
+        # The window's tokens equal tokenize() of its sentences joined
+        # by spaces: no token crosses the space between two sentences.
+        tokens: list[str] = []
+        for window_index in context.sentence_indices:
+            if window_index not in sentence_tokens:
+                sentence_tokens[window_index] = tokenize(doc.sentences[window_index])
+            tokens += sentence_tokens[window_index]
+        i_code = code_function(tokens, location[0], lexicons)
+        j_value, j_matches, j_rule = code_disposition(tokens, lexicons)
+        quoted = has_attributed_quote(doc.sentences[index])
+        for citation in group:
+            coded = {
+                "D": location,
+                "F": code_style(citation, quoted),
+                "I": i_code,
+                "J": (j_value, j_rule),
+                **citing_codes,
+            }
+            if citation.link_status == LINK_RESOLVED:
+                ref = references[citation.ref_id]
+                cited_keys = [a.key for a in ref.authors]
+                coded["A"] = code_document_type(ref)
+                coded["B"] = code_authorship(ref.authors, "B")
+                coded["C"] = code_relation(citing_keys, cited_keys, graph, scores, config.delta)
+                coded["E"] = code_frequency(counts[citation.ref_id])
+            else:
+                uncodable = Uncodable(_LINK_REASON[citation.link_status])
+                coded.update(dict.fromkeys("ABCE", (uncodable, None)))
+            records.append(assemble_record(meta.doc_id, citation, context, coded, j_matches))
     return records
 
 

@@ -120,14 +120,14 @@ def parse_author_block(block: str) -> list[AuthorName]:
     return authors
 
 
-def parse_reference_entry(text: str, default_ref_id: str | None = None) -> ReferenceEntry:
+def parse_reference_entry(text: str) -> ReferenceEntry:
     """Parse one bibliography entry.
 
-    default_ref_id is used when the entry carries no explicit "[n]"
-    label; when both are absent the caller derives an id afterwards.
+    Its id is the "[n]" label it starts with, or "" when it has none;
+    the caller then supplies or derives one.
     """
     raw = " ".join(text.split())
-    ref_id = default_ref_id
+    ref_id = ""
     body = raw
     label_match = _LABEL_RE.match(body)
     if label_match:
@@ -146,7 +146,7 @@ def parse_reference_entry(text: str, default_ref_id: str | None = None) -> Refer
         author_block = body.split(". ", 1)[0] if ". " in body else ""
     authors = parse_author_block(author_block)
     return ReferenceEntry(
-        ref_id=ref_id or "",
+        ref_id=ref_id,
         raw=body,
         authors=authors,
         year=year,

@@ -6,7 +6,6 @@ short rule identifier recorded in the audit trail of the final record.
 
 from __future__ import annotations
 
-import functools
 import re
 
 from .codebook import VALUES, Uncodable
@@ -83,9 +82,8 @@ def code_frequency(count: int) -> tuple[str, str]:
     return value, f"E:count={count}"
 
 
-# Memoized: every citation of a sentence asks about the same sentence.
-@functools.lru_cache(maxsize=1024)
-def _has_attributed_quote(sentence: str) -> bool:
+def has_attributed_quote(sentence: str) -> bool:
+    """Whether the sentence quotes a span of three or more words."""
     for match in _QUOTE_RE.finditer(sentence):
         span = match.group(1) or match.group(2) or ""
         if len(span.split()) >= _MIN_QUOTE_TOKENS:
@@ -93,11 +91,11 @@ def _has_attributed_quote(sentence: str) -> bool:
     return False
 
 
-def code_style(citation: InTextCitation, sentence: str) -> tuple[str, str]:
+def code_style(citation: InTextCitation, quoted: bool) -> tuple[str, str]:
     """Citation style: quotation beats narrative beats parenthetical."""
     if citation.has_page_locator:
         return "F3", "F:page-locator"
-    if _has_attributed_quote(sentence):
+    if quoted:
         return "F3", "F:quote-span"
     if citation.marker_style == STYLE_NARRATIVE:
         return "F2", "F:narrative"

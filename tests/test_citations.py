@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-import time
 from dataclasses import replace
 
 import pytest
@@ -42,6 +41,8 @@ from citecode.models import (
 )
 from citecode.names import _PARTICLES, normalize_author_key, surname_of
 from citecode.refparse import derive_ref_id, parse_reference_entry
+
+from timing import best_times
 
 HJ_SENTENCE = (
     "Hjørland’s (1991) criticized this approach in information science and "
@@ -554,15 +555,6 @@ def test_fixture_extraction_matches_the_original(corpus_documents):
         assert extract_citations(doc) == reference_extract_citations(doc)
 
 
-def _best_detect_time(sentence, repeats=3):
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        detect_citations(sentence)
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
 @pytest.mark.parametrize(
     "marker",
     [
@@ -579,4 +571,5 @@ def test_detection_time_is_linear_in_markers_per_sentence(marker):
     small = " ".join(marker(i) for i in range(1000))
     large = " ".join(marker(i) for i in range(4000))
     assert len(detect_citations(large)) == 4000
-    assert _best_detect_time(large) < 8 * _best_detect_time(small)
+    small_time, large_time = best_times(detect_citations, small, large)
+    assert large_time < 8 * small_time, (small_time, large_time)

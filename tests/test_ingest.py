@@ -7,7 +7,6 @@ import os
 import random
 import subprocess
 import sys
-import time
 from pathlib import Path
 from xml.sax import saxutils
 
@@ -37,6 +36,7 @@ from citecode.models import AuthorName, ReferenceEntry
 from citecode.refparse import derive_ref_id
 
 from conftest import ALL_FIXTURES, load_fixture
+from timing import best_times
 
 MINIMAL = """\
 #META id: demo
@@ -132,21 +132,45 @@ def test_explicit_label_keeps_its_id_over_an_earlier_derived_one():
     assert "derived reference id 'ref-1' repeated; using 'ref-1-2'" in doc.warnings
 
 
+def test_xml_text_label_is_as_explicit_as_the_id_attribute():
+    # A "[n]" label in the entry text is explicit, as in plain format,
+    # so repeating an attribute's id raises instead of renaming.
+    text = (
+        "<document><metadata><id>x</id></metadata><body>"
+        "<section header='Introduction'><paragraph>Text.</paragraph></section></body>"
+        "<references><reference id='3'>Smith, A. (2011). One. Minerva, 2(1), 1-2.</reference>"
+        "<reference>[3] Jones, B. (2012). Two. Minerva, 3(1), 3-4.</reference>"
+        "</references></document>"
+    )
+    with pytest.raises(DuplicateRefId):
+        parse_document(text, FORMAT_XML)
+
+
+def test_xml_text_label_wins_over_the_id_attribute():
+    text = (
+        "<document><metadata><id>x</id></metadata><body>"
+        "<section header='Introduction'><paragraph>Text.</paragraph></section></body>"
+        "<references><reference id='3'>[5] Smith, A. (2011). One. Minerva, 2(1), 1-2."
+        "</reference></references></document>"
+    )
+    assert [r.ref_id for r in parse_document(text, FORMAT_XML).references] == ["5"]
+
+
 # -- the id assignment that searches each suffix from 2, kept as the
 # reference for repeated ids --
 
 
 def reference_finalize_references(entries, warnings):
     taken = set()
-    for entry, explicit, line_no in entries:
-        if explicit and entry.ref_id:
+    for entry, line_no in entries:
+        if entry.ref_id:
             if entry.ref_id in taken:
                 raise DuplicateRefId(f"duplicate reference label {entry.ref_id!r}", line=line_no)
             taken.add(entry.ref_id)
     out = []
-    for ordinal, (entry, explicit, _) in enumerate(entries, start=1):
-        if not (explicit and entry.ref_id):
-            ref_id = entry.ref_id or derive_ref_id(entry, ordinal)
+    for ordinal, (entry, _) in enumerate(entries, start=1):
+        if not entry.ref_id:
+            ref_id = derive_ref_id(entry, ordinal)
             if ref_id in taken:
                 base = ref_id
                 counter = 2
@@ -184,10 +208,9 @@ _LABELS = st.sampled_from(
     [None, "smith-2011", "smith-2011-2", "smith-2011-3", "smith-2011-2-2", "ref-2", "1"]
 )
 _ENTRIES = st.lists(
-    st.tuples(_LABELS, st.booleans(), st.booleans()).map(
+    st.tuples(_LABELS, st.booleans()).map(
         lambda drawn: (
-            _smith_entry(drawn[0]) if drawn[2] else ReferenceEntry(ref_id=drawn[0], raw=""),
-            drawn[1],
+            _smith_entry(drawn[0]) if drawn[1] else ReferenceEntry(ref_id=drawn[0], raw=""),
             None,
         )
     ),
@@ -196,29 +219,23 @@ _ENTRIES = st.lists(
 
 
 @given(_ENTRIES)
-@example([(_smith_entry(), False, None)] * 3 + [(_smith_entry("smith-2011-4"), True, 4)]
-         + [(_smith_entry(), False, None)] * 2)
+@example([(_smith_entry(), None)] * 3 + [(_smith_entry("smith-2011-4"), 4)]
+         + [(_smith_entry(), None)] * 2)
 def test_finalize_references_matches_the_reference(entries):
     assert _finalized(_finalize_references, entries) == _finalized(
         reference_finalize_references, entries
     )
 
 
-def _best_finalize_time(count, repeats=5):
-    best = float("inf")
-    for _ in range(repeats):
-        entries = [(_smith_entry(), False, None) for _ in range(count)]
-        started = time.perf_counter()
-        _finalize_references(entries, [])
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
 def test_repeated_derived_id_time_is_linear_in_entries():
     # Every entry derives smith-2011. Quadrupling the entries must cost
     # well under the 16x that searching each repeat's suffix from 2
     # would; 8x leaves room for timer noise.
-    assert _best_finalize_time(8_000) < 8 * _best_finalize_time(2_000)
+    small, large = best_times(
+        lambda entries: _finalize_references(entries, []), 2_000, 8_000,
+        prepare=lambda count: [(_smith_entry(), None) for _ in range(count)],
+    )
+    assert large < 8 * small, (small, large)
 
 
 def test_unknown_venue_type_downgraded():

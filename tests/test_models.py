@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import time
-
 from hypothesis import given
 from hypothesis import strategies as st
 
 from citecode.models import Document, DocumentMetadata, Section
+
+from timing import best_times
 
 
 def _document(lengths):
@@ -45,20 +45,16 @@ def test_section_of_matches_the_linear_scan(lengths, data):
         assert found is expected
 
 
-def _best_lookup_time(doc, repeats=3):
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        for index in range(len(doc.sentences)):
-            doc.section_of(index)
-        best = min(best, time.perf_counter() - started)
-    return best
+def _look_up_every_sentence(doc):
+    for index in range(len(doc.sentences)):
+        doc.section_of(index)
 
 
 def test_section_lookup_time_is_linear_in_sections():
     # One sentence per section, every sentence looked up. Quadrupling
     # the sections must cost well under the 16x a scan of the section
     # list per lookup would; 8x leaves room for timer noise.
-    small = _document([1] * 500)
-    large = _document([1] * 2_000)
-    assert _best_lookup_time(large) < 8 * _best_lookup_time(small)
+    small, large = best_times(
+        _look_up_every_sentence, _document([1] * 500), _document([1] * 2_000)
+    )
+    assert large < 8 * small, (small, large)

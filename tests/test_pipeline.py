@@ -8,9 +8,10 @@ not that the table needs casual updating.
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import json
+import re
 import tempfile
-import time
 from pathlib import Path
 
 import pytest
@@ -18,21 +19,44 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from citecode import cli, pipeline
+from citecode.citations import extract_citations, extract_context, mention_counts
+from citecode.codebook import Uncodable
 from citecode.config import PipelineConfig
 from citecode.errors import EmptyDocument, MalformedInput
 from citecode.ingest import FORMAT_PLAIN, FORMAT_XML, FORMATS, parse_document, serialize_document
+from citecode.models import LINK_RESOLVED
+from citecode.network import build_coauthor_graph, capital_scores, code_relation
 from citecode.pipeline import (
+    _LINK_REASON,
     code_corpus,
+    code_document,
     load_resources,
     parse_corpus,
     read_manifest,
     run_pipeline,
     write_outputs,
 )
-from citecode.records import read_jsonl
-from citecode.synth import write_corpus
+from citecode.records import assemble_record, read_jsonl
+from citecode.semantic import (
+    code_disposition,
+    code_domain,
+    code_focus,
+    code_function,
+    document_focus_matches,
+    tokenize,
+)
+from citecode.synth import synth_document, write_corpus
+from citecode.syntactic import (
+    code_authorship,
+    code_document_type,
+    code_frequency,
+    code_location,
+    code_style,
+    has_attributed_quote,
+)
 
 from conftest import FIXTURE_DIR, make_manifest
+from timing import best_times
 
 
 def expect(codes_text):
@@ -557,13 +581,142 @@ def test_records_keep_reading_order_past_c9999():
     assert ids[9_998:] == ["c9999", "c10000", "c10001"]
 
 
-def _best_code_time(doc, resources, repeats=3):
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        code_corpus([doc], resources=resources)
-        best = min(best, time.perf_counter() - started)
-    return best
+# -- the per-citation loop, with a memo per context window, kept as the
+# reference for code_document --
+
+
+def reference_code_document(doc, citations, resources, config, graph, scores):
+    meta = doc.metadata
+    lexicons = resources.lexicons
+    citing_keys = [a.key for a in meta.authors]
+    domain = code_domain(meta, resources.venue_map)
+    citing_codes = {
+        "G": code_document_type(meta),
+        "H": code_authorship(meta.authors, "H"),
+        "K": domain,
+        "L": code_focus(domain[0], document_focus_matches(doc, lexicons)),
+    }
+    counts = mention_counts(doc, citations)
+    references = {ref.ref_id: ref for ref in reversed(doc.references)}
+    sentence_tokens = {}
+    window_codes = {}
+    records = []
+    for citation in citations:
+        location = code_location(doc.section_of(citation.sentence_index))
+        context = extract_context(doc, citation, config.window_before, config.window_after)
+        window = context.sentence_indices
+        if window not in window_codes:
+            tokens = []
+            for index in window:
+                if index not in sentence_tokens:
+                    sentence_tokens[index] = tokenize(doc.sentences[index])
+                tokens += sentence_tokens[index]
+            window_codes[window] = (
+                code_function(tokens, location[0], lexicons),
+                code_disposition(tokens, lexicons),
+            )
+        i_code, (j_value, j_matches, j_rule) = window_codes[window]
+        sentence = doc.sentences[citation.sentence_index]
+        coded = {
+            "D": location,
+            "F": code_style(citation, has_attributed_quote(sentence)),
+            "I": i_code,
+            "J": (j_value, j_rule),
+            **citing_codes,
+        }
+        if citation.link_status == LINK_RESOLVED:
+            ref = references[citation.ref_id]
+            cited_keys = [a.key for a in ref.authors]
+            coded["A"] = code_document_type(ref)
+            coded["B"] = code_authorship(ref.authors, "B")
+            coded["C"] = code_relation(citing_keys, cited_keys, graph, scores, config.delta)
+            coded["E"] = code_frequency(counts[citation.ref_id])
+        else:
+            uncodable = Uncodable(_LINK_REASON[citation.link_status])
+            coded.update(dict.fromkeys("ABCE", (uncodable, None)))
+        records.append(assemble_record(meta.doc_id, citation, context, coded, j_matches))
+    return records
+
+
+def _assert_codes_as_the_reference(documents, resources, config=PipelineConfig()):
+    graph = build_coauthor_graph([doc.metadata for doc in documents])
+    scores = capital_scores(graph)
+    for doc in documents:
+        citations = extract_citations(doc)
+        args = (doc, citations, resources, config, graph, scores)
+        assert code_document(*args) == reference_code_document(*args)
+
+
+def test_code_document_matches_the_reference_on_the_fixtures(corpus_documents, resources):
+    _assert_codes_as_the_reference(corpus_documents, resources)
+
+
+@pytest.mark.parametrize(
+    "shape", [{}, {"sentences": 4, "refs": 4}], ids=["text", "graph"]
+)
+def test_code_document_matches_the_reference_on_synth_documents(tmp_path, resources, shape):
+    entries = read_manifest(write_corpus(tmp_path, 24, seed=5, **shape))
+    documents, skipped = parse_corpus(entries, resources.abbreviations)
+    assert not skipped
+    _assert_codes_as_the_reference(documents, resources)
+
+
+# Several markers in one sentence, the first with a page locator, all
+# behind a quote; a two-sentence section whose citing sentences share
+# one window; one unresolved and one ambiguous marker.
+_CRAFTED = (
+    "#META id: crafted\n#META authors: Doe, J.; Roe, K.\n"
+    "#SECTION Introduction\n"
+    "This field is broad. As \"a social act of aligning\" shows, the claim holds "
+    "(Smith, 2011, p. 4; Jones, 2012) and Lee (2013) agrees. Nothing else is cited here.\n"
+    "#SECTION Results\n"
+    "However, the method is limited and fails (Smith, 2011). Lee (2013) reports robust results.\n"
+    "#SECTION Discussion\n"
+    "The old claim (Zzyzx, 1888) was never replicated. Brown (2009) builds on it.\n"
+    "#REFERENCES\n"
+    "Smith, A. (2011). One. Minerva, 2(1), 1-2.\n"
+    "Jones, B. (2012). Two. Proceedings of the Workshop, 3-4.\n"
+    "Lee, C., & Doe, J. (2013). Three. Chicago: Press.\n"
+    "Brown, D. (2009a). Four. Minerva, 4(4), 1-8.\n"
+    "Brown, D. (2009b). Five. Minerva, 4(5), 9-16.\n"
+)
+
+
+@pytest.mark.parametrize("window", [(1, 1), (0, 0)], ids=["cluster", "single"])
+def test_code_document_matches_the_reference_on_a_crafted_document(resources, window):
+    doc = parse_document(_CRAFTED, FORMAT_PLAIN)
+    records = code_corpus([doc], resources=resources).records
+    assert [r.sentence_index for r in records] == [1, 1, 1, 3, 4, 5, 6]
+    assert [r.codes["F"] for r in records[:3]] == ["F3"] * 3
+    assert [r.link_status for r in records[5:]] == ["unresolved", "ambiguous"]
+    assert records[3].context_sentences == records[4].context_sentences == (3, 4)
+    config = PipelineConfig(window_before=window[0], window_after=window[1])
+    _assert_codes_as_the_reference([doc], resources, config)
+
+
+@pytest.mark.parametrize(
+    "placements",
+    [("text",), ("both",), ("attribute", "text"), ("text", "both", "attribute")],
+)
+def test_moving_labels_between_id_attribute_and_text_changes_no_record(resources, placements):
+    # Synth document 11 is XML with numeric labels, each in the id
+    # attribute. Each label moves to a "[n]" prefix, to both, or stays.
+    _, doc_format, content = synth_document(11, seed=5)
+    assert doc_format == FORMAT_XML
+    ordinal = itertools.count()
+
+    def place(match):
+        where = placements[next(ordinal) % len(placements)]
+        attribute = "" if where == "text" else f' id="{match[1]}"'
+        prefix = "" if where == "attribute" else f"[{match[1]}] "
+        return f"<reference{attribute}>{prefix}"
+
+    moved, count = re.subn(r'<reference id="(\d+)">', place, content)
+    assert count == 20
+    expected = code_corpus([parse_document(content, FORMAT_XML)], resources=resources)
+    again = code_corpus([parse_document(moved, FORMAT_XML)], resources=resources)
+    assert expected.records
+    assert again.records == expected.records
 
 
 def test_coding_time_is_linear_in_markers_per_sentence(resources):
@@ -585,7 +738,10 @@ def test_coding_time_is_linear_in_markers_per_sentence(resources):
 
     small, large = doc(500), doc(2_000)
     assert len(code_corpus([large], resources=resources).records) == 2_000
-    assert _best_code_time(large, resources) < 8 * _best_code_time(small, resources)
+    small_time, large_time = best_times(
+        lambda doc: code_corpus([doc], resources=resources), small, large
+    )
+    assert large_time < 8 * small_time, (small_time, large_time)
 
 
 def _load_tracing():

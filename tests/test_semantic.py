@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import logging
-import time
 
 import pytest
 from hypothesis import example, given
@@ -28,6 +27,8 @@ from citecode.semantic import (
     load_venue_map,
     tokenize,
 )
+
+from timing import best_times
 
 
 @pytest.fixture(scope="module")
@@ -278,22 +279,20 @@ def test_match_equals_reference_scan_on_generated_lexicons(lexicon_and_tokens):
 _NEAR_MISSES = ("limi", "butter", "howeve", "weaker", "proble", "suffe", "buttress")
 
 
-def _best_match_time(lexicon, count, repeats=5):
+def _near_miss_window(count):
     # The one cue at the end makes every needle scan the whole window.
-    tokens = [_NEAR_MISSES[i % len(_NEAR_MISSES)] for i in range(count)] + ["however"]
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        assert lexicon.match(tokens) == [("however", "negative")]
-        best = min(best, time.perf_counter() - started)
-    return best
+    return [_NEAR_MISSES[i % len(_NEAR_MISSES)] for i in range(count)] + ["however"]
 
 
 def test_match_time_is_linear_in_window_length(lexicons):
     # Quadrupling the window must cost well under the 16x of a quadratic
     # scan; 8x leaves room for timer noise.
     negative = lexicons.negative
-    assert _best_match_time(negative, 80_000) < 8 * _best_match_time(negative, 20_000)
+    small, large = _near_miss_window(20_000), _near_miss_window(80_000)
+    for tokens in (small, large):
+        assert negative.match(tokens) == [("however", "negative")]
+    small_time, large_time = best_times(negative.match, small, large)
+    assert large_time < 8 * small_time, (small_time, large_time)
 
 
 @given(st.lists(st.text(max_size=20), max_size=6))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import time
-
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +18,8 @@ from citecode.sentences import (
     load_abbreviations,
     segment_sentences,
 )
+
+from timing import best_times
 
 
 def test_example_cue_and_citation_do_not_split():
@@ -173,22 +173,12 @@ def test_windowed_protection_matches_whole_prefix(text, extra):
             )
 
 
-def _best_time(text, repeats=3):
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        segment_sentences(text)
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
 def test_segmentation_time_is_linear_in_paragraph_length():
     # One long paragraph where every period is checked against the
     # abbreviation list. Quadrupling it must cost well under the 16x a
     # quadratic check would; 8x leaves room for timer noise.
     unit = "Smith et al. report e.g. Fig. 3 in pp. 4-5 and more. " * 400
-    small = _best_time(unit)
-    large = _best_time(unit * 4)
+    small, large = best_times(segment_sentences, unit, unit * 4)
     assert large < 8 * small, (small, large)
 
 

@@ -17,6 +17,7 @@ from citecode.syntactic import (
     code_frequency,
     code_location,
     code_style,
+    has_attributed_quote,
 )
 
 
@@ -173,7 +174,7 @@ def test_frequency_bands_are_monotone(a, b):
 def _style_of(sentence):
     found = detect_citations(sentence)
     assert len(found) == 1
-    return code_style(found[0], sentence)
+    return code_style(found[0], has_attributed_quote(sentence))
 
 
 def test_style_parenthetical():
