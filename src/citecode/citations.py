@@ -92,12 +92,13 @@ def detect_citations(
     Citations are returned in reading order with sentence-local ids
     c0001, c0002, ...; extract_citations numbers them per document.
     """
-    return _detect(sentence, references, sentence_index, 1)
+    index = None if references is None else _reference_index(references)
+    return _detect(sentence, index, sentence_index, 1)
 
 
 def _detect(
     sentence: str,
-    references: list[ReferenceEntry] | None,
+    index: dict[object, list[ReferenceEntry]] | None,
     sentence_index: int,
     first_number: int,
 ) -> list[InTextCitation]:
@@ -164,9 +165,9 @@ def _detect(
     for number, (_, _, fields) in enumerate(found, start=first_number):
         fields.update(citation_id=f"c{number:04d}", sentence_index=sentence_index)
         citation = InTextCitation(ref_id=None, link_status=LINK_UNRESOLVED, **fields)
-        if references is not None:
+        if index is not None:
             # A second construction costs half of dataclasses.replace.
-            ref_id, status = link_citation(citation, references)
+            ref_id, status = link_citation(citation, _candidates(index, citation))
             citation = InTextCitation(ref_id=ref_id, link_status=status, **fields)
         citations.append(citation)
     return citations
@@ -177,6 +178,36 @@ def _marker_surname(name: str) -> str | None:
         return surname_of(normalize_author_key(name))
     except UnparseableName:
         return None
+
+
+def _reference_index(references: list[ReferenceEntry]) -> dict[object, list[ReferenceEntry]]:
+    """Each entry under the keys of the markers that can match it.
+
+    A numeric marker's key is its label: the entries of that id. An
+    author-year marker's key is its year and first parseable surname:
+    the entries of that year whose first author has that surname, which
+    every entry it matches has. Buckets keep list order, so the linker
+    sees the candidates, and so the ambiguity, of a scan of the list.
+    """
+    index: dict[object, list[ReferenceEntry]] = {}
+    for ref in references:
+        index.setdefault(ref.ref_id, []).append(ref)
+        if ref.authors and ref.year is not None:
+            index.setdefault((ref.year, surname_of(ref.authors[0].key)), []).append(ref)
+    return index
+
+
+def _candidates(
+    index: dict[object, list[ReferenceEntry]], citation: InTextCitation
+) -> list[ReferenceEntry]:
+    """The entries of the citation's key, in reference-list order."""
+    if citation.marker_style == STYLE_NUMERIC:
+        return index.get(citation.numeric_label, [])
+    for name in citation.surnames:
+        surname = _marker_surname(name)
+        if surname:
+            return index.get((citation.year, surname), [])
+    return []
 
 
 def link_citation(
@@ -214,11 +245,13 @@ def extract_citations(doc: Document) -> list[InTextCitation]:
     """Detect and link citations across a whole document.
 
     Ids are assigned in reading order (sentence, then offset) and are
-    unique within the document.
+    unique within the document. The reference list is indexed once, so
+    each marker is linked against only the entries it can match.
     """
+    index = _reference_index(doc.references)
     citations: list[InTextCitation] = []
-    for index, sentence in enumerate(doc.sentences):
-        citations += _detect(sentence, doc.references, index, len(citations) + 1)
+    for sentence_index, sentence in enumerate(doc.sentences):
+        citations += _detect(sentence, index, sentence_index, len(citations) + 1)
     return citations
 
 

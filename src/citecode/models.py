@@ -4,7 +4,9 @@ A Document is a flat, ordered list of sentences plus sections that map
 onto contiguous sentence ranges, document metadata, and the parsed
 reference list. Warnings collect tolerated irregularities (missing
 reference block, unparseable lines) and are excluded from equality so
-round-trip comparisons look only at content.
+round-trip comparisons look only at content. Every class is slotted: a
+corpus holds thousands of each, and a slotted instance has no
+per-instance attribute dict.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ LEVEL_CLUSTER = "sentence_cluster"
 YEAR_PATTERN = r"(?:1[4-9][0-9]{2}|20[0-9]{2})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuthorName:
     """One author: the string as written plus the normalized key."""
 
@@ -40,7 +42,7 @@ class AuthorName:
     key: str
 
 
-@dataclass
+@dataclass(slots=True)
 class DocumentMetadata:
     doc_id: str
     title: str = ""
@@ -51,7 +53,7 @@ class DocumentMetadata:
     domain_override: str | None = None  # K1..K4 when present
 
 
-@dataclass
+@dataclass(slots=True)
 class Section:
     """A section header and the half-open sentence range it covers."""
 
@@ -65,7 +67,7 @@ class Section:
         return range(self.start, self.end)
 
 
-@dataclass
+@dataclass(slots=True)
 class ReferenceEntry:
     """One bibliography entry with parse results and venue signals."""
 
@@ -77,7 +79,7 @@ class ReferenceEntry:
     venue_signals: frozenset[str] = frozenset()
 
 
-@dataclass
+@dataclass(slots=True)
 class Document:
     metadata: DocumentMetadata
     sections: list[Section]
@@ -100,7 +102,7 @@ class Document:
         raise IndexError(f"sentence index {sentence_index} outside all sections")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InTextCitation:
     """One in-text mention of a referenced work.
 
@@ -122,7 +124,7 @@ class InTextCitation:
     numeric_label: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CitationContext:
     """The sentence window around a citation.
 

@@ -4,7 +4,9 @@ The run is serial: parse each document in manifest order, build the
 coauthorship graph from every parsed document's metadata (relation
 coding needs the finished graph), then make one pass per document, in
 document-id order, that extracts, links and codes its citations, one
-citing sentence at a time. No output depends on manifest order, and
+citing sentence at a time. The pass consumes the parsed documents: each
+is dropped once its records, unlinked markers and warnings are taken,
+and only its metadata stays. No output depends on manifest order, and
 outputs carry no timestamps: a corpus coded twice is byte-identical.
 """
 
@@ -22,6 +24,7 @@ from .errors import CitecodeError, MalformedInput, _read_lines, _read_utf8
 from .ingest import FORMATS, parse_document
 from .models import (
     Document,
+    DocumentMetadata,
     InTextCitation,
     LINK_AMBIGUOUS,
     LINK_RESOLVED,
@@ -236,10 +239,14 @@ def code_document(
 
 @dataclass
 class RunResult:
-    """Everything a corpus run produces, before any file is written."""
+    """Everything a corpus run produces, before any file is written.
+
+    ``documents`` holds each coded document's metadata, in id order;
+    the parsed documents themselves do not outlive the coding pass.
+    """
 
     records: list[CodedCitation]
-    documents: list[Document]
+    documents: list[DocumentMetadata]
     graph: CoauthorGraph
     summary: dict = field(default_factory=dict)
 
@@ -252,23 +259,30 @@ def code_corpus(
 ) -> RunResult:
     """Code a parsed corpus: graph first, then one pass per document.
 
-    Document ids must be distinct, as ``parse_corpus`` leaves them. The
-    documents are coded in id order, and a document's citation ids run
-    in reading order, so the records, the unlinked-citation lists and
-    the warnings come out in output order without a further sort. The
-    pass extracts a document's citations, codes them, and notes its
-    unresolved and ambiguous markers for the summary.
+    The pass consumes ``documents``: it leaves the list empty and holds
+    no parsed document once that document is coded, so the corpus and
+    its records are never all in memory at once. Document ids must be
+    distinct, as ``parse_corpus`` leaves them. The documents are coded
+    in id order, and a document's citation ids run in reading order, so
+    the records, the unlinked-citation lists and the warnings come out
+    in output order without a further sort. The pass extracts a
+    document's citations, codes them, and notes its unresolved and
+    ambiguous markers and its warnings for the summary.
     """
     config = config or PipelineConfig()
     resources = resources or load_resources(config)
-    documents = sorted(documents, key=lambda doc: doc.metadata.doc_id)
+    documents.sort(key=lambda doc: doc.metadata.doc_id)
+    metadata = [doc.metadata for doc in documents]
+    documents.reverse()  # so that pop() hands them out in id order
 
-    graph = build_coauthor_graph([doc.metadata for doc in documents])
+    graph = build_coauthor_graph(metadata)
     scores = capital_scores(graph)
 
     records: list[CodedCitation] = []
     unlinked: dict[str, list[dict]] = {LINK_UNRESOLVED: [], LINK_AMBIGUOUS: []}
-    for doc in documents:
+    warnings: dict[str, list[str]] = {}
+    while documents:
+        doc = documents.pop()
         citations = extract_citations(doc)
         records += code_document(doc, citations, resources, config, graph, scores)
         for citation in citations:
@@ -280,12 +294,14 @@ def code_corpus(
                     "sentence_index": citation.sentence_index,
                     "marker": doc.sentences[citation.sentence_index][start:end],
                 })
+        if doc.warnings:
+            warnings[doc.metadata.doc_id] = doc.warnings
     resolved = sum(r.link_status == LINK_RESOLVED for r in records)
     unresolved = unlinked[LINK_UNRESOLVED]
     ambiguous = unlinked[LINK_AMBIGUOUS]
 
     summary = {
-        "documents": len(documents),
+        "documents": len(metadata),
         "citations": {
             "total": len(records),
             "resolved": resolved,
@@ -303,14 +319,10 @@ def code_corpus(
         ],
         "unresolved_citations": unresolved,
         "ambiguous_citations": ambiguous,
-        "document_warnings": {
-            doc.metadata.doc_id: list(doc.warnings)
-            for doc in documents
-            if doc.warnings
-        },
+        "document_warnings": warnings,
         "config": config.echo(),
     }
-    return RunResult(records=records, documents=documents, graph=graph, summary=summary)
+    return RunResult(records=records, documents=metadata, graph=graph, summary=summary)
 
 
 def run_pipeline(

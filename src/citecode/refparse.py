@@ -10,6 +10,7 @@ tolerated; the raw string is always retained.
 from __future__ import annotations
 
 import re
+from itertools import combinations
 
 from .errors import UnparseableName
 from .models import YEAR_PATTERN, AuthorName, ReferenceEntry
@@ -46,6 +47,15 @@ _URL_RE = re.compile(r"https?://|\bwww\.|\bretrieved\b|\baccessed\b", re.IGNOREC
 
 _LEAD_SEP_RE = re.compile(r"^(?:&|and)\s+", re.IGNORECASE)
 
+# Every set of signals, each as the one frozenset that all entries with
+# those signals share: 32 sets, where a corpus would hold one per entry.
+_SIGNALS = (SIG_PROCEEDINGS, SIG_VOLUME_ISSUE, SIG_PUBLISHER, SIG_REPORT, SIG_URL)
+_SIGNAL_SETS = {
+    signals: signals
+    for size in range(len(_SIGNALS) + 1)
+    for signals in map(frozenset, combinations(_SIGNALS, size))
+}
+
 
 def detect_venue_signals(text: str) -> frozenset[str]:
     """Scan a reference string for venue-class signals.
@@ -77,7 +87,7 @@ def detect_venue_signals(text: str) -> frozenset[str]:
         "://" in text or "www." in low or "retr" in low or "acce" in low
     ) and _URL_RE.search(text):
         signals.add(SIG_URL)
-    return frozenset(signals)
+    return _SIGNAL_SETS[frozenset(signals)]
 
 
 def _author(raw: str) -> AuthorName | None:

@@ -52,7 +52,8 @@ def documents_by_id(corpus_documents):
 
 @pytest.fixture(scope="session")
 def corpus_result(corpus_documents):
-    return code_corpus(corpus_documents)
+    # code_corpus empties the list it is given; other tests read this one.
+    return code_corpus(list(corpus_documents))
 
 
 @pytest.fixture(scope="session")

@@ -24,6 +24,7 @@ from citecode.citations import (
     mention_counts,
 )
 from citecode.errors import InvalidCount
+from citecode.ingest import FORMAT_PLAIN, parse_document
 from citecode.models import (
     LINK_AMBIGUOUS,
     LINK_RESOLVED,
@@ -572,4 +573,39 @@ def test_detection_time_is_linear_in_markers_per_sentence(marker):
     large = " ".join(marker(i) for i in range(4000))
     assert len(detect_citations(large)) == 4000
     small_time, large_time = best_times(detect_citations, small, large)
+    assert large_time < 8 * small_time, (small_time, large_time)
+
+
+def _one_marker_per_entry(n, numeric):
+    """A document with n entries, each cited once, one marker a sentence."""
+    names = ["Q" + "".join(chr(97 + i // 26**k % 26) for k in (2, 1, 0)) for i in range(n)]
+    years = [1900 + i % 100 for i in range(n)]
+    if numeric:
+        markers = [f"[{i}]" for i in range(1, n + 1)]
+        labels = [f"[{i}] " for i in range(1, n + 1)]
+    else:
+        markers = [f"({name}, {year})" for name, year in zip(names, years)]
+        labels = [""] * n
+    return parse_document(
+        "#META id: many\n#SECTION Introduction\n"
+        + "".join(f"A claim rests on {marker}.\n" for marker in markers)
+        + "#REFERENCES\n"
+        + "".join(
+            f"{label}{name}, A. ({year}). A title. Minerva, 2(1), 1-2.\n"
+            for label, name, year in zip(labels, names, years)
+        ),
+        FORMAT_PLAIN,
+    )
+
+
+@pytest.mark.parametrize("numeric", [False, True], ids=["author-year", "numeric"])
+def test_linking_time_is_linear_in_references(numeric):
+    # Quadrupling the entries and the markers must cost well under the
+    # 16x a scan of the whole reference list per marker would; 8x leaves
+    # room for timer noise.
+    small = _one_marker_per_entry(1000, numeric)
+    large = _one_marker_per_entry(4000, numeric)
+    citations = extract_citations(large)
+    assert [c.ref_id for c in citations] == [r.ref_id for r in large.references]
+    small_time, large_time = best_times(extract_citations, small, large)
     assert large_time < 8 * small_time, (small_time, large_time)

@@ -7,15 +7,19 @@ not that the table needs casual updating.
 
 from __future__ import annotations
 
+import gc
 import importlib.util
 import itertools
 import json
 import re
+import sys
 import tempfile
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from citecode import cli, pipeline
@@ -45,7 +49,7 @@ from citecode.semantic import (
     document_focus_matches,
     tokenize,
 )
-from citecode.synth import synth_document, write_corpus
+from citecode.synth import SURNAMES, synth_document, write_corpus
 from citecode.syntactic import (
     code_authorship,
     code_document_type,
@@ -742,6 +746,106 @@ def test_coding_time_is_linear_in_markers_per_sentence(resources):
         lambda doc: code_corpus([doc], resources=resources), small, large
     )
     assert large_time < 8 * small_time, (small_time, large_time)
+
+
+def _synth_documents(n_docs, seed, **shape):
+    """Synth documents parsed in memory, in index order."""
+    return [
+        parse_document(content, doc_format)
+        for _, doc_format, content in (
+            synth_document(index, seed=seed, **shape) for index in range(n_docs)
+        )
+    ]
+
+
+def test_code_corpus_consumes_its_documents(resources):
+    documents = _synth_documents(3, seed=5, sentences=8, refs=4)[::-1]
+    metadata = [doc.metadata for doc in documents[::-1]]
+    probe = documents[0]
+    held = sys.getrefcount(probe)
+    result = code_corpus(documents, resources=resources)
+    assert documents == []
+    # Only this test's name still holds the document.
+    assert sys.getrefcount(probe) == held - 1
+    assert all(kept is given for kept, given in zip(result.documents, metadata))
+    assert [meta.doc_id for meta in result.documents] == ["syn-0000", "syn-0001", "syn-0002"]
+
+
+def test_coding_does_not_hold_the_corpus_and_its_records_at_once(tmp_path, resources):
+    # Each document is dropped once it is coded, so the traced peak of a
+    # run is about the larger of the parsed corpus and the records, well
+    # under their sum, which is what a run that keeps every document
+    # until the end reaches.
+    entries = read_manifest(write_corpus(tmp_path, 100, seed=5, sentences=4, refs=4))
+    run_pipeline(entries, resources=resources)  # fills every cache first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        documents, _ = parse_corpus(entries, resources.abbreviations)
+        parsed = tracemalloc.get_traced_memory()[0] - base
+        del documents
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = run_pipeline(entries, resources=resources)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        records = result.records
+        del result
+        gc.collect()
+        coded = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(records) > 150
+    assert peak < 0.8 * (parsed + coded), (peak, parsed, coded)
+
+
+_NEW_AUTHORS = ("Quill, V.", "Ostrander, W.")
+
+
+def _by_new_authors(content, doc_id):
+    """The synth document's content with a new id and two new authors."""
+    content = re.sub(r"(?m)^#META id: .*$", f"#META id: {doc_id}", content)
+    content = re.sub(r"<id>.*?</id>", f"<id>{doc_id}</id>", content)
+    content = re.sub(r"(?m)^#META authors: .*$", "#META authors: " + "; ".join(_NEW_AUTHORS),
+                     content)
+    return re.sub(
+        r"(?s)<authors>.*?</authors>",
+        "<authors>" + "".join(f"<author>{name}</author>" for name in _NEW_AUTHORS) + "</authors>",
+        content,
+    )
+
+
+def _records_but_c(documents, resources):
+    """Each record by (doc_id, citation_id), with C's value and trace entry left out."""
+    records = {}
+    for record in code_corpus(documents, resources=resources).records:
+        codes = dict(record.codes)
+        del codes["C"]
+        trace = [rule for rule in record.rule_trace if not rule.startswith("C:")]
+        records[record.doc_id, record.citation_id] = replace(
+            record, codes=codes, rule_trace=trace
+        )
+    return records
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 63), copied=st.integers(0, 19))
+def test_a_document_by_new_authors_changes_only_c_elsewhere(resources, seed, copied):
+    # Locality: a document whose authors appear in no other document
+    # adds authors to the coauthor graph, which moves the capital
+    # percentiles and so C, and nothing else of any other document. The
+    # new document copies one of the corpus, so it cites the same
+    # works, and is coded first ("new-" sorts before "syn-").
+    shape = {"sentences": 12, "refs": 6}
+    assert not {name.split(",")[0] for name in _NEW_AUTHORS} & set(SURNAMES)
+    _, doc_format, content = synth_document(copied, seed=seed, **shape)
+    added = parse_document(_by_new_authors(content, "new-copy"), doc_format)
+    assert [author.raw for author in added.metadata.authors] == list(_NEW_AUTHORS)
+    assume(any(c.link_status == LINK_RESOLVED for c in extract_citations(added)))
+    before = _records_but_c(_synth_documents(20, seed, **shape), resources)
+    after = _records_but_c(_synth_documents(20, seed, **shape) + [added], resources)
+    assert {key: record for key, record in after.items() if key[0] != "new-copy"} == before
 
 
 def _load_tracing():

@@ -104,6 +104,13 @@ def test_plain_year_is_not_volume_issue():
     assert SIG_VOLUME_ISSUE not in detect_venue_signals("Smith, A. (1965). A title.")
 
 
+def test_entries_with_the_same_signals_share_one_set():
+    first = detect_venue_signals("Smith, A. (2001). One. Minerva, 2(1), 1-2.")
+    second = detect_venue_signals("Jones, B. (1999). Two. Acta, 14(3), 5-9.")
+    assert first == {SIG_VOLUME_ISSUE}
+    assert first is second
+
+
 def test_terminal_imprint_counts_as_publisher():
     entry = parse_reference_entry(
         "Mayr, E. (1997). This is biology. Cambridge, MA: Belknap Press."
