@@ -33,7 +33,6 @@ from .errors import (
 from .ingest import (
     FORMAT_PLAIN,
     FORMAT_XML,
-    normalize_section_header,
     parse_document,
     serialize_document,
 )
@@ -86,7 +85,7 @@ from .records import (
     record_to_json,
     write_jsonl,
 )
-from .refparse import detect_venue_signals, parse_reference_entry
+from .refparse import parse_reference_entry
 from .semantic import (
     CueLexicon,
     LexiconSet,
@@ -105,6 +104,7 @@ from .syntactic import (
     code_location,
     code_style,
     has_attributed_quote,
+    normalize_section_header,
 )
 
 __version__ = "0.1.0"

@@ -14,7 +14,8 @@ Plain-annotated text::
 Structured XML uses the element names fixed in docs/formats.md. Both
 parsers produce the same Document model; serialize_document renders the
 canonical XML form, and re-parsing that form reproduces the Document
-field by field.
+field by field. The model keeps section headers and reference entries
+as written; the coders in syntactic derive D and A from that text.
 """
 
 from __future__ import annotations
@@ -36,40 +37,6 @@ FORMAT_XML = "structured_xml"
 FORMATS = (FORMAT_PLAIN, FORMAT_XML)
 
 _META_KEYS = ("id", "title", "authors", "venue", "venue-type", "year", "domain")
-
-# Section header -> location value. Lookup is case-insensitive on the
-# stripped header; "method"/"conclusion" match as prefixes.
-_LOCATION_EXACT = {
-    "abstract": "D1",
-    "introduction": "D2",
-    "background": "D2",
-    "literature review": "D3",
-    "related work": "D3",
-    "prior work": "D3",
-    "materials and methods": "D4",
-    "experimental setup": "D4",
-    "results": "D5",
-    "discussion": "D5",
-    "findings": "D5",
-    "evaluation": "D5",
-    "experiments": "D5",
-    "summary": "D6",
-    "future work": "D6",
-}
-_LOCATION_PREFIXES = (("method", "D4"), ("conclusion", "D6"))
-
-
-def normalize_section_header(header: str) -> str:
-    """Map a raw section header to its location value D1..D7."""
-    key = " ".join(header.lower().split())
-    value = _LOCATION_EXACT.get(key)
-    if value:
-        return value
-    for prefix, prefixed_value in _LOCATION_PREFIXES:
-        if key.startswith(prefix):
-            return prefixed_value
-    return "D7"
-
 
 _YEAR_RE = re.compile(YEAR_PATTERN)
 
@@ -181,14 +148,7 @@ def _build_document(
             sentences.extend(segment_sentences(paragraph, abbreviations))
         if len(sentences) == start:
             warnings.append(f"section {header!r} has no sentences")
-        sections.append(
-            Section(
-                raw_header=header,
-                normalized_location=normalize_section_header(header),
-                start=start,
-                end=len(sentences),
-            )
-        )
+        sections.append(Section(raw_header=header, start=start, end=len(sentences)))
 
     references = _finalize_references(entries, warnings)
     if not had_reference_block:
@@ -287,13 +247,13 @@ def _parse_xml(text: str, abbreviations: tuple[str, ...]) -> Document:
     if meta_el is not None:
         for child in meta_el:
             if child.tag == "authors":
-                author_raws = [a.text or "" for a in child.findall("author")]
+                author_raws = ["".join(a.itertext()) for a in child.findall("author")]
             elif child.tag == "venue":
-                meta_fields["venue"] = (child.text or "").strip()
+                meta_fields["venue"] = "".join(child.itertext()).strip()
                 if child.get("type"):
                     meta_fields["venue-type"] = child.get("type", "")
             elif child.tag in ("id", "title", "year", "domain"):
-                meta_fields[child.tag] = (child.text or "").strip()
+                meta_fields[child.tag] = "".join(child.itertext()).strip()
             else:
                 warnings.append(f"unknown metadata element <{child.tag}> skipped")
 
@@ -306,7 +266,7 @@ def _parse_xml(text: str, abbreviations: tuple[str, ...]) -> Document:
                 warnings.append("<section> without header attribute skipped")
                 continue
             paragraphs = [
-                " ".join((p.text or "").split())
+                " ".join("".join(p.itertext()).split())
                 for p in section_el.findall("paragraph")
             ]
             section_blocks.append((header, [p for p in paragraphs if p]))
@@ -316,7 +276,7 @@ def _parse_xml(text: str, abbreviations: tuple[str, ...]) -> Document:
     had_reference_block = refs_el is not None
     if refs_el is not None:
         for ref_el in refs_el.findall("reference"):
-            raw = " ".join((ref_el.text or "").split())
+            raw = " ".join("".join(ref_el.itertext()).split())
             if not raw:
                 warnings.append("empty <reference> element skipped")
                 continue

@@ -2,11 +2,13 @@
 
 A Document is a flat, ordered list of sentences plus sections that map
 onto contiguous sentence ranges, document metadata, and the parsed
-reference list. Warnings collect tolerated irregularities (missing
-reference block, unparseable lines) and are excluded from equality so
-round-trip comparisons look only at content. Every class is slotted: a
-corpus holds thousands of each, and a slotted instance has no
-per-instance attribute dict.
+reference list. The model holds what the text says: a section keeps
+its header as written and an entry its text, and the coders derive
+the location (D) and the cited-work type (A) from them. Warnings
+collect tolerated irregularities (missing reference block, unparseable
+lines) and are excluded from equality so round-trip comparisons look
+only at content. Every class is slotted: a corpus holds thousands of
+each, and a slotted instance has no per-instance attribute dict.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ class Section:
     """A section header and the half-open sentence range it covers."""
 
     raw_header: str
-    normalized_location: str  # D1..D7
     start: int
     end: int
 
@@ -69,14 +70,13 @@ class Section:
 
 @dataclass(slots=True)
 class ReferenceEntry:
-    """One bibliography entry with parse results and venue signals."""
+    """One bibliography entry: its text after the label, and the parsed fields."""
 
     ref_id: str
     raw: str
     authors: list[AuthorName] = field(default_factory=list)
     year: int | None = None
     year_suffix: str | None = None
-    venue_signals: frozenset[str] = frozenset()
 
 
 @dataclass(slots=True)

@@ -2,6 +2,9 @@
 
 Every coder returns the category value (or an Uncodable marker) plus a
 short rule identifier recorded in the audit trail of the final record.
+The coders read the parsed text as written: A scans the reference
+entry's text and D maps the section header, each when a citation is
+coded.
 """
 
 from __future__ import annotations
@@ -19,17 +22,48 @@ from .models import (
     ReferenceEntry,
     Section,
 )
-from .refparse import SIG_PROCEEDINGS, SIG_PUBLISHER, SIG_REPORT, SIG_URL, SIG_VOLUME_ISSUE
 
-# Signal precedence for cited works. Scanning a fixed order makes the
-# result independent of how the signal set was built.
-_SIGNAL_ORDER = (
-    (SIG_PROCEEDINGS, "A2"),
-    (SIG_VOLUME_ISSUE, "A1"),
-    (SIG_PUBLISHER, "A3"),
-    (SIG_REPORT, "A4"),
-    (SIG_URL, "A5"),
+# Venue signal patterns. volume(issue) requires digits on both sides so
+# a plain "(1965)" year never counts; the issue side may be a range.
+_PROCEEDINGS_RE = re.compile(r"\bproceedings\b", re.IGNORECASE)
+_VOLUME_ISSUE_RE = re.compile(r"\b\d{1,4}\s*\(\s*\d{1,4}(?:\s*[-–/]\s*\d{1,4})?\s*\)")
+_EDITION_RE = re.compile(r"\(\s*\d+(?:st|nd|rd|th)\s+ed\.?\s*\)|\bedition\b", re.IGNORECASE)
+_EDITOR_RE = re.compile(r"\(\s*eds?\.?\s*\)", re.IGNORECASE)
+_PUBLISHER_NAME_RE = re.compile(
+    r"\b(?:Press|Publish(?:ing|ers?)|Books|Sage|Springer|Wiley|Elsevier|Routledge"
+    r"|Erlbaum|Ablex|Aldine|Mouton|Dekker|Hafner|Blackwell|Palgrave|McGraw)\b"
 )
+# "City: Publisher." at the very end of the entry ("CA: Sage.").
+_TERMINAL_IMPRINT_RE = re.compile(
+    r"[.;]\s+[A-Z][A-Za-z ,.]{0,40}:\s+[A-Z][A-Za-z ,&.'-]{1,60}\.?\s*$"
+)
+_REPORT_RE = re.compile(
+    r"\b(?:report|news(?:paper|letter)?|working paper|white paper|press release)\b",
+    re.IGNORECASE,
+)
+_URL_RE = re.compile(r"https?://|\bwww\.|\bretrieved\b|\baccessed\b", re.IGNORECASE)
+
+# Section header -> location value. Lookup is case-insensitive on the
+# header with its whitespace collapsed; "method"/"conclusion" match as
+# prefixes.
+_LOCATION_EXACT = {
+    "abstract": "D1",
+    "introduction": "D2",
+    "background": "D2",
+    "literature review": "D3",
+    "related work": "D3",
+    "prior work": "D3",
+    "materials and methods": "D4",
+    "experimental setup": "D4",
+    "results": "D5",
+    "discussion": "D5",
+    "findings": "D5",
+    "evaluation": "D5",
+    "experiments": "D5",
+    "summary": "D6",
+    "future work": "D6",
+}
+_LOCATION_PREFIXES = (("method", "D4"), ("conclusion", "D6"))
 
 # The codebook lists G1..G6 in the order of the venue types.
 _VENUE_TYPE_TO_G = dict(zip(VENUE_TYPES, VALUES["G"]))
@@ -41,13 +75,39 @@ _MIN_QUOTE_TOKENS = 3
 def code_document_type(
     source: ReferenceEntry | DocumentMetadata,
 ) -> tuple[str, str]:
-    """Type of a cited work (A) or of the citing document (G)."""
+    """Type of a cited work (A) or of the citing document (G).
+
+    A is the first venue signal in the entry text, in codebook order.
+    A pattern runs only when the entry holds a literal that every match
+    of it contains. Case-insensitive patterns are gated on text.lower(),
+    with literals free of "i" and "s": re.IGNORECASE also matches "ı"
+    and "İ" to "i" and "ſ" to "s", and str.lower() maps none of them
+    to those letters.
+    """
     if isinstance(source, DocumentMetadata):
         value = _VENUE_TYPE_TO_G[source.venue_type]
         return value, f"G:venue-type:{source.venue_type}"
-    for signal, value in _SIGNAL_ORDER:
-        if signal in source.venue_signals:
-            return value, f"A:signal:{signal}"
+    text = source.raw
+    low = text.lower()
+    if "proceed" in low and _PROCEEDINGS_RE.search(text):
+        return "A2", "A:signal:proceedings"
+    if "(" in text and _VOLUME_ISSUE_RE.search(text):
+        return "A1", "A:signal:volume_issue"
+    if (
+        ("ed" in low and _EDITION_RE.search(text))
+        or ("(" in text and _EDITOR_RE.search(text))
+        or _PUBLISHER_NAME_RE.search(text)
+        or (":" in text and _TERMINAL_IMPRINT_RE.search(text))
+    ):
+        return "A3", "A:signal:publisher"
+    if (
+        "report" in low or "new" in low or "paper" in low or "rele" in low
+    ) and _REPORT_RE.search(text):
+        return "A4", "A:signal:report"
+    if (
+        "://" in text or "www." in low or "retr" in low or "acce" in low
+    ) and _URL_RE.search(text):
+        return "A5", "A:signal:url"
     return "A6", "A:signal:none"
 
 
@@ -61,9 +121,21 @@ def code_authorship(
     return value, f"{category}:count={len(authors)}"
 
 
+def normalize_section_header(header: str) -> str:
+    """Map a raw section header to its location value D1..D7."""
+    key = " ".join(header.lower().split())
+    value = _LOCATION_EXACT.get(key)
+    if value:
+        return value
+    for prefix, prefixed_value in _LOCATION_PREFIXES:
+        if key.startswith(prefix):
+            return prefixed_value
+    return "D7"
+
+
 def code_location(section: Section) -> tuple[str, str]:
-    """Location of the citing sentence, straight from the section."""
-    value = section.normalized_location
+    """Location of the citing sentence, from its section's header."""
+    value = normalize_section_header(section.raw_header)
     if value == "D7":
         return value, f"D:other:{section.raw_header}"
     return value, f"D:header:{section.raw_header.lower()}"

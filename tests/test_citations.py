@@ -296,7 +296,7 @@ def test_span_slices_back_to_the_same_marker():
 
 def make_doc(section_bounds, n_sentences):
     sections = [
-        Section(raw_header=f"S{i}", normalized_location="D7", start=a, end=b)
+        Section(raw_header=f"S{i}", start=a, end=b)
         for i, (a, b) in enumerate(section_bounds)
     ]
     return Document(
@@ -533,7 +533,7 @@ def test_gated_detection_matches_the_ungated_scan(sentence, sentence_index, link
 def _document(sentences):
     return Document(
         metadata=DocumentMetadata(doc_id="d"),
-        sections=[Section("Intro", "D2", 0, len(sentences))],
+        sections=[Section("Intro", 0, len(sentences))],
         sentences=sentences,
         references=_MARKER_REFS,
     )

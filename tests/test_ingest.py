@@ -28,12 +28,12 @@ from citecode.ingest import (
     _escape,
     _finalize_references,
     _quoteattr,
-    normalize_section_header,
     parse_document,
     serialize_document,
 )
 from citecode.models import AuthorName, ReferenceEntry
 from citecode.refparse import derive_ref_id
+from citecode.syntactic import code_document_type, normalize_section_header
 
 from conftest import ALL_FIXTURES, load_fixture
 from timing import best_times
@@ -355,7 +355,7 @@ def test_xml_sample_parses():
     assert [a.key for a in doc.metadata.authors] == ["moreno,l", "pike,s"]
     assert doc.metadata.venue_type == "journal"
     assert doc.metadata.year == 2015
-    assert [s.normalized_location for s in doc.sections] == ["D2", "D6"]
+    assert [normalize_section_header(s.raw_header) for s in doc.sections] == ["D2", "D6"]
     assert len(doc.sentences) == 4
 
 
@@ -370,6 +370,35 @@ def test_xml_author_with_semicolon_stays_one_author():
     assert doc.metadata.authors == [AuthorName(raw="Smith; J.", key="smith,j")]
     again = parse_document(serialize_document(doc), FORMAT_XML)
     assert again.metadata == doc.metadata
+
+
+_INLINE_MARKUP = (
+    "<document><metadata><id>x</id>"
+    "<title>A <i>study</i> of things</title>"
+    "<authors><author>Smith, <b>J.</b></author></authors>"
+    "<venue type='journal'>Acta <i>Sociologica</i></venue></metadata>"
+    "<body><section header='Introduction'>"
+    "<paragraph>As shown <i>earlier</i> by Lee (2011), it holds.</paragraph>"
+    "</section></body>"
+    "<references><reference>Lee, K. (2011). <i>A title</i>. Minerva, 4(2), 1-9.</reference>"
+    "</references></document>"
+)
+
+
+def test_xml_metadata_keeps_the_text_of_inline_elements():
+    meta = parse_document(_INLINE_MARKUP, FORMAT_XML).metadata
+    assert meta.title == "A study of things"
+    assert meta.authors == [AuthorName(raw="Smith, J.", key="smith,j")]
+    assert meta.venue_name == "Acta Sociologica"
+
+
+def test_xml_body_and_references_keep_the_text_of_inline_elements():
+    doc = parse_document(_INLINE_MARKUP, FORMAT_XML)
+    assert doc.sentences == ["As shown earlier by Lee (2011), it holds."]
+    assert doc.references[0].raw == "Lee, K. (2011). A title. Minerva, 4(2), 1-9."
+    assert code_document_type(doc.references[0]) == ("A1", "A:signal:volume_issue")
+    [citation] = extract_citations(doc)
+    assert citation.ref_id == "lee-2011"
 
 
 def test_xml_explicit_and_derived_reference_ids():

@@ -15,7 +15,7 @@ def _document(lengths):
     sections = []
     start = 0
     for i, length in enumerate(lengths):
-        sections.append(Section(f"S{i}", "D7", start, start + length))
+        sections.append(Section(f"S{i}", start, start + length))
         start += length
     return Document(DocumentMetadata(doc_id="d"), sections, ["x."] * start, [])
 

@@ -1,4 +1,4 @@
-"""Reference-string parsing: authors, year, label, venue signals."""
+"""Reference-string parsing: authors, year, label; A coded from the entry text."""
 
 from __future__ import annotations
 
@@ -9,7 +9,9 @@ import sys
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from citecode.refparse import (
+from citecode.models import ReferenceEntry
+from citecode.refparse import derive_ref_id, parse_author_block, parse_reference_entry
+from citecode.syntactic import (
     _EDITION_RE,
     _EDITOR_RE,
     _PROCEEDINGS_RE,
@@ -18,15 +20,7 @@ from citecode.refparse import (
     _TERMINAL_IMPRINT_RE,
     _URL_RE,
     _VOLUME_ISSUE_RE,
-    SIG_PROCEEDINGS,
-    SIG_PUBLISHER,
-    SIG_REPORT,
-    SIG_URL,
-    SIG_VOLUME_ISSUE,
-    derive_ref_id,
-    detect_venue_signals,
-    parse_author_block,
-    parse_reference_entry,
+    code_document_type,
 )
 
 LIPETZ = (
@@ -54,7 +48,7 @@ def test_journal_entry_single_author_volume_issue():
     entry = parse_reference_entry(LIPETZ)
     assert [a.key for a in entry.authors] == ["lipetz,b"]
     assert entry.year == 1965
-    assert SIG_VOLUME_ISSUE in entry.venue_signals
+    assert code_document_type(entry) == ("A1", "A:signal:volume_issue")
 
 
 def test_numeric_label_captured():
@@ -66,26 +60,25 @@ def test_numeric_label_captured():
 
 def test_book_entry_publisher_not_volume_issue():
     entry = parse_reference_entry(KRIPPENDORFF)
-    assert SIG_PUBLISHER in entry.venue_signals
-    assert SIG_VOLUME_ISSUE not in entry.venue_signals
+    assert code_document_type(entry) == ("A3", "A:signal:publisher")
 
 
 def test_proceedings_signal():
     entry = parse_reference_entry(OTHMAN)
-    assert SIG_PROCEEDINGS in entry.venue_signals
+    assert code_document_type(entry) == ("A2", "A:signal:proceedings")
     assert [a.key for a in entry.authors] == ["othman,a", "sandholm,t"]
 
 
 def test_url_signal_from_retrieved_marker():
     entry = parse_reference_entry(PRIEM)
-    assert SIG_URL in entry.venue_signals
+    assert code_document_type(entry) == ("A5", "A:signal:url")
 
 
 def test_report_signal():
-    signals = detect_venue_signals(
+    entry = parse_reference_entry(
         "Doe, A. (2019). Annual usage. Technical Report 12, Example Labs."
     )
-    assert SIG_REPORT in signals
+    assert code_document_type(entry) == ("A4", "A:signal:report")
 
 
 def test_year_suffix():
@@ -101,21 +94,15 @@ def test_missing_year_degrades_without_error():
 
 
 def test_plain_year_is_not_volume_issue():
-    assert SIG_VOLUME_ISSUE not in detect_venue_signals("Smith, A. (1965). A title.")
-
-
-def test_entries_with_the_same_signals_share_one_set():
-    first = detect_venue_signals("Smith, A. (2001). One. Minerva, 2(1), 1-2.")
-    second = detect_venue_signals("Jones, B. (1999). Two. Acta, 14(3), 5-9.")
-    assert first == {SIG_VOLUME_ISSUE}
-    assert first is second
+    entry = parse_reference_entry("Smith, A. (1965). A title.")
+    assert code_document_type(entry) == ("A6", "A:signal:none")
 
 
 def test_terminal_imprint_counts_as_publisher():
     entry = parse_reference_entry(
         "Mayr, E. (1997). This is biology. Cambridge, MA: Belknap Press."
     )
-    assert SIG_PUBLISHER in entry.venue_signals
+    assert code_document_type(entry) == ("A3", "A:signal:publisher")
 
 
 def test_author_block_with_ampersand_chain():
@@ -155,24 +142,34 @@ def test_raw_is_normalized_whitespace_without_label():
 
 
 def reference_detect_venue_signals(text):
-    """The original detect_venue_signals: every pattern runs on every entry."""
+    """The original signal scan: every pattern runs on every entry."""
     signals = set()
     if _PROCEEDINGS_RE.search(text):
-        signals.add(SIG_PROCEEDINGS)
+        signals.add("proceedings")
     if _VOLUME_ISSUE_RE.search(text):
-        signals.add(SIG_VOLUME_ISSUE)
+        signals.add("volume_issue")
     if (
         _EDITION_RE.search(text)
         or _EDITOR_RE.search(text)
         or _PUBLISHER_NAME_RE.search(text)
         or _TERMINAL_IMPRINT_RE.search(text)
     ):
-        signals.add(SIG_PUBLISHER)
+        signals.add("publisher")
     if _REPORT_RE.search(text):
-        signals.add(SIG_REPORT)
+        signals.add("report")
     if _URL_RE.search(text):
-        signals.add(SIG_URL)
+        signals.add("url")
     return frozenset(signals)
+
+
+# docs/codebook.md §A: the first signal in this order decides A.
+_CODEBOOK_ORDER = (
+    ("proceedings", "A2"),
+    ("volume_issue", "A1"),
+    ("publisher", "A3"),
+    ("report", "A4"),
+    ("url", "A5"),
+)
 
 
 def test_case_insensitive_letters_that_lower_does_not_map():
@@ -216,6 +213,12 @@ _VENUE_ALPHABET = list(" .,:;()&-/0123456789aAdDeEpPrRsSwW") + [
 @example("RETRIEVED FROM THE ARCHIVE")
 @example("PRESS RELEASE, 4 JUNE")
 @example("Smith, J. (2001). A book (2ND ED.). London: Sage")
+@example("Minerva, 4(2), 1-9. CA: Sage.")
 @settings(max_examples=500)
 def test_gated_venue_signals_match_the_ungated_scan(text):
-    assert detect_venue_signals(text) == reference_detect_venue_signals(text)
+    signals = reference_detect_venue_signals(text)
+    expected = next(
+        ((value, f"A:signal:{signal}") for signal, value in _CODEBOOK_ORDER if signal in signals),
+        ("A6", "A:signal:none"),
+    )
+    assert code_document_type(ReferenceEntry(ref_id="r", raw=text)) == expected

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from citecode.citations import detect_citations
@@ -12,6 +12,8 @@ from citecode.errors import InvalidCount
 from citecode.models import AuthorName, DocumentMetadata, Section
 from citecode.refparse import parse_reference_entry
 from citecode.syntactic import (
+    _LOCATION_EXACT,
+    _LOCATION_PREFIXES,
     code_authorship,
     code_document_type,
     code_frequency,
@@ -132,20 +134,59 @@ def test_authorship_empty_is_uncodable():
     assert trace == "H:missing"
 
 
-def _section(header, location):
-    return Section(raw_header=header, normalized_location=location, start=0, end=1)
+def _section(header):
+    return Section(raw_header=header, start=0, end=1)
 
 
 def test_location_reads_the_section():
-    value, trace = code_location(_section("Literature Review", "D3"))
+    value, trace = code_location(_section("Literature Review"))
     assert value == "D3"
     assert trace == "D:header:literature review"
 
 
 def test_location_other_keeps_raw_header_in_trace():
-    value, trace = code_location(_section("Acknowledgements", "D7"))
+    value, trace = code_location(_section("Acknowledgements"))
     assert value == "D7"
     assert trace == "D:other:Acknowledgements"
+
+
+# Every header of the location table, the prefixes with and without a
+# tail, and headers that map to nothing, each with its value.
+_HEADERS = (
+    list(_LOCATION_EXACT.items())
+    + [
+        (prefix + tail, value)
+        for prefix, value in _LOCATION_PREFIXES
+        for tail in ("", "s", "ology", " and remarks")
+    ]
+    + [("acknowledgements", "D7"), ("appendix a", "D7"), ("related work and more", "D7")]
+)
+
+
+@st.composite
+def _respelled(draw):
+    """A table header with random letter case and runs of whitespace."""
+    header, value = draw(st.sampled_from(_HEADERS))
+    space = st.text(alphabet=" \t\n\u00a0\u2003", min_size=1, max_size=3)
+    words = [
+        "".join(draw(st.sampled_from((c, c.upper()))) for c in word) for word in header.split()
+    ]
+    text = draw(space | st.just("")) + words[0]
+    for word in words[1:]:
+        text += draw(space) + word
+    return text + draw(space | st.just("")), value
+
+
+@given(_respelled())
+@example(("Related \t Work", "D3"))
+@example((" Appendix  A", "D7"))
+def test_location_depends_only_on_the_folded_collapsed_header(spelled):
+    header, value = spelled
+    coded = code_location(_section(header))
+    if value == "D7":
+        assert coded == ("D7", f"D:other:{header}")
+    else:
+        assert coded == (value, f"D:header:{header.lower()}")
 
 
 @pytest.mark.parametrize(
