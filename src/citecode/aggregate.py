@@ -8,6 +8,7 @@ plus the trailing uncodable bucket.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from io import StringIO
 
 from .codebook import require_category, value_order
@@ -15,7 +16,7 @@ from .records import CodedCitation
 
 
 def aggregate(
-    records: list[CodedCitation],
+    records: Iterable[CodedCitation],
     rows: str,
     cols: str | None = None,
 ) -> Counter:

@@ -13,6 +13,7 @@ import argparse
 import datetime
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from .aggregate import aggregate, table_to_csv
@@ -91,8 +92,7 @@ def cmd_code(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     rows = require_category(args.rows)
     cols = require_category(args.cols) if args.cols else None
-    records = read_jsonl(args.input)
-    counts = aggregate(records, rows, cols)
+    counts = aggregate(read_jsonl(args.input), rows, cols)
     _write_or_print(table_to_csv(counts, rows, cols), args.out)
     return 0
 
@@ -145,37 +145,32 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ]
     if not categories:
         raise MalformedInput("no categories requested")
-    records = read_jsonl(args.input)
+    # One (auto, gold) pair count per category; coded faults come first.
+    tables = {category: Counter() for category in categories}
+    coded = {
+        (record.doc_id, record.citation_id): tuple(map(record.value_or_bucket, tables))
+        for record in read_jsonl(args.input)
+    }
     gold = _read_gold(args.gold)
-
-    aligned = [
-        (record, values)
-        for record in records
-        if (values := gold.get((record.doc_id, record.citation_id))) is not None
-    ]
-    unmatched = len(gold) - len(aligned)
-    if not aligned:
+    matched = gold.keys() & coded.keys()
+    if not matched:
         raise NoOverlap("no gold item matches any coded citation")
+    for key in matched:
+        values = gold[key]
+        for (category, table), auto_value in zip(tables.items(), coded[key]):
+            if category in values:
+                table[auto_value, values[category]] += 1
 
     out_lines = ["category,n,percent_agreement,cohens_kappa"]
     for category in categories:
-        pairs = [
-            (record.value_or_bucket(category), values[category])
-            for record, values in aligned
-            if category in values
-        ]
-        if not pairs:
-            out_lines.append(f"{category},0,,")
-            continue
-        auto = [a for a, _ in pairs]
-        manual = [g for _, g in pairs]
-        report = agreement_report(category, auto, manual)
-        out_lines.append(
-            f"{category},{report.n_items},{report.percent_agreement:.6f},{report.kappa:.6f}"
-        )
+        row = f"{category},0,,"
+        if tables[category]:
+            report = agreement_report(category, tables[category])
+            row = f"{category},{report.n_items},{report.percent_agreement:.6f},{report.kappa:.6f}"
+        out_lines.append(row)
     _write_or_print("\n".join(out_lines) + "\n", args.out)
-    if unmatched:
-        print(f"unmatched gold items: {unmatched}", file=sys.stderr)
+    if len(gold) > len(matched):
+        print(f"unmatched gold items: {len(gold) - len(matched)}", file=sys.stderr)
     return 0
 
 

@@ -1,63 +1,16 @@
 """Agreement metrics between two coders: percent agreement and kappa.
 
-Uncodable slots participate as a category value of their own, so two
-coders who both mark a slot uncodable agree on it.
+Every metric comes from one count table of (a, b) value pairs, which a
+caller can fill as it reads. Uncodable slots participate as a category
+value of their own, so two coders who both mark a slot uncodable agree.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import LengthMismatch
-
-
-def _check_lengths(a: list[str], b: list[str]) -> None:
-    if len(a) != len(b):
-        raise LengthMismatch(f"code lists differ in length: {len(a)} vs {len(b)}")
-
-
-def percent_agreement(a: list[str], b: list[str]) -> float:
-    """Share of positions where both coders chose the same value."""
-    _check_lengths(a, b)
-    if not a:
-        raise LengthMismatch("cannot compute agreement on empty code lists")
-    return sum(1 for x, y in zip(a, b) if x == y) / len(a)
-
-
-def cohens_kappa(a: list[str], b: list[str]) -> float:
-    """Chance-corrected agreement (p_o - p_e) / (1 - p_e).
-
-    Expected agreement comes from the product of the two coders'
-    marginal distributions. When p_e reaches 1 the statistic is
-    undefined; by convention that degenerate case is 1.0 for perfect
-    observed agreement and 0.0 otherwise.
-    """
-    _check_lengths(a, b)
-    if not a:
-        raise LengthMismatch("cannot compute kappa on empty code lists")
-    n = len(a)
-    observed = sum(1 for x, y in zip(a, b) if x == y) / n
-    values = sorted(set(a) | set(b))
-    expected = 0.0
-    for value in values:
-        expected += (a.count(value) / n) * (b.count(value) / n)
-    if abs(1.0 - expected) < 1e-12:
-        return 1.0 if abs(observed - 1.0) < 1e-12 else 0.0
-    return (observed - expected) / (1.0 - expected)
-
-
-def confusion_table(
-    a: list[str], b: list[str], values: tuple[str, ...] | None = None
-) -> tuple[tuple[str, ...], list[list[int]]]:
-    """Square confusion matrix; rows index coder a, columns coder b."""
-    _check_lengths(a, b)
-    if values is None:
-        values = tuple(sorted(set(a) | set(b)))
-    index = {value: i for i, value in enumerate(values)}
-    cells = [[0 for _ in values] for _ in values]
-    for x, y in zip(a, b):
-        cells[index[x]][index[y]] += 1
-    return values, cells
 
 
 @dataclass(frozen=True)
@@ -70,14 +23,61 @@ class AgreementReport:
     confusion: tuple[tuple[int, ...], ...]
 
 
-def agreement_report(category: str, a: list[str], b: list[str]) -> AgreementReport:
-    """Bundle the agreement metrics for one category."""
-    values, cells = confusion_table(a, b)
+def agreement_report(category: str, counts: Counter) -> AgreementReport:
+    """Every agreement metric of one category from its (a, b) pair counts.
+
+    Kappa is (p_o - p_e) / (1 - p_e), with p_e the sum of the products of
+    the coders' marginal shares in sorted value order. When p_e reaches 1
+    kappa is undefined: by convention 1.0 for perfect observed agreement,
+    0.0 otherwise. Confusion rows index coder a, columns coder b.
+    """
+    n = sum(counts.values())
+    if not n:
+        raise LengthMismatch("cannot compute agreement on empty code lists")
+    a_counts, b_counts = Counter(), Counter()
+    for (x, y), count in counts.items():
+        a_counts[x] += count
+        b_counts[y] += count
+    values = tuple(sorted(a_counts.keys() | b_counts.keys()))
+    observed = sum(counts[value, value] for value in values) / n
+    expected = 0.0
+    for value in values:
+        expected += (a_counts[value] / n) * (b_counts[value] / n)
+    if abs(1.0 - expected) < 1e-12:
+        kappa = 1.0 if abs(observed - 1.0) < 1e-12 else 0.0
+    else:
+        kappa = (observed - expected) / (1.0 - expected)
     return AgreementReport(
         category=category,
-        n_items=len(a),
-        percent_agreement=percent_agreement(a, b),
-        kappa=cohens_kappa(a, b),
+        n_items=n,
+        percent_agreement=observed,
+        kappa=kappa,
         values=values,
-        confusion=tuple(tuple(row) for row in cells),
+        confusion=tuple(tuple(counts[x, y] for y in values) for x in values),
     )
+
+
+def _pair_counts(a: list[str], b: list[str]) -> Counter:
+    if len(a) != len(b):
+        raise LengthMismatch(f"code lists differ in length: {len(a)} vs {len(b)}")
+    return Counter(zip(a, b))
+
+
+def percent_agreement(a: list[str], b: list[str]) -> float:
+    """Share of positions where both coders chose the same value."""
+    return agreement_report("", _pair_counts(a, b)).percent_agreement
+
+
+def cohens_kappa(a: list[str], b: list[str]) -> float:
+    """Chance-corrected agreement, as ``agreement_report`` defines it."""
+    return agreement_report("", _pair_counts(a, b)).kappa
+
+
+def confusion_table(
+    a: list[str], b: list[str], values: tuple[str, ...] | None = None
+) -> tuple[tuple[str, ...], list[list[int]]]:
+    """Square confusion matrix; rows index coder a, columns coder b."""
+    counts = _pair_counts(a, b)
+    if values is None:
+        values = tuple(sorted({value for pair in counts for value in pair}))
+    return values, [[counts[x, y] for y in values] for x in values]

@@ -10,6 +10,7 @@ the same bytes.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -133,13 +134,17 @@ def decode_line(line: str):
     The decoder's scanner reads a line that holds one JSON value and
     nothing else. Any other line, such as one with a byte-order mark,
     surrounding whitespace or bad JSON, goes to ``json.loads``, so its
-    value or its JSONDecodeError is the one ``json.loads`` gives.
+    value or its JSONDecodeError is the one ``json.loads`` gives, except
+    that a value nested too deeply raises JSONDecodeError, not RecursionError.
     """
     try:
-        value, end = _scan_once(line, 0)
-    except (StopIteration, ValueError):
-        return json.loads(line)
-    return value if end == len(line) else json.loads(line)
+        try:
+            value, end = _scan_once(line, 0)
+        except (StopIteration, ValueError):
+            return json.loads(line)
+        return value if end == len(line) else json.loads(line)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", line, 0) from None
 
 
 def record_from_json(line: str) -> CodedCitation:
@@ -199,13 +204,14 @@ def read_json_lines(path: str | Path, what: str) -> list[str]:
     return _read_utf8(path, what, MalformedInput).split("\n")
 
 
-def read_jsonl(path: str | Path) -> list[CodedCitation]:
-    """Read coded records; a bad file or line raises MalformedInput.
+def read_jsonl(path: str | Path) -> Iterator[CodedCitation]:
+    """Yield coded records in file order; a bad file or line raises MalformedInput.
 
-    A second record for one (doc_id, citation_id) is a bad line too.
+    The file is read when the first record is asked for, and each line
+    is checked as its record is yielded; a repeated (doc_id,
+    citation_id) is a bad line too.
     """
     path = Path(path)
-    records = []
     seen = set()
     for line_no, line in enumerate(read_json_lines(path, "coded"), start=1):
         if not line.strip():
@@ -226,5 +232,4 @@ def read_jsonl(path: str | Path) -> list[CodedCitation]:
                 f"{path.name}: duplicate record {key[0]}/{key[1]}", line=line_no
             )
         seen.add(key)
-        records.append(record)
-    return records
+        yield record

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,9 @@ from citecode.codebook import CATEGORIES, value_order
 from citecode.config import PipelineConfig
 from citecode.errors import MalformedInput
 from citecode.ingest import FORMATS
+from citecode.pipeline import read_manifest, run_pipeline, write_outputs
 from citecode.records import read_json_lines, read_jsonl
+from citecode.synth import write_corpus
 
 from conftest import FIXTURE_DIR, make_manifest
 
@@ -106,7 +110,7 @@ def test_code_respects_config_windows(tmp_path):
         ]
     )
     assert exit_code == 0
-    records = read_jsonl(out_dir / "coded.jsonl")
+    records = list(read_jsonl(out_dir / "coded.jsonl"))
     assert all(r.context_level == "single_sentence" for r in records)
     assert all(len(r.context_sentences) == 1 for r in records)
 
@@ -408,11 +412,16 @@ def _set_key(line, key, value):
             lambda line: _set_key(line, "citation_id", "c0001"),
             "line 2: coded.jsonl: duplicate record hj-peer/c0001",
         ),
+        # Deeper than the decoder's recursion limit.
+        (
+            lambda line: "[" * 100_000 + "]" * 100_000,
+            "line 2: coded.jsonl: bad JSON (nested too deeply",
+        ),
     ],
     ids=[
         "missing-file", "truncated-line", "no-doc-id", "no-link-status", "not-an-object",
         "numeric-doc-id", "value-outside-codebook", "list-value", "string-reasons",
-        "duplicate-record",
+        "duplicate-record", "deeply-nested",
     ],
 )
 @pytest.mark.parametrize("command", ["report", "eval"])
@@ -461,6 +470,71 @@ def test_non_utf8_input_exits_two_with_its_line(coded_run, tmp_path, capsys, com
     captured = capsys.readouterr()
     assert exit_code == 2
     assert f"line {bad_line}: {what} file is not UTF-8" in captured.err
+
+
+def test_eval_reports_the_coded_file_before_the_gold_file(coded_run, tmp_path, capsys):
+    lines = (coded_run / "coded.jsonl").read_text(encoding="utf-8").splitlines()
+    coded = tmp_path / "coded.jsonl"
+    coded.write_text("\n".join(lines[:3] + ["not json"] + lines[3:]) + "\n", encoding="utf-8")
+    gold = write_gold(tmp_path / "gold.jsonl", ["not json"])
+    exit_code = main(["eval", "--input", str(coded), "--gold", str(gold), "--categories", "J"])
+    captured = capsys.readouterr()
+    assert exit_code == 2
+    assert "line 4: coded.jsonl: bad JSON" in captured.err
+    assert "gold" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["report", "eval"])
+def test_a_bad_last_coded_line_writes_no_output(coded_run, tmp_path, capsys, command):
+    lines = (coded_run / "coded.jsonl").read_text(encoding="utf-8").splitlines()
+    coded = tmp_path / "coded.jsonl"
+    coded.write_text("\n".join(lines + ["not json"]) + "\n", encoding="utf-8")
+    gold = write_gold(
+        tmp_path / "gold.jsonl",
+        [{"doc_id": "paper-b", "citation_id": "c0003", "J": "J1"}],
+    )
+    out = tmp_path / "out.csv"
+    argv = {
+        "report": ["report", "--input", str(coded), "--rows", "J"],
+        "eval": ["eval", "--input", str(coded), "--gold", str(gold), "--categories", "J"],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"line {len(lines) + 1}: coded.jsonl: bad JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _traced_peak(function) -> int:
+    """The tracemalloc peak of one call, above what was held before it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        function()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command", ["report", "eval"])
+def test_report_and_eval_hold_under_the_record_list(tmp_path, command):
+    # Both commands take one record at a time, so neither holds every
+    # record of the file at once, as a list of them does.
+    manifest = write_corpus(tmp_path / "corpus", 20, seed=5)
+    coded = str(write_outputs(run_pipeline(read_manifest(manifest)), tmp_path / "out")["coded"])
+    gold = write_gold(tmp_path / "gold.jsonl", [
+        {"doc_id": r.doc_id, "citation_id": r.citation_id, "I": r.value_or_bucket("I"),
+         "J": r.value_or_bucket("J")}
+        for r in read_jsonl(coded)
+    ])
+    argv = {
+        "report": ["report", "--input", coded, "--rows", "D", "--cols", "I"],
+        "eval": ["eval", "--input", coded, "--gold", str(gold), "--categories", "I,J"],
+    }[command] + ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 0  # fills every cache first
+    as_list = _traced_peak(lambda: list(read_jsonl(coded)))
+    command_peak = _traced_peak(lambda: main(argv))
+    assert as_list > 500_000
+    assert command_peak < 0.7 * as_list, (command_peak, as_list)
 
 
 def test_report_reads_ids_holding_a_line_separator(tmp_path, capsys):
@@ -512,8 +586,18 @@ def test_report_reads_ids_holding_a_line_separator(tmp_path, capsys):
             # json reads no integer of more than 4,300 digits.
             "line 2: gold: bad JSON (Exceeds the limit",
         ),
+        (
+            [
+                {"doc_id": "paper-b", "citation_id": "c0003", "J": "J1"},
+                "[" * 100_000 + "]" * 100_000,
+            ],
+            "line 2: gold: bad JSON (nested too deeply",
+        ),
     ],
-    ids=["duplicate-item", "value-of-other-category", "unknown-category", "over-long-integer"],
+    ids=[
+        "duplicate-item", "value-of-other-category", "unknown-category", "over-long-integer",
+        "deeply-nested",
+    ],
 )
 def test_eval_rejects_bad_gold_items(coded_run, tmp_path, capsys, items, message):
     gold = write_gold(tmp_path / "gold.jsonl", items)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,10 +140,69 @@ def test_confusion_table_is_consistent_with_agreement(pair):
 def test_agreement_report_bundle():
     a = ["J1", "J1", "J2", "J2"]
     b = ["J1", "J2", "J1", "J2"]
-    report = agreement_report("J", a, b)
+    report = agreement_report("J", Counter(zip(a, b)))
     assert report.category == "J"
     assert report.n_items == 4
     assert report.percent_agreement == pytest.approx(0.5)
     assert report.kappa == pytest.approx(0.0)
     assert report.values == ("J1", "J2")
     assert report.confusion == ((1, 1), (1, 1))
+
+
+# -- the list functions before the count table, kept as the reference --
+
+
+def reference_percent_agreement(a, b):
+    return sum(1 for x, y in zip(a, b) if x == y) / len(a)
+
+
+def reference_cohens_kappa(a, b):
+    n = len(a)
+    observed = sum(1 for x, y in zip(a, b) if x == y) / n
+    expected = 0.0
+    for value in sorted(set(a) | set(b)):
+        expected += (a.count(value) / n) * (b.count(value) / n)
+    if abs(1.0 - expected) < 1e-12:
+        return 1.0 if abs(observed - 1.0) < 1e-12 else 0.0
+    return (observed - expected) / (1.0 - expected)
+
+
+def reference_confusion_table(a, b):
+    values = tuple(sorted(set(a) | set(b)))
+    index = {value: i for i, value in enumerate(values)}
+    cells = [[0 for _ in values] for _ in values]
+    for x, y in zip(a, b):
+        cells[index[x]][index[y]] += 1
+    return values, cells
+
+
+_VALUE = st.sampled_from(["J1", "J2", "J3", "J4", "uncodable"])
+
+
+@st.composite
+def one_value_pairs(draw):
+    # Both coders use one value throughout, so p_e is 1.
+    value = draw(_VALUE)
+    n = draw(st.integers(min_value=1, max_value=40))
+    return [value] * n, [value] * n
+
+
+@st.composite
+def disagreeing_pairs(draw):
+    a = draw(st.lists(_VALUE, min_size=1, max_size=40))
+    return a, [draw(_VALUE.filter(lambda value, x=x: value != x)) for x in a]
+
+
+@given(pair=st.one_of(code_pairs(), one_value_pairs(), disagreeing_pairs()))
+@settings(max_examples=500)
+def test_the_count_table_gives_the_list_reference_exactly(pair):
+    a, b = pair
+    report = agreement_report("J", Counter(zip(a, b)))
+    values, cells = reference_confusion_table(a, b)
+    assert report.n_items == len(a)
+    assert report.percent_agreement == reference_percent_agreement(a, b)
+    assert report.kappa == reference_cohens_kappa(a, b)
+    assert (report.values, report.confusion) == (values, tuple(map(tuple, cells)))
+    assert percent_agreement(a, b) == report.percent_agreement
+    assert cohens_kappa(a, b) == report.kappa
+    assert confusion_table(a, b) == (values, cells)

@@ -196,14 +196,14 @@ def test_write_jsonl_empty(tmp_path):
     path = tmp_path / "empty.jsonl"
     write_jsonl([], path)
     assert path.read_text(encoding="utf-8") == ""
-    assert read_jsonl(path) == []
+    assert list(read_jsonl(path)) == []
 
 
 def test_read_jsonl_skips_blank_lines(tmp_path):
     record = build()
     path = tmp_path / "coded.jsonl"
     path.write_text(record_to_json(record) + "\n\n\n", encoding="utf-8")
-    assert read_jsonl(path) == [record]
+    assert list(read_jsonl(path)) == [record]
 
 
 def test_read_records_hold_the_codebook_strings(tmp_path):
