@@ -108,26 +108,22 @@ def _detect(
     has_bracket = "[" in sentence
     if not (has_paren or has_bracket):
         return []
-    # (span start, reading order, InTextCitation fields) per citation.
-    found: list[tuple[int, int, dict]] = []
+    # (span start, InTextCitation fields) per citation. Markers never share
+    # a start, so a stable sort on it gives reading order.
+    found: list[tuple[int, dict]] = []
 
     for group in _PAREN_GROUP_RE.finditer(sentence) if has_paren else ():
         content = group.group(1)
         if _YEAR_ONLY_RE.match(content):
             continue  # handled by the narrative pass
         span = (group.start(), group.end())
-        offset = group.start(1)
-        cursor = 0
         for segment in content.split(";"):
-            seg_start = cursor
-            cursor += len(segment) + 1
             work = _SEGMENT_WORK_RE.search(segment)
             if not work:
                 continue
             surnames = _split_names(work.group("names"))
             if not surnames:
                 continue
-            order = offset + seg_start + work.start()
             fields = dict(
                 char_span=span,
                 marker_style=STYLE_PARENTHETICAL,
@@ -136,7 +132,7 @@ def _detect(
                 year_suffix=work.group("suffix"),
                 has_page_locator=bool(work.group("locator")),
             )
-            found.append((span[0], order, fields))
+            found.append((span[0], fields))
 
     for match in _NARRATIVE_RE.finditer(sentence) if has_paren else ():
         surnames = _split_names(match.group("names"))
@@ -149,20 +145,20 @@ def _detect(
             year=int(match.group("year")),
             year_suffix=match.group("suffix"),
         )
-        found.append((match.start(), match.start(), fields))
+        found.append((match.start(), fields))
 
     for match in _NUMERIC_RE.finditer(sentence) if has_bracket else ():
-        for position, label in enumerate(re.findall(r"\d+", match.group(1))):
+        for label in re.findall(r"\d+", match.group(1)):
             fields = dict(
                 char_span=match.span(),
                 marker_style=STYLE_NUMERIC,
                 numeric_label=label,
             )
-            found.append((match.start(), match.start() + position, fields))
+            found.append((match.start(), fields))
 
-    found.sort(key=lambda item: item[:2])
+    found.sort(key=lambda item: item[0])
     citations = []
-    for number, (_, _, fields) in enumerate(found, start=first_number):
+    for number, (_, fields) in enumerate(found, start=first_number):
         fields.update(citation_id=f"c{number:04d}", sentence_index=sentence_index)
         citation = InTextCitation(ref_id=None, link_status=LINK_UNRESOLVED, **fields)
         if index is not None:

@@ -146,7 +146,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not categories:
         raise MalformedInput("no categories requested")
     # One (auto, gold) pair count per category; coded faults come first.
-    tables = {category: Counter() for category in categories}
+    tables: dict[str, Counter] = {}
+    for category in categories:
+        if category in tables:
+            raise MalformedInput(f"category {category!r} requested twice")
+        tables[category] = Counter()
     coded = {
         (record.doc_id, record.citation_id): tuple(map(record.value_or_bucket, tables))
         for record in read_jsonl(args.input)

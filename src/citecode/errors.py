@@ -87,6 +87,11 @@ def _read_utf8(path: str | Path, what: str, error: type[ParseError]) -> str:
     return _decode_utf8(data, what, error)
 
 
+def _split_lines(text: str) -> list[str]:
+    r"""Lines ended by "\n", "\r\n" or "\r" only, not at a form feed or U+2028."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _read_lines(path: str | Path, what: str, error: type[ParseError]) -> list[tuple[int, str]]:
     """The stripped lines of a UTF-8 file with their 1-based numbers.
 
@@ -94,6 +99,6 @@ def _read_lines(path: str | Path, what: str, error: type[ParseError]) -> list[tu
     """
     return [
         (line_no, stripped)
-        for line_no, line in enumerate(_read_utf8(path, what, error).splitlines(), start=1)
+        for line_no, line in enumerate(_split_lines(_read_utf8(path, what, error)), start=1)
         if (stripped := line.strip()) and not stripped.startswith("#")
     ]

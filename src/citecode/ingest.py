@@ -11,11 +11,13 @@ Plain-annotated text::
     #REFERENCES
     [1] Smith, J. (2011). A title. A Journal, 4(2), 1-10.
 
-Structured XML uses the element names fixed in docs/formats.md. Both
-parsers produce the same Document model; serialize_document renders the
-canonical XML form, and re-parsing that form reproduces the Document
-field by field. The model keeps section headers and reference entries
-as written; the coders in syntactic derive D and A from that text.
+A plain line ends only at LF, CR LF or CR. Structured XML uses the
+element names fixed in docs/formats.md. Both parsers produce the same
+Document model; serialize_document renders the canonical XML form, and
+re-parsing that form reproduces the Document field by field. It refuses
+a Document whose text holds a character XML 1.0 cannot carry. The model
+keeps section headers and reference entries as written; the coders in
+syntactic derive D and A from that text.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ import re
 import xml.etree.ElementTree as ET
 
 from .codebook import VALUES
-from .errors import DuplicateRefId, EmptyDocument, MalformedInput, UnparseableName, _decode_utf8
+from .errors import (
+    DuplicateRefId, EmptyDocument, MalformedInput, UnparseableName, _decode_utf8, _split_lines,
+)
 from .models import (
     VENUE_TYPES, YEAR_PATTERN, AuthorName, Document, DocumentMetadata, ReferenceEntry, Section,
 )
@@ -39,6 +43,10 @@ FORMATS = (FORMAT_PLAIN, FORMAT_XML)
 _META_KEYS = ("id", "title", "authors", "venue", "venue-type", "year", "domain")
 
 _YEAR_RE = re.compile(YEAR_PATTERN)
+
+# The characters outside XML 1.0's Char production (W3C XML 1.0, 2.2):
+# C0 controls other than tab, LF and CR, lone surrogates, U+FFFE, U+FFFF.
+_NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def _parse_year(text: str, warnings: list[str]) -> int | None:
@@ -179,7 +187,7 @@ def _parse_plain(text: str, abbreviations: tuple[str, ...]) -> Document:
             section_blocks[-1][1].append(" ".join(paragraph))
         paragraph.clear()
 
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(_split_lines(text), start=1):
         stripped = line.strip()
         if stripped.startswith("#META"):
             flush_paragraph()
@@ -303,42 +311,31 @@ def parse_document(
     return _parse_plain(text, abbreviations)
 
 
-# xml.sax.saxutils would give these two, but importing it loads
-# urllib.request, and with it http.client, ssl, socket and email.
-def _escape(text: str) -> str:
-    """Escape &, < and > as xml.sax.saxutils.escape does."""
-    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
-
-
-def _quoteattr(text: str) -> str:
-    """Escape and quote an attribute value as xml.sax.saxutils.quoteattr does."""
-    text = _escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
-    if '"' not in text:
-        return f'"{text}"'
-    if "'" not in text:
-        return f"'{text}'"
-    return '"' + text.replace('"', "&quot;") + '"'
-
-
 def serialize_document(doc: Document) -> str:
     """Render the canonical XML interchange form of a Document.
 
     Each sentence is written as its own paragraph, so re-parsing
     re-segments each sentence alone and reproduces the sentence list.
+    A character that XML 1.0 cannot carry, even as a reference, raises
+    MalformedInput naming the document and the code point.
     """
+    # Imported here: importing xml.sax.saxutils loads urllib.request,
+    # and with it http.client, ssl, socket and email.
+    from xml.sax.saxutils import escape, quoteattr
+
     meta = doc.metadata
     lines = ["<document>", "  <metadata>"]
-    lines.append(f"    <id>{_escape(meta.doc_id)}</id>")
+    lines.append(f"    <id>{escape(meta.doc_id)}</id>")
     if meta.title:
-        lines.append(f"    <title>{_escape(meta.title)}</title>")
+        lines.append(f"    <title>{escape(meta.title)}</title>")
     if meta.authors:
         lines.append("    <authors>")
         for author in meta.authors:
-            lines.append(f"      <author>{_escape(author.raw)}</author>")
+            lines.append(f"      <author>{escape(author.raw)}</author>")
         lines.append("    </authors>")
     if meta.venue_name or meta.venue_type:
         lines.append(
-            f"    <venue type={_quoteattr(meta.venue_type)}>{_escape(meta.venue_name)}</venue>"
+            f"    <venue type={quoteattr(meta.venue_type)}>{escape(meta.venue_name)}</venue>"
         )
     if meta.year is not None:
         lines.append(f"    <year>{meta.year}</year>")
@@ -347,14 +344,17 @@ def serialize_document(doc: Document) -> str:
     lines.append("  </metadata>")
     lines.append("  <body>")
     for section in doc.sections:
-        lines.append(f"    <section header={_quoteattr(section.raw_header)}>")
+        lines.append(f"    <section header={quoteattr(section.raw_header)}>")
         for index in section.sentence_indices:
-            lines.append(f"      <paragraph>{_escape(doc.sentences[index])}</paragraph>")
+            lines.append(f"      <paragraph>{escape(doc.sentences[index])}</paragraph>")
         lines.append("    </section>")
     lines.append("  </body>")
     lines.append("  <references>")
     for ref in doc.references:
-        lines.append(f"    <reference id={_quoteattr(ref.ref_id)}>{_escape(ref.raw)}</reference>")
+        lines.append(f"    <reference id={quoteattr(ref.ref_id)}>{escape(ref.raw)}</reference>")
     lines.append("  </references>")
     lines.append("</document>")
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    if bad := _NOT_XML_CHAR.search(text):
+        raise MalformedInput(f"document {meta.doc_id!r}: XML cannot carry U+{ord(bad.group()):04X}")
+    return text

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import groupby, pairwise
 from pathlib import Path
 
 from .citations import extract_citations, extract_context, mention_counts
@@ -261,18 +261,21 @@ def code_corpus(
 
     The pass consumes ``documents``: it leaves the list empty and holds
     no parsed document once that document is coded, so the corpus and
-    its records are never all in memory at once. Document ids must be
-    distinct, as ``parse_corpus`` leaves them. The documents are coded
-    in id order, and a document's citation ids run in reading order, so
-    the records, the unlinked-citation lists and the warnings come out
-    in output order without a further sort. The pass extracts a
-    document's citations, codes them, and notes its unresolved and
+    its records are never all in memory at once. A repeated document id
+    raises MalformedInput before any document is coded. The documents
+    are coded in id order, and a document's citation ids run in reading
+    order, so the records, the unlinked-citation lists and the warnings
+    come out in output order without a further sort. The pass extracts
+    a document's citations, codes them, and notes its unresolved and
     ambiguous markers and its warnings for the summary.
     """
     config = config or PipelineConfig()
     resources = resources or load_resources(config)
     documents.sort(key=lambda doc: doc.metadata.doc_id)
     metadata = [doc.metadata for doc in documents]
+    for before, after in pairwise(metadata):
+        if before.doc_id == after.doc_id:
+            raise MalformedInput(f"duplicate document id {after.doc_id!r}")
     documents.reverse()  # so that pop() hands them out in id order
 
     graph = build_coauthor_graph(metadata)

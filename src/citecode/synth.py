@@ -11,7 +11,9 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-from .ingest import FORMAT_PLAIN, FORMAT_XML, _escape
+from .ingest import FORMAT_PLAIN, FORMAT_XML, serialize_document
+from .models import AuthorName, Document, DocumentMetadata, ReferenceEntry, Section
+from .names import normalize_author_key
 
 SURNAMES = (
     "Ashby", "Barton", "Calder", "Deol", "Eriksen", "Farrell", "Gupta",
@@ -268,40 +270,29 @@ def _render_plain(meta, sections, entries, index) -> str:
 
 
 def _render_xml(meta, sections, entries) -> str:
-    parts = ['<document>', "  <metadata>"]
-    parts.append(f"    <id>{_escape(meta['id'])}</id>")
-    parts.append(f"    <title>{_escape(meta['title'])}</title>")
-    parts.append("    <authors>")
-    for author in meta["authors"].split("; "):
-        parts.append(f"      <author>{_escape(author)}</author>")
-    parts.append("    </authors>")
-    parts.append(
-        f"    <venue type=\"{_escape(meta['venue-type'])}\">{_escape(meta['venue'])}</venue>"
+    metadata = DocumentMetadata(
+        doc_id=meta["id"],
+        title=meta["title"],
+        authors=[AuthorName(raw, normalize_author_key(raw)) for raw in meta["authors"].split("; ")],
+        venue_name=meta["venue"],
+        venue_type=meta["venue-type"],
+        year=int(meta["year"]),
+        domain_override=meta.get("domain"),
     )
-    parts.append(f"    <year>{_escape(meta['year'])}</year>")
-    if "domain" in meta:
-        parts.append(f"    <domain>{_escape(meta['domain'])}</domain>")
-    parts.append("  </metadata>")
-    parts.append("  <body>")
+    # Each half of a section is one entry of sentences: one <paragraph>.
+    paragraphs: list[str] = []
+    doc_sections = []
     for header, body in sections:
-        parts.append(f"    <section header=\"{_escape(header)}\">")
+        start = len(paragraphs)
         midpoint = max(1, len(body) // 2)
-        for chunk in (body[:midpoint], body[midpoint:]):
-            if chunk:
-                parts.append(f"      <paragraph>{_escape(' '.join(chunk))}</paragraph>")
-        parts.append("    </section>")
-    parts.append("  </body>")
-    parts.append("  <references>")
-    for ordinal, entry in enumerate(entries, start=1):
-        label = entry["label"]
-        ref_id = str(label) if label is not None else f"r{ordinal}"
-        line = entry["line"]
-        if label is not None:
-            line = line.split("] ", 1)[1]
-        parts.append(f"    <reference id=\"{_escape(ref_id)}\">{_escape(line)}</reference>")
-    parts.append("  </references>")
-    parts.append("</document>")
-    return "\n".join(parts) + "\n"
+        paragraphs.extend(" ".join(half) for half in (body[:midpoint], body[midpoint:]) if half)
+        doc_sections.append(Section(header, start, len(paragraphs)))
+    references = [
+        ReferenceEntry(f"r{ordinal}", entry["line"]) if entry["label"] is None
+        else ReferenceEntry(str(entry["label"]), entry["line"].split("] ", 1)[1])
+        for ordinal, entry in enumerate(entries, start=1)
+    ]
+    return serialize_document(Document(metadata, doc_sections, paragraphs, references))
 
 
 def write_corpus(

@@ -306,6 +306,25 @@ def test_eval_category_without_gold_values(coded_run, tmp_path, capsys):
     assert lines[2] == "K,0,,"
 
 
+def test_eval_rejects_a_repeated_category(coded_run, tmp_path, capsys):
+    gold = write_gold(
+        tmp_path / "gold.jsonl",
+        [{"doc_id": "paper-b", "citation_id": "c0003", "I": "I1", "J": "J1"}],
+    )
+    exit_code = main(
+        [
+            "eval",
+            "--input", str(coded_run / "coded.jsonl"),
+            "--gold", str(gold),
+            "--categories", "I,I,J",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert exit_code == 2
+    assert captured.out == ""
+    assert captured.err == "error: category 'I' requested twice\n"
+
+
 def test_eval_unmatched_gold_reported(coded_run, tmp_path, capsys):
     gold = write_gold(
         tmp_path / "gold.jsonl",

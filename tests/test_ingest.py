@@ -8,7 +8,6 @@ import random
 import subprocess
 import sys
 from pathlib import Path
-from xml.sax import saxutils
 
 import pytest
 from hypothesis import example, given
@@ -25,13 +24,12 @@ from citecode.errors import (
 from citecode.ingest import (
     FORMAT_PLAIN,
     FORMAT_XML,
-    _escape,
     _finalize_references,
-    _quoteattr,
     parse_document,
     serialize_document,
 )
 from citecode.models import AuthorName, ReferenceEntry
+from citecode.names import normalize_author_key
 from citecode.refparse import derive_ref_id
 from citecode.syntactic import code_document_type, normalize_section_header
 
@@ -445,6 +443,74 @@ def test_round_trip_is_stable_under_reserialization():
     assert once == twice
 
 
+def _with_text(doc, field, text):
+    """A copy of the document with ``text`` set into one of its text fields."""
+    doc = copy.deepcopy(doc)
+    if field == "sentence":
+        doc.sentences[0] = f"A{text}B."
+    elif field == "header":
+        doc.sections[0].raw_header = f"Intro{text}duction"
+    elif field == "doc_id":
+        doc.metadata.doc_id = f"a{text}b"
+    elif field == "author":
+        raw = f"Smith{text}, J."
+        doc.metadata.authors[0] = AuthorName(raw, normalize_author_key(raw))
+    else:
+        doc.references[0].raw = f"Smith, A. (2011).{text} One."
+    return doc
+
+
+_TEXT_FIELDS = ["sentence", "header", "doc_id", "author", "reference"]
+
+
+@pytest.mark.parametrize("char", ["\u0001", "\ufffe"])
+@pytest.mark.parametrize("field", _TEXT_FIELDS)
+def test_serialize_refuses_characters_xml_cannot_carry(field, char):
+    doc = _with_text(parse_document(MINIMAL, FORMAT_PLAIN), field, char)
+    with pytest.raises(MalformedInput) as err:
+        serialize_document(doc)
+    assert repr(doc.metadata.doc_id) in str(err.value)
+    assert f"U+{ord(char):04X}" in str(err.value)
+
+
+# U+007F is a character XML 1.0 carries; the rest is markup to escape,
+# with both quote kinds for the attributes.
+@pytest.mark.parametrize("text", ["\u007f", "&amp;<i>\"it's\"</i>&#10;"])
+@pytest.mark.parametrize("field", _TEXT_FIELDS)
+def test_serialize_round_trips_what_xml_can_carry(field, text):
+    doc = _with_text(parse_document(MINIMAL, FORMAT_PLAIN), field, text)
+    again = parse_document(serialize_document(doc), FORMAT_XML)
+    assert again.metadata == doc.metadata
+    assert again.sections == doc.sections
+    assert again.sentences == doc.sentences
+    assert again.references == doc.references
+
+
+def test_form_feed_in_a_plain_reference_line_does_not_split_it():
+    # PDF-to-text writes a form feed at a page break.
+    with_space = MINIMAL + "Lee, K. (2011). A title. Journal of X, 3(2), 1-9.\n"
+    with_form_feed = with_space.replace("title. Journal", "title.\fJournal")
+    spaced = parse_document(with_space, FORMAT_PLAIN).references
+    fed = parse_document(with_form_feed, FORMAT_PLAIN).references
+    assert [r.ref_id for r in fed] == [r.ref_id for r in spaced]
+    assert fed[-1].ref_id == "lee-2011"
+    assert code_document_type(fed[-1]) == ("A1", "A:signal:volume_issue")
+
+
+def test_line_separator_in_a_plain_metadata_line_does_not_split_it():
+    doc = parse_document(MINIMAL.replace("id: demo", "id: a\u2028b"), FORMAT_PLAIN)
+    assert doc.metadata.doc_id == "a\u2028b"
+    assert doc.warnings == []
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_lone_cr_documents_parse_as_lf(newline):
+    expected = parse_document(MINIMAL, FORMAT_PLAIN)
+    doc = parse_document(MINIMAL.replace("\n", newline), FORMAT_PLAIN)
+    assert doc == expected
+    assert doc.warnings == expected.warnings
+
+
 def test_reference_order_preserved():
     doc = parse_document(MINIMAL, FORMAT_PLAIN)
     surnames = [r.authors[0].key for r in doc.references]
@@ -461,20 +527,6 @@ def test_fuzz_smoke_returns_document_or_structured_error():
         except CitecodeError:
             continue
         assert doc.metadata.doc_id
-
-
-# Every character either helper rewrites, entity-like text, and plain
-# letters between them.
-_ESCAPE_PIECES = list("&<>\"'\n\r\t aZ;#1\u00e9") + ["&amp;", "&#10;", "&quot;"]
-
-
-@given(st.lists(st.sampled_from(_ESCAPE_PIECES)).map("".join))
-@example("&lt;\"'\n\r\t")
-@example("a\"b")
-@example("a'b")
-def test_escape_helpers_match_saxutils(text):
-    assert _escape(text) == saxutils.escape(text)
-    assert _quoteattr(text) == saxutils.quoteattr(text)
 
 
 def test_import_loads_no_network_modules():

@@ -7,6 +7,7 @@ not that the table needs casual updating.
 
 from __future__ import annotations
 
+import copy
 import gc
 import importlib.util
 import itertools
@@ -160,6 +161,18 @@ def test_manifest_resolves_relative_paths(tmp_path):
     manifest.write_text("docs/one.txt\tplain_annotated\n", encoding="utf-8")
     entries = read_manifest(manifest)
     assert entries[0][0] == doc
+
+
+def test_manifest_lines_end_only_at_line_breaks(tmp_path):
+    manifest = tmp_path / "m.tsv"
+    manifest.write_bytes(
+        "# a\u2028comment\r\none\u2028two.txt\tplain_annotated\rthree\x0c.txt\tstructured_xml\n"
+        .encode("utf-8")
+    )
+    assert read_manifest(manifest) == [
+        (tmp_path / "one\u2028two.txt", "plain_annotated"),
+        (tmp_path / "three\x0c.txt", "structured_xml"),
+    ]
 
 
 def test_manifest_without_tab_rejected(tmp_path):
@@ -769,6 +782,13 @@ def test_code_corpus_consumes_its_documents(resources):
     assert sys.getrefcount(probe) == held - 1
     assert all(kept is given for kept, given in zip(result.documents, metadata))
     assert [meta.doc_id for meta in result.documents] == ["syn-0000", "syn-0001", "syn-0002"]
+
+
+def test_code_corpus_rejects_a_repeated_document_id(resources):
+    doc = parse_document((FIXTURE_DIR / "paper-a.txt").read_bytes(), FORMAT_PLAIN)
+    with pytest.raises(MalformedInput) as err:
+        code_corpus([doc, copy.deepcopy(doc)], resources=resources)
+    assert str(err.value) == f"duplicate document id {doc.metadata.doc_id!r}"
 
 
 def test_coding_does_not_hold_the_corpus_and_its_records_at_once(tmp_path, resources):

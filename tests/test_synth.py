@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+
+import pytest
+
 from citecode.ingest import parse_document
 from citecode.pipeline import read_manifest, run_pipeline
 from citecode.synth import synth_document, write_corpus
@@ -67,3 +71,25 @@ def test_generated_corpus_codes_cleanly(tmp_path):
     assert result.summary["citations"]["resolved"] > 0
     # Document 0 carries one marker that matches no reference entry.
     assert result.summary["citations"]["unresolved"] >= 1
+
+
+# sha256 over (filename, format, content) of documents 0..39, each part
+# followed by a NUL. The default corpus is what the benchmark builds
+# from, so any change to the generator's bytes must be deliberate.
+_CORPUS_DIGESTS = {
+    (0, 50, 20): "bb6870c0b2eb4eaf1bcddf7c842aa553bc12c420b635141ad4d91e5d5794e39a",
+    (5, 50, 20): "a24cae1aedbe6f727a31c8bf7264b4c42555823a16b57a9f50a07d6945201ac0",
+    (7, 50, 20): "aeb7e98181e1388b8ea49ffa943c8e0348aa6af4d69157d270c690817bd4a536",
+    (0, 4, 4): "95cf946ac69ac3a4d347d313e4171ddeb32e79180045e386cb872eb33f7a23c0",
+    (5, 4, 4): "3acdcc732c75178f0460ef7732ef18133975b082435a75f1068173c62879b3c9",
+    (7, 4, 4): "5e3fc9e741d74a6fef138c8b421c5a8ee2916cff49e75565031b2277d5140542",
+}
+
+
+@pytest.mark.parametrize(("seed", "sentences", "refs"), sorted(_CORPUS_DIGESTS))
+def test_default_corpus_bytes_are_pinned(seed, sentences, refs):
+    digest = hashlib.sha256()
+    for index in range(40):
+        for part in synth_document(index, seed, sentences, refs):
+            digest.update(part.encode("utf-8") + b"\0")
+    assert digest.hexdigest() == _CORPUS_DIGESTS[seed, sentences, refs]
