@@ -111,10 +111,15 @@ def _detect(
     # (span start, InTextCitation fields) per citation. Markers never share
     # a start, so a stable sort on it gives reading order.
     found: list[tuple[int, dict]] = []
+    # A narrative marker ends in a year-only parenthesis, which holds no
+    # other parenthesis, so the group scan meets it first; without one
+    # the narrative pass cannot match.
+    has_year_only = False
 
     for group in _PAREN_GROUP_RE.finditer(sentence) if has_paren else ():
         content = group.group(1)
         if _YEAR_ONLY_RE.match(content):
+            has_year_only = True
             continue  # handled by the narrative pass
         span = (group.start(), group.end())
         for segment in content.split(";"):
@@ -134,7 +139,7 @@ def _detect(
             )
             found.append((span[0], fields))
 
-    for match in _NARRATIVE_RE.finditer(sentence) if has_paren else ():
+    for match in _NARRATIVE_RE.finditer(sentence) if has_year_only else ():
         surnames = _split_names(match.group("names"))
         if not surnames:
             continue

@@ -69,22 +69,33 @@ class UnknownCategory(CitecodeError):
     """A category letter outside A..L was requested."""
 
 
-def _decode_utf8(data: bytes, what: str, error: type[ParseError]) -> str:
-    """The text of a UTF-8 input; bad bytes raise ``error`` at their line."""
+def _decode_utf8(
+    data: bytes, what: str, error: type[ParseError], lf_only: bool = False
+) -> str:
+    r"""The text of a UTF-8 input; bad bytes raise ``error`` at their line.
+
+    Lines end where _split_lines ends them ("\n", "\r\n" or a lone
+    "\r"), or at "\n" alone when ``lf_only``, as in JSON Lines files.
+    """
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        before = data[: exc.start]
+        line = before.count(b"\n") + 1
+        if not lf_only:
+            line += before.count(b"\r") - before.count(b"\r\n")
         raise error(f"{what} file is not UTF-8 ({exc.reason})", line=line) from None
 
 
-def _read_utf8(path: str | Path, what: str, error: type[ParseError]) -> str:
+def _read_utf8(
+    path: str | Path, what: str, error: type[ParseError], lf_only: bool = False
+) -> str:
     """The text of a UTF-8 file; one that cannot be read or decoded raises ``error``."""
     try:
         data = Path(path).read_bytes()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise error(f"cannot read {what} file {path}: {exc}") from None
-    return _decode_utf8(data, what, error)
+    return _decode_utf8(data, what, error, lf_only)
 
 
 def _split_lines(text: str) -> list[str]:

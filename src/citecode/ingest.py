@@ -340,7 +340,7 @@ def serialize_document(doc: Document) -> str:
     if meta.year is not None:
         lines.append(f"    <year>{meta.year}</year>")
     if meta.domain_override:
-        lines.append(f"    <domain>{meta.domain_override}</domain>")
+        lines.append(f"    <domain>{escape(meta.domain_override)}</domain>")
     lines.append("  </metadata>")
     lines.append("  <body>")
     for section in doc.sections:

@@ -4,7 +4,10 @@ The run is serial: parse each document in manifest order, build the
 coauthorship graph from every parsed document's metadata (relation
 coding needs the finished graph), then make one pass per document, in
 document-id order, that extracts, links and codes its citations, one
-citing sentence at a time. The pass consumes the parsed documents: each
+citing sentence at a time. Within a document each sentence is
+tokenized once, the citing-document codes are made once, the
+window-side codes once per citing sentence, and the cited-work codes
+once per cited entry. The pass consumes the parsed documents: each
 is dropped once its records, unlinked markers and warnings are taken,
 and only its metadata stays. No output depends on manifest order, and
 outputs carry no timestamps: a corpus coded twice is byte-identical.
@@ -173,17 +176,28 @@ def code_document(
 ) -> list[CodedCitation]:
     """Produce one full record per citation, resolved or not.
 
-    Citations come in reading order, so the loop takes each citing
-    sentence's citations together and codes D, the context window, I, J
-    and the quote test once for them all. Each category's (value, rule)
-    pair is stated once, in rule-trace order: D F I J, then the
-    citing-document codes G H K L, then the cited-work codes A B C E.
-    Unresolved and ambiguous citations keep their context-side codes;
-    A, B, C and E become uncodable, untraced.
+    Each piece of work is done once at the level it belongs to:
+
+    * per document: the sentences' tokens, the citing-document codes
+      G H K L, and the mention counts;
+    * per citing sentence (citations come in reading order, so the loop
+      takes each sentence's citations together): D, the context window,
+      I, J and the quote test;
+    * per cited work: A B C E, coded at the entry's first resolved
+      mention and reused for its later ones;
+    * per citation: F and the record.
+
+    Each category's (value, rule) pair is stated once, in rule-trace
+    order: D F I J, then G H K L, then A B C E. Unresolved and ambiguous
+    citations keep their context-side codes; A, B, C and E become
+    uncodable, untraced.
     """
     meta = doc.metadata
     lexicons = resources.lexicons
     citing_keys = [a.key for a in meta.authors]
+    # Each sentence is tokenized once: the focus scan reads them all,
+    # and neighbouring windows share theirs.
+    sentence_tokens = [tokenize(sentence) for sentence in doc.sentences]
 
     # Citing-document codes are constant across the document.
     domain = code_domain(meta, resources.venue_map)
@@ -191,14 +205,15 @@ def code_document(
         "G": code_document_type(meta),
         "H": code_authorship(meta.authors, "H"),
         "K": domain,
-        "L": code_focus(domain[0], document_focus_matches(doc, lexicons)),
+        "L": code_focus(domain[0], document_focus_matches(doc, lexicons, sentence_tokens)),
     }
     counts = mention_counts(doc, citations)
     # The entry a resolved citation names; of two entries with one id,
     # the first wins.
     references = {ref.ref_id: ref for ref in reversed(doc.references)}
-    # Neighbouring windows overlap: each sentence is tokenized once.
-    sentence_tokens: dict[int, list[str]] = {}
+    # A B C E of each cited entry, by ref_id: they read only the entry,
+    # the two author lists and the entry's mention count.
+    cited_codes: dict[str, dict] = {}
 
     records = []
     for index, group in groupby(citations, key=lambda c: c.sentence_index):
@@ -209,8 +224,6 @@ def code_document(
         # by spaces: no token crosses the space between two sentences.
         tokens: list[str] = []
         for window_index in context.sentence_indices:
-            if window_index not in sentence_tokens:
-                sentence_tokens[window_index] = tokenize(doc.sentences[window_index])
             tokens += sentence_tokens[window_index]
         i_code = code_function(tokens, location[0], lexicons)
         j_value, j_matches, j_rule = code_disposition(tokens, lexicons)
@@ -224,12 +237,17 @@ def code_document(
                 **citing_codes,
             }
             if citation.link_status == LINK_RESOLVED:
-                ref = references[citation.ref_id]
-                cited_keys = [a.key for a in ref.authors]
-                coded["A"] = code_document_type(ref)
-                coded["B"] = code_authorship(ref.authors, "B")
-                coded["C"] = code_relation(citing_keys, cited_keys, graph, scores, config.delta)
-                coded["E"] = code_frequency(counts[citation.ref_id])
+                ref_id = citation.ref_id
+                if ref_id not in cited_codes:
+                    ref = references[ref_id]
+                    cited_keys = [a.key for a in ref.authors]
+                    cited_codes[ref_id] = {
+                        "A": code_document_type(ref),
+                        "B": code_authorship(ref.authors, "B"),
+                        "C": code_relation(citing_keys, cited_keys, graph, scores, config.delta),
+                        "E": code_frequency(counts[ref_id]),
+                    }
+                coded.update(cited_codes[ref_id])
             else:
                 uncodable = Uncodable(_LINK_REASON[citation.link_status])
                 coded.update(dict.fromkeys("ABCE", (uncodable, None)))

@@ -201,7 +201,7 @@ def read_json_lines(path: str | Path, what: str) -> list[str]:
     Lines end at "\n" only: JSON strings may hold the other characters
     str.splitlines() breaks on, such as U+2028 in a document id.
     """
-    return _read_utf8(path, what, MalformedInput).split("\n")
+    return _read_utf8(path, what, MalformedInput, lf_only=True).split("\n")
 
 
 def read_jsonl(path: str | Path) -> Iterator[CodedCitation]:

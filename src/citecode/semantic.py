@@ -21,6 +21,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from io import StringIO
+from itertools import chain
 from pathlib import Path
 
 from .codebook import VALUES, Uncodable
@@ -257,10 +258,16 @@ _FOCUS_PRIORS = {"K1": "L2", "K2": "L1", "K3": "L3", "K4": "L3"}
 _FOCUS_CUE_ORDER = (("experimental", "L3"), ("empirical", "L2"), ("theoretical", "L1"))
 
 
-def document_focus_matches(doc: Document, lexicons: LexiconSet) -> list[tuple[str, str]]:
-    """Focus-cue hits over the whole document body, computed once."""
-    tokens = tokenize(" ".join(doc.sentences))
-    return lexicons.focus.match(tokens)
+def document_focus_matches(
+    doc: Document, lexicons: LexiconSet, sentence_tokens: list[list[str]]
+) -> list[tuple[str, str]]:
+    """Focus-cue hits over the whole document body, computed once.
+
+    ``sentence_tokens`` holds ``tokenize`` of each of ``doc``'s
+    sentences, in order. Their concatenation is the body's tokens: no
+    token crosses the space that joins two sentences.
+    """
+    return lexicons.focus.match(list(chain.from_iterable(sentence_tokens)))
 
 
 def code_focus(

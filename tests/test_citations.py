@@ -522,6 +522,11 @@ _SENTENCES = st.lists(
          sentence_index=0, linked=True)
 @example(sentence="No markers here, only words.", sentence_index=2, linked=True)
 @example(sentence="Brackets [alone] and Smith (2011)", sentence_index=1, linked=False)
+@example(sentence="Smith ( 2011 )", sentence_index=0, linked=True)
+@example(sentence="Smith ((2011))", sentence_index=0, linked=True)
+@example(sentence="(2011) shows it", sentence_index=0, linked=True)
+@example(sentence="(Smith, 2010; 2011)", sentence_index=0, linked=True)
+@example(sentence="(Jones, 2010) and Smith (2011a)", sentence_index=0, linked=True)
 @settings(max_examples=400)
 def test_gated_detection_matches_the_ungated_scan(sentence, sentence_index, linked):
     references = _MARKER_REFS if linked else None

@@ -491,6 +491,25 @@ def test_non_utf8_input_exits_two_with_its_line(coded_run, tmp_path, capsys, com
     assert f"line {bad_line}: {what} file is not UTF-8" in captured.err
 
 
+@pytest.mark.parametrize("command", ["report", "eval"])
+def test_non_utf8_json_lines_count_lines_at_newlines_only(coded_run, tmp_path, capsys, command):
+    # A carriage return between JSON tokens is whitespace, not a line end.
+    good = (coded_run / "coded.jsonl").read_bytes().replace(b'{"', b'{\r"')
+    bad_line = good[: good.index(b'"paper-b"')].count(b"\n") + 1
+    broken = tmp_path / "broken.jsonl"
+    broken.write_bytes(good.replace(b'"paper-b"', b'"paper-\xff"', 1))
+    argv = {
+        "report": ["report", "--input", str(broken), "--rows", "J"],
+        "eval": [
+            "eval", "--input", str(coded_run / "coded.jsonl"), "--gold", str(broken),
+            "--categories", "J",
+        ],
+    }[command]
+    assert main(argv) == 2
+    what = {"report": "coded", "eval": "gold"}[command]
+    assert f"line {bad_line}: {what} file is not UTF-8" in capsys.readouterr().err
+
+
 def test_eval_reports_the_coded_file_before_the_gold_file(coded_run, tmp_path, capsys):
     lines = (coded_run / "coded.jsonl").read_text(encoding="utf-8").splitlines()
     coded = tmp_path / "coded.jsonl"

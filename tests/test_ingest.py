@@ -486,6 +486,14 @@ def test_serialize_round_trips_what_xml_can_carry(field, text):
     assert again.references == doc.references
 
 
+def test_serialize_escapes_the_domain_override():
+    doc = parse_document(MINIMAL, FORMAT_PLAIN)
+    doc.metadata.domain_override = "K1&"
+    again = parse_document(serialize_document(doc), FORMAT_XML)
+    assert again.metadata.domain_override is None
+    assert again.warnings == ["invalid domain override 'K1&' ignored"]
+
+
 def test_form_feed_in_a_plain_reference_line_does_not_split_it():
     # PDF-to-text writes a form feed at a page break.
     with_space = MINIMAL + "Lee, K. (2011). A title. Journal of X, 3(2), 1-9.\n"
@@ -509,6 +517,13 @@ def test_crlf_and_lone_cr_documents_parse_as_lf(newline):
     doc = parse_document(MINIMAL.replace("\n", newline), FORMAT_PLAIN)
     assert doc == expected
     assert doc.warnings == expected.warnings
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+def test_bad_byte_line_counts_crlf_and_lone_cr_line_ends(newline):
+    data = newline.join([b"#META id: x", b"#SECTION S", b"\xff", b""])
+    with pytest.raises(MalformedInput, match="^line 3: document file is not UTF-8"):
+        parse_document(data, FORMAT_PLAIN)
 
 
 def test_reference_order_preserved():

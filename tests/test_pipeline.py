@@ -47,7 +47,6 @@ from citecode.semantic import (
     code_domain,
     code_focus,
     code_function,
-    document_focus_matches,
     tokenize,
 )
 from citecode.synth import SURNAMES, synth_document, write_corpus
@@ -611,7 +610,7 @@ def reference_code_document(doc, citations, resources, config, graph, scores):
         "G": code_document_type(meta),
         "H": code_authorship(meta.authors, "H"),
         "K": domain,
-        "L": code_focus(domain[0], document_focus_matches(doc, lexicons)),
+        "L": code_focus(domain[0], lexicons.focus.match(tokenize(" ".join(doc.sentences)))),
     }
     counts = mention_counts(doc, citations)
     references = {ref.ref_id: ref for ref in reversed(doc.references)}

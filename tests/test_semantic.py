@@ -496,7 +496,8 @@ Smith, A. (2011). A title. Minerva, 2(1), 1-2.
 
 def test_document_focus_matches_cover_whole_body(lexicons):
     doc = parse_document(FOCUS_DOC)
-    tags = {tag for _, tag in document_focus_matches(doc, lexicons)}
+    sentence_tokens = [tokenize(sentence) for sentence in doc.sentences]
+    tags = {tag for _, tag in document_focus_matches(doc, lexicons, sentence_tokens)}
     assert tags == {"empirical", "theoretical"}
 
 
