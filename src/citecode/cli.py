@@ -112,7 +112,7 @@ def _read_gold(path: str) -> dict[tuple[str, str], dict[str, str]]:
             continue
         try:
             item = decode_line(line)
-        except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+        except ValueError as exc:  # decode_line's JSONDecodeError
             raise MalformedInput(f"gold: bad JSON ({exc})", line=line_no) from None
         if not isinstance(item, dict) or "doc_id" not in item or "citation_id" not in item:
             raise MalformedInput(

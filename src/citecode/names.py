@@ -36,8 +36,9 @@ _PARTICLES = {
     "le", "la", "ter", "da", "dos", "di", "al", "el",
 }
 
-# Tokens that are initials rather than names: "J.", "B. A.", "H-D."
-_INITIALS_RE = re.compile(r"^(?:[A-Z]\.?[\s.-]*)+$")
+# Tokens that are initials rather than names: "J.", "B. A.", "H-D." Only a
+# letter starts a repeat, so a token that does not match fails in linear time.
+_INITIALS_RE = re.compile(r"^(?:[A-Z][\s.-]*)+$")
 
 
 def fold_to_ascii(text: str) -> str:

@@ -135,7 +135,8 @@ def decode_line(line: str):
     nothing else. Any other line, such as one with a byte-order mark,
     surrounding whitespace or bad JSON, goes to ``json.loads``, so its
     value or its JSONDecodeError is the one ``json.loads`` gives, except
-    that a value nested too deeply raises JSONDecodeError, not RecursionError.
+    that a value nested too deeply, or an integer of more digits than
+    int reads, raises JSONDecodeError, not RecursionError or ValueError.
     """
     try:
         try:
@@ -145,6 +146,10 @@ def decode_line(line: str):
         return value if end == len(line) else json.loads(line)
     except RecursionError:
         raise json.JSONDecodeError("nested too deeply", line, 0) from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # past sys.get_int_max_str_digits()
+        raise json.JSONDecodeError(str(exc), line, 0) from None
 
 
 def record_from_json(line: str) -> CodedCitation:

@@ -16,7 +16,9 @@ from .models import YEAR_PATTERN, AuthorName, ReferenceEntry
 from .names import _INITIALS_RE, normalize_author_key, surname_of
 
 _LABEL_RE = re.compile(r"^\[(\d{1,4})\]\s*")
-_YEAR_RE = re.compile(rf"\((?P<year>{YEAR_PATTERN})(?P<suffix>[a-z])?[^)]*\)")
+# A year is the first "(year" that some later ")" closes. When the first
+# "(year" has no ")" after it, no later one has, so one search is enough.
+_YEAR_RE = re.compile(rf"\((?P<year>{YEAR_PATTERN})(?P<suffix>[a-z])?")
 
 _LEAD_SEP_RE = re.compile(r"^(?:&|and)\s+", re.IGNORECASE)
 
@@ -77,7 +79,7 @@ def parse_reference_entry(text: str) -> ReferenceEntry:
     year = None
     suffix = None
     year_match = _YEAR_RE.search(body)
-    if year_match:
+    if year_match and body.find(")", year_match.end()) >= 0:
         year = int(year_match.group("year"))
         suffix = year_match.group("suffix")
         author_block = body[: year_match.start()]

@@ -129,7 +129,7 @@ def _build_lexicon(name: str, rows: list[tuple[str, str]], source: str) -> CueLe
 
 
 def _read_csv_rows(path: Path, header: str, what: str) -> list[tuple[int, list[str]]]:
-    """Data rows of a CSV file, each with its row number.
+    """Data rows of a CSV file, each with the line it starts on.
 
     Blank rows and # comment rows are skipped. The first other row must
     be ``header`` (compared case-insensitively on its first two cells).
@@ -138,13 +138,17 @@ def _read_csv_rows(path: Path, header: str, what: str) -> list[tuple[int, list[s
     text = _read_utf8(path, what, MalformedLexicon)
     # newline=None reads "\r\n" and a lone "\r" as "\n".
     reader = csv.reader(StringIO(text, newline=None))
+    parsed = []
+    start = 1  # a quoted field may span lines, so rows and lines differ
     try:
-        parsed = list(reader)
+        for row in reader:
+            parsed.append((start, row))
+            start = reader.line_num + 1
     except csv.Error as exc:  # a field over csv.field_size_limit()
-        raise MalformedLexicon(f"{path.name}: {exc}", line=reader.line_num) from None
+        raise MalformedLexicon(f"{path.name}: {exc}", line=start) from None
     rows = []
     header_seen = False
-    for line_no, row in enumerate(parsed, start=1):
+    for line_no, row in parsed:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if row[0].lstrip().startswith("#"):

@@ -39,40 +39,38 @@ def _collapse(text: str) -> str:
     return " ".join(text.split())
 
 
-@lru_cache(maxsize=16)
-def _lowered(abbreviations: tuple[str, ...]) -> tuple[tuple[str, ...], int]:
-    """The abbreviations lowercased, and the length of the longest."""
-    abbrevs = tuple(abbr.lower() for abbr in abbreviations)
-    return abbrevs, max(map(len, abbrevs), default=0)
+# The lowercased abbreviations in one set per length, and the longest length.
+_Table = tuple[tuple[tuple[int, frozenset[str]], ...], int]
 
 
 @lru_cache(maxsize=16)
-def _by_length(abbreviations: tuple[str, ...]) -> tuple[tuple[int, frozenset[str]], ...]:
-    """The abbreviations grouped into one set per length."""
+def _abbreviation_table(abbreviations: tuple[str, ...]) -> _Table:
     groups: dict[int, set[str]] = {}
-    for abbr in abbreviations:
+    for abbr in map(str.lower, abbreviations):
         groups.setdefault(len(abbr), set()).add(abbr)
-    return tuple((length, frozenset(group)) for length, group in groups.items())
+    return tuple((n, frozenset(g)) for n, g in groups.items()), max(groups, default=0)
 
 
-def _protected(
-    text: str, dot_index: int, abbreviations: tuple[str, ...], window: int
-) -> bool:
+def _protected(text: str, dot_index: int, table: _Table) -> bool:
     """True when the period at dot_index ends a protected abbreviation.
 
     Only the last `window` characters (the longest abbreviation) are
     lowercased, which keeps segmentation linear in the text length.
     str.lower maps each character on its own except a capital sigma,
-    whose form depends on the letters before it; a window holding one
-    is compared against the whole prefix, as if no window were taken.
-    The lowered tail is sliced once per distinct abbreviation length
-    and looked up in that length's set.
+    whose form depends on the nearest character before it that is not
+    case-ignorable; while that character, outside the window, could
+    change the window's lowercase, the window doubles.
     """
-    tail = text[max(0, dot_index + 1 - window) : dot_index + 1]
-    if "\u03a3" in tail:
-        tail = text[: dot_index + 1]
+    groups, window = table
+    width = window
+    tail = text[max(0, dot_index + 1 - width) : dot_index + 1]
+    while "\u03a3" in tail and width <= dot_index and (
+        ("A" + tail).lower()[-window:] != (" " + tail).lower()[-window:]
+    ):
+        width *= 2
+        tail = text[max(0, dot_index + 1 - width) : dot_index + 1]
     tail_low = tail.lower()
-    for length, group in _by_length(abbreviations):
+    for length, group in groups:
         # An empty abbreviation ends every tail, but tail_low[-0:] is
         # the whole tail.
         if (tail_low[-length:] if length else "") in group:
@@ -87,7 +85,7 @@ def segment_sentences(
     abbreviations: tuple[str, ...] = DEFAULT_ABBREVIATIONS,
 ) -> list[str]:
     """Split text into sentences; whitespace inside each is collapsed."""
-    abbrevs, window = _lowered(tuple(abbreviations))
+    table = _abbreviation_table(tuple(abbreviations))
     sentences: list[str] = []
     start = 0
     depth = 0
@@ -102,7 +100,7 @@ def segment_sentences(
             depth += 1
         elif ch in _CLOSERS:
             depth = max(0, depth - 1)
-        elif depth == 0 and not (ch == "." and _protected(text, i, abbrevs, window)):
+        elif depth == 0 and not (ch == "." and _protected(text, i, table)):
             # Swallow the full run ("?!", "...") plus any closing quotes.
             j = i
             while j + 1 < n and text[j + 1] in _TERMINATORS:

@@ -436,11 +436,16 @@ def _set_key(line, key, value):
             lambda line: "[" * 100_000 + "]" * 100_000,
             "line 2: coded.jsonl: bad JSON (nested too deeply",
         ),
+        # json reads no integer of more than 4,300 digits.
+        (
+            lambda line: line.replace('"sentence_index": ', '"sentence_index": ' + "9" * 5000),
+            "line 2: coded.jsonl: bad JSON (Exceeds the limit",
+        ),
     ],
     ids=[
         "missing-file", "truncated-line", "no-doc-id", "no-link-status", "not-an-object",
         "numeric-doc-id", "value-outside-codebook", "list-value", "string-reasons",
-        "duplicate-record", "deeply-nested",
+        "duplicate-record", "deeply-nested", "over-long-integer",
     ],
 )
 @pytest.mark.parametrize("command", ["report", "eval"])

@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citecode.errors import UnparseableName
-from citecode.names import fold_to_ascii, normalize_author_key, surname_of
+from citecode.names import (
+    _INITIALS_RE,
+    _split_no_comma,
+    fold_to_ascii,
+    normalize_author_key,
+    surname_of,
+)
+from citecode.refparse import parse_author_block
+
+from timing import best_times
 
 
 def test_diacritic_surname_folds_to_ascii():
@@ -114,3 +125,27 @@ def test_normalization_is_idempotent_on_rendered_keys(raw):
     # inherently ambiguous (it re-parses as given-first or trailing-initial).
     rendered = f"{surname.title()}, {initial.upper()}." if initial else f"{surname.title()},"
     assert normalize_author_key(rendered) == key
+
+
+# The original initials pattern: each period can go to "\.?" or to the
+# class, so a run of initials that fails at its end tries 2^k splits.
+_BACKTRACKING_INITIALS_RE = re.compile(r"^(?:[A-Z]\.?[\s.-]*)+$")
+
+
+@given(st.text(alphabet=st.sampled_from(list("AJz. -\t\n")), max_size=14))
+@example("A.A.A.x")
+@example("H-D.")
+@settings(max_examples=400)
+def test_initials_pattern_matches_the_backtracking_original(token):
+    assert bool(_INITIALS_RE.match(token)) == bool(_BACKTRACKING_INITIALS_RE.match(token))
+
+
+def test_initials_check_is_linear_in_token_length():
+    # A run of initials that fails only at its last character. Both
+    # callers check it: the comma-free name split and the author block.
+    def check(token):
+        _split_no_comma(["Smith", token])
+        parse_author_block("Smith, " + token)
+
+    small, large = best_times(check, "A." * 5 + "x", "A." * 20 + "x")
+    assert large < 8 * small, (small, large)

@@ -326,11 +326,23 @@ _RAW_LINES = st.one_of(
 )
 
 
+def loads_with_decode_errors(line):
+    """json.loads, except that an integer past int's digit limit is bad JSON."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        raise json.JSONDecodeError(str(exc), line, 0) from None
+
+
 @given(line=_RAW_LINES)
 @settings(max_examples=600, deadline=None)
 @example(line="")
 @example(line="[1")
 @example(line='{"A": 1.5} 2')
 @example(line=" null")
+@example(line="9" * 5000)
+@example(line='{"A": ' + "9" * 5000 + "} ")
 def test_decode_line_matches_json_loads(line):
-    assert outcome(decode_line, line) == outcome(json.loads, line)
+    assert outcome(decode_line, line) == outcome(loads_with_decode_errors, line)

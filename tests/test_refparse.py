@@ -9,7 +9,7 @@ import sys
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from citecode.models import ReferenceEntry
+from citecode.models import YEAR_PATTERN, ReferenceEntry
 from citecode.refparse import derive_ref_id, parse_author_block, parse_reference_entry
 from citecode.syntactic import (
     _EDITION_RE,
@@ -22,6 +22,8 @@ from citecode.syntactic import (
     _VOLUME_ISSUE_RE,
     code_document_type,
 )
+
+from timing import best_times
 
 LIPETZ = (
     "Lipetz, B. A. (1965). Improvement of the selectivity of citation indexes "
@@ -222,3 +224,32 @@ def test_gated_venue_signals_match_the_ungated_scan(text):
         ("A6", "A:signal:none"),
     )
     assert code_document_type(ReferenceEntry(ref_id="r", raw=text)) == expected
+
+
+# The original year pattern: when no ")" follows the first "(year", the
+# search tries again from every later "(year", quadratic in the entry.
+_BACKTRACKING_YEAR_RE = re.compile(rf"\((?P<year>{YEAR_PATTERN})(?P<suffix>[a-z])?[^)]*\)")
+_YEAR_PIECES = ["(2011", "(1999", "(2100", "a", "b", ")", "(", " ", "x", "2011", "Smith, J. ", ". "]
+
+
+@given(st.lists(st.sampled_from(_YEAR_PIECES), max_size=14).map("".join))
+@example("Smith, J. (2011a. Title (2012). X")
+@example("[3] Smith, J. (1999b (2011) x")
+@example("Smith, J. (2011 x (2012 y")
+@settings(max_examples=500)
+def test_year_search_matches_the_backtracking_original(text):
+    entry = parse_reference_entry(text)
+    found = _BACKTRACKING_YEAR_RE.search(entry.raw)
+    if found is None:
+        assert (entry.year, entry.year_suffix) == (None, None)
+    else:
+        assert (entry.year, entry.year_suffix) == (int(found["year"]), found["suffix"])
+        assert entry.authors == parse_author_block(entry.raw[: found.start()])
+
+
+def test_year_search_is_linear_in_entry_length():
+    # Many "(year" openings and no ")" to close any of them.
+    small, large = best_times(
+        parse_reference_entry, "Smith, J. " + "(2011 x " * 1000, "Smith, J. " + "(2011 x " * 4000
+    )
+    assert large < 8 * small, (small, large)

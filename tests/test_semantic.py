@@ -485,6 +485,38 @@ def test_venue_map_requires_header(tmp_path):
         load_venue_map(path)
 
 
+@pytest.mark.parametrize(
+    "load, header, good, bad",
+    [
+        (load_lexicon, "phrase,tag", "negative", "unknowntag"),
+        (load_venue_map, "venue_pattern,K_value", "K1", "K9"),
+    ],
+    ids=["lexicon", "venue-map"],
+)
+@pytest.mark.parametrize(
+    "layout, line",
+    [
+        ('{header}\n"two\nlines",{good}\nbad,{bad}\n', 4),
+        ('# note\n\n{header}\n\n"three\nline\nfield",{good}\nbad,{bad}\n', 8),
+        ('{header}\n"two\nlines",{good}\n"bad\nrow",{bad}\n', 4),
+        # A field over csv.field_size_limit() that spans lines.
+        ('{header}\n"two\nlines",{good}\n"' + "a\n" * 70_000 + '",{good}\n', 4),
+    ],
+    ids=[
+        "after-multi-line-row", "after-comments-blanks-and-field", "multi-line-bad-row",
+        "multi-line-oversized-field",
+    ],
+)
+def test_csv_errors_name_the_line_their_row_starts_on(
+    tmp_path, load, header, good, bad, layout, line
+):
+    path = tmp_path / "rows.csv"
+    path.write_text(layout.format(header=header, good=good, bad=bad), encoding="utf-8")
+    with pytest.raises(MalformedLexicon) as err:
+        load(path)
+    assert err.value.line == line
+
+
 FOCUS_DOC = """\
 #META id: focus-demo
 #SECTION Method

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from citecode.sentences import (
     _TERMINATORS,
     _TRAILING_QUOTES,
     DEFAULT_ABBREVIATIONS,
+    _abbreviation_table,
     _collapse,
     _protected,
     load_abbreviations,
@@ -165,10 +167,10 @@ _LOWERING_EDGE_CASES = ["\u03a3", "\u03c2", "\u03c3", "\u0130", "\u212a"]
 @settings(max_examples=300)
 def test_windowed_protection_matches_whole_prefix(text, extra):
     abbrevs = tuple(a.lower() for a in DEFAULT_ABBREVIATIONS + tuple(extra))
-    window = max(map(len, abbrevs))
+    table = _abbreviation_table(abbrevs)
     for index, ch in enumerate(text):
         if ch == ".":
-            assert _protected(text, index, abbrevs, window) == _protected_whole_prefix(
+            assert _protected(text, index, table) == _protected_whole_prefix(
                 text, index, abbrevs
             )
 
@@ -182,10 +184,33 @@ def test_segmentation_time_is_linear_in_paragraph_length():
     assert large < 8 * small, (small, large)
 
 
+@pytest.mark.parametrize("before, count", [("A", 1), (" ", 2)])
+def test_sigma_form_is_read_past_the_window(before, count):
+    # The sigma is final, so "\u03c2." protects its period, only when a
+    # cased letter precedes the 40 case-ignorable apostrophes before it.
+    text = before + "'" * 40 + "\u03a3. Next."
+    assert len(segment_sentences(text, DEFAULT_ABBREVIATIONS + ("\u03c2.",))) == count
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda scale: "Σ. Παπαδόπουλος, " * (600 * scale),
+        lambda scale: "Σ." * (1000 * scale),
+        lambda scale: "A" + "'" * (2000 * scale) + "Σ.",
+    ],
+    ids=["greek-initials", "whitespace-free-sigmas", "case-ignorable-run"],
+)
+def test_sigma_windows_are_linear_in_paragraph_length(make):
+    # Every period of the first two has a capital sigma in its window;
+    # the third has one sigma whose form the leading "A" decides.
+    small, large = best_times(segment_sentences, make(1), make(4))
+    assert large < 8 * small, (small, large)
+
+
 def reference_segment_sentences(text, abbreviations=DEFAULT_ABBREVIATIONS):
     """The per-character original of segment_sentences."""
-    abbrevs = tuple(a.lower() for a in abbreviations)
-    window = max(map(len, abbrevs), default=0)
+    table = _abbreviation_table(tuple(abbreviations))
     sentences = []
     start = 0
     depth = 0
@@ -198,7 +223,7 @@ def reference_segment_sentences(text, abbreviations=DEFAULT_ABBREVIATIONS):
         elif ch in _CLOSERS:
             depth = max(0, depth - 1)
         elif ch in _TERMINATORS and depth == 0:
-            if ch == "." and _protected(text, i, abbrevs, window):
+            if ch == "." and _protected(text, i, table):
                 i += 1
                 continue
             j = i
