@@ -1,12 +1,14 @@
 """In-text citation detection, linking, context windows, mention counts.
 
-Three marker families are recognized inside a sentence:
+Three marker families are recognized inside a sentence; one pass over
+its parenthesis groups finds both author-year forms:
 
 * parenthetical author-year groups, including multi-work groups split
   on semicolons: "(Smith, 2011)", "(Berg et al. 2001; Wolfers and
   Zitzewitz 2004)", "(see, e.g., Mayr, 1997, pp. 98-99)"
 * narrative author + year-only parenthesis: "Smith (2011)",
-  "Jones et al. (2010)", possessives like "Smith's (2011)"
+  "Jones et al. (2010)", possessives like "Smith's (2011)"; the names
+  lie after the previous group, right before the year-only one
 * numeric brackets: "[3]", "[3, 7]"
 
 Every referenced work mentioned yields its own citation. Linking is a
@@ -56,11 +58,12 @@ _SEGMENT_WORK_RE = re.compile(
 
 _YEAR_ONLY_RE = re.compile(rf"^\s*(?P<year>{YEAR_PATTERN})(?P<suffix>[a-z])?\s*$")
 
-# Narrative form: name tokens directly before a year-only parenthesis.
-_NARRATIVE_RE = re.compile(
+# Narrative names. A match starts at a particle or at the first capital of
+# a run of name characters: a later capital matches only if that one does.
+_NARRATIVE_NAMES_RE = re.compile(
+    rf"(?:(?<![\w'’.-])(?:(?![A-Z])[\w'’.-])*(?=[A-Z])|(?={_PARTICLE}\s))"
     rf"(?P<names>{_SURNAME}(?:\s+(?:&|and)\s+{_SURNAME})?(?:\s+et\s+al\.?)?)"
-    rf"(?:['’]s)?\s*"
-    rf"\(\s*(?P<year>{YEAR_PATTERN})(?P<suffix>[a-z])?\s*\)"
+    rf"(?:['’]s)?\s*\Z"
 )
 
 _NUMERIC_RE = re.compile(r"\[(\d{1,4}(?:\s*,\s*\d{1,4})*)\]")
@@ -111,16 +114,24 @@ def _detect(
     # (span start, InTextCitation fields) per citation. Markers never share
     # a start, so a stable sort on it gives reading order.
     found: list[tuple[int, dict]] = []
-    # A narrative marker ends in a year-only parenthesis, which holds no
-    # other parenthesis, so the group scan meets it first; without one
-    # the narrative pass cannot match.
-    has_year_only = False
-
+    # One pass over the groups finds both author-year forms; narrative
+    # names lie after the previous group, right before a year-only one.
+    group_end = 0
     for group in _PAREN_GROUP_RE.finditer(sentence) if has_paren else ():
+        names_from, group_end = group_end, group.end()
         content = group.group(1)
-        if _YEAR_ONLY_RE.match(content):
-            has_year_only = True
-            continue  # handled by the narrative pass
+        if year_only := _YEAR_ONLY_RE.match(content):
+            match = _NARRATIVE_NAMES_RE.search(sentence, names_from, group.start())
+            if match and (surnames := _split_names(match.group("names"))):
+                fields = dict(
+                    char_span=(match.start("names"), group_end),
+                    marker_style=STYLE_NARRATIVE,
+                    surnames=surnames,
+                    year=int(year_only.group("year")),
+                    year_suffix=year_only.group("suffix"),
+                )
+                found.append((match.start("names"), fields))
+            continue
         span = (group.start(), group.end())
         for segment in content.split(";"):
             work = _SEGMENT_WORK_RE.search(segment)
@@ -138,19 +149,6 @@ def _detect(
                 has_page_locator=bool(work.group("locator")),
             )
             found.append((span[0], fields))
-
-    for match in _NARRATIVE_RE.finditer(sentence) if has_year_only else ():
-        surnames = _split_names(match.group("names"))
-        if not surnames:
-            continue
-        fields = dict(
-            char_span=match.span(),
-            marker_style=STYLE_NARRATIVE,
-            surnames=surnames,
-            year=int(match.group("year")),
-            year_suffix=match.group("suffix"),
-        )
-        found.append((match.start(), fields))
 
     for match in _NUMERIC_RE.finditer(sentence) if has_bracket else ():
         for label in re.findall(r"\d+", match.group(1)):

@@ -102,7 +102,7 @@ def _needle(entry: CueEntry) -> str:
 
 def _build_lexicon(name: str, rows: list[tuple[str, str]], source: str) -> CueLexicon:
     entries = []
-    seen_phrases = set()
+    seen_tokens = set()  # phrases that tokenize alike are one cue
     for line_no, (phrase, tag) in rows:
         phrase = phrase.strip().lower()
         tag = tag.strip().lower()
@@ -110,9 +110,6 @@ def _build_lexicon(name: str, rows: list[tuple[str, str]], source: str) -> CueLe
             raise MalformedLexicon(f"{source}: empty phrase", line=line_no)
         if tag not in VALID_TAGS:
             raise MalformedLexicon(f"{source}: unknown tag {tag!r}", line=line_no)
-        if phrase in seen_phrases:
-            raise MalformedLexicon(f"{source}: duplicate phrase {phrase!r}", line=line_no)
-        seen_phrases.add(phrase)
         wildcard = phrase.endswith("*")
         tokens = tuple(tokenize(phrase[:-1] if wildcard else phrase))
         if wildcard:
@@ -124,6 +121,9 @@ def _build_lexicon(name: str, rows: list[tuple[str, str]], source: str) -> CueLe
                 f"{source}: phrase {phrase!r} must have 1..{_MAX_PHRASE_TOKENS} tokens",
                 line=line_no,
             )
+        if tokens in seen_tokens:
+            raise MalformedLexicon(f"{source}: duplicate phrase {phrase!r}", line=line_no)
+        seen_tokens.add(tokens)
         entries.append(CueEntry(phrase=phrase, tag=tag, tokens=tokens, wildcard=wildcard))
     return CueLexicon(name=name, entries=tuple(entries))
 

@@ -10,10 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citecode.citations import (
-    _NARRATIVE_RE,
     _NUMERIC_RE,
     _PAREN_GROUP_RE,
     _SEGMENT_WORK_RE,
+    _SURNAME,
     _YEAR_ONLY_RE,
     _marker_surname,
     _split_names,
@@ -32,6 +32,7 @@ from citecode.models import (
     STYLE_NARRATIVE,
     STYLE_NUMERIC,
     STYLE_PARENTHETICAL,
+    YEAR_PATTERN,
     AuthorName,
     CitationContext,
     Document,
@@ -424,6 +425,14 @@ def test_document_citation_ids_are_sequential(corpus_documents):
 
 # -- the original scan, kept as the reference for the gated one ---------
 
+# The original narrative pattern: a whole-sentence scan for name tokens
+# directly before a year-only parenthesis.
+_NARRATIVE_RE = re.compile(
+    rf"(?P<names>{_SURNAME}(?:\s+(?:&|and)\s+{_SURNAME})?(?:\s+et\s+al\.?)?)"
+    rf"(?:['’]s)?\s*"
+    rf"\(\s*(?P<year>{YEAR_PATTERN})(?P<suffix>[a-z])?\s*\)"
+)
+
 
 def reference_detect_citations(sentence, references=None, sentence_index=0):
     """The original detect_citations: all three scans on every sentence."""
@@ -508,7 +517,8 @@ _SENTENCE_PIECES = [
     "(Smith, 2011)", "(Smith 2011a; Berg et al. 2001, p. 5)", "Smith (2011)",
     "Berg et al. (2001)", "Smith's (2011)", "Hjørland & Albrechtsen (1995)", "[3]", "[3, 7]",
     "(e.g., ", "(see ", "see ", "cf. ", "(", ")", "[", "]", ";", ",", ".", " ", "and ", "& ",
-    "2011", "1995", "Smith", "Berg", "et al.", "pp. 4-5", "Doe",
+    "2011", "1995", "Smith", "Berg", "et al.", "pp. 4-5", "Doe", "van ", "xSmith",
+    "Sullivan ", "O'Brien", "’s",
 ]
 _SENTENCES = st.lists(
     st.sampled_from(_SENTENCE_PIECES)
@@ -527,6 +537,12 @@ _SENTENCES = st.lists(
 @example(sentence="(2011) shows it", sentence_index=0, linked=True)
 @example(sentence="(Smith, 2010; 2011)", sentence_index=0, linked=True)
 @example(sentence="(Jones, 2010) and Smith (2011a)", sentence_index=0, linked=True)
+@example(sentence="( Smith (2011)", sentence_index=0, linked=True)
+@example(sentence="Smith ) (2011)", sentence_index=0, linked=True)
+@example(sentence="xSmith (2011)", sentence_index=0, linked=True)
+@example(sentence="Sullivan Dijk (2011)", sentence_index=0, linked=True)
+@example(sentence="Smith (2010) (2011)", sentence_index=0, linked=True)
+@example(sentence="(Jones, 2010) Smith's (2011)", sentence_index=0, linked=True)
 @settings(max_examples=400)
 def test_gated_detection_matches_the_ungated_scan(sentence, sentence_index, linked):
     references = _MARKER_REFS if linked else None
@@ -578,6 +594,19 @@ def test_detection_time_is_linear_in_markers_per_sentence(marker):
     large = " ".join(marker(i) for i in range(4000))
     assert len(detect_citations(large)) == 4000
     small_time, large_time = best_times(detect_citations, small, large)
+    assert large_time < 8 * small_time, (small_time, large_time)
+
+
+@pytest.mark.parametrize("token", ["A", "Ab"], ids=["capitals", "capital-lower-pairs"])
+def test_narrative_names_are_linear_in_token_length(token):
+    # One long token of name characters before ", (2011)" matches no
+    # narrative marker. A search that restarts at every capital inside
+    # the token rescans the rest of it each time: 16x for 4x the token.
+    def sentence(n):
+        return "See " + token * (n // len(token)) + ", (2011) here."
+
+    assert detect_citations(sentence(4000)) == []
+    small_time, large_time = best_times(detect_citations, sentence(1000), sentence(4000))
     assert large_time < 8 * small_time, (small_time, large_time)
 
 

@@ -80,11 +80,25 @@ def test_empty_lexicon_loads_with_warning(tmp_path, caplog):
 
 
 def test_duplicate_phrase_rejected(tmp_path):
-    path = write_lexicon(tmp_path, "dup.csv", ["phrase,tag", "but,negative", "but,negative"])
-    with pytest.raises(MalformedLexicon) as err:
-        load_lexicon(path)
-    assert "duplicate" in str(err.value)
-    assert err.value.line == 3
+    # Phrases that tokenize alike are one cue: loading both would report
+    # each hit twice.
+    for first, second in [
+        ("but", "but"),
+        ("but", "but."),
+        ("on the other hand", "on the other-hand"),
+        ("suffer*", "suffer *"),
+    ]:
+        lines = ["phrase,tag", f"{first},negative", f"{second},negative"]
+        path = write_lexicon(tmp_path, "dup.csv", lines)
+        with pytest.raises(MalformedLexicon) as err:
+            load_lexicon(path)
+        assert "duplicate" in str(err.value)
+        assert err.value.line == 3
+
+
+def test_prefix_and_whole_token_are_distinct_phrases(tmp_path):
+    path = write_lexicon(tmp_path, "pair.csv", ["phrase,tag", "suffer,negative", "suffer*,negative"])
+    assert [entry.tokens for entry in load_lexicon(path).entries] == [("suffer",), ("suffer*",)]
 
 
 def test_missing_header_rejected(tmp_path):
