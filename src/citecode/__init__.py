@@ -89,12 +89,14 @@ from .refparse import parse_reference_entry
 from .semantic import (
     CueLexicon,
     LexiconSet,
+    WindowCues,
     code_disposition,
     code_domain,
     code_focus,
     code_function,
     load_lexicon,
     load_venue_map,
+    token_text,
 )
 from .sentences import DEFAULT_ABBREVIATIONS, load_abbreviations, segment_sentences
 from .syntactic import (

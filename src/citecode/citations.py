@@ -58,10 +58,11 @@ _SEGMENT_WORK_RE = re.compile(
 
 _YEAR_ONLY_RE = re.compile(rf"^\s*(?P<year>{YEAR_PATTERN})(?P<suffix>[a-z])?\s*$")
 
-# Narrative names. A match starts at a particle or at the first capital of
-# a run of name characters: a later capital matches only if that one does.
+# Narrative names. A match starts at a particle that starts a word, or at
+# the first capital of a run of name characters: a later capital matches
+# only if that one does.
 _NARRATIVE_NAMES_RE = re.compile(
-    rf"(?:(?<![\w'’.-])(?:(?![A-Z])[\w'’.-])*(?=[A-Z])|(?={_PARTICLE}\s))"
+    rf"(?<![\w'’.-])(?:(?:(?![A-Z])[\w'’.-])*(?=[A-Z])|(?={_PARTICLE}\s))"
     rf"(?P<names>{_SURNAME}(?:\s+(?:&|and)\s+{_SURNAME})?(?:\s+et\s+al\.?)?)"
     rf"(?:['’]s)?\s*\Z"
 )

@@ -4,13 +4,14 @@ The run is serial: parse each document in manifest order, build the
 coauthorship graph from every parsed document's metadata (relation
 coding needs the finished graph), then make one pass per document, in
 document-id order, that extracts, links and codes its citations, one
-citing sentence at a time. Within a document each sentence is
-tokenized once, the citing-document codes are made once, the
-window-side codes once per citing sentence, and the cited-work codes
-once per cited entry. The pass consumes the parsed documents: each
-is dropped once its records, unlinked markers and warnings are taken,
-and only its metadata stays. No output depends on manifest order, and
-outputs carry no timestamps: a corpus coded twice is byte-identical.
+citing sentence at a time. Within a document each sentence's tokens
+are found and joined once, the citing-document codes are made once,
+the window-side codes, from one cue scan of the window, once per citing
+sentence, and the cited-work codes once per cited entry. The pass
+consumes the parsed documents: each is dropped once its records,
+unlinked markers and warnings are taken, and only its metadata stays.
+No output depends on manifest order, and outputs carry no timestamps: a
+corpus coded twice is byte-identical.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .semantic import (
     document_focus_matches,
     load_lexicon,
     load_venue_map,
+    token_text,
     tokenize,
 )
 from .sentences import load_abbreviations
@@ -182,7 +184,7 @@ def code_document(
       G H K L, and the mention counts;
     * per citing sentence (citations come in reading order, so the loop
       takes each sentence's citations together): D, the context window,
-      I, J and the quote test;
+      its one cue scan, I and J from that scan, and the quote test;
     * per cited work: A B C E, coded at the entry's first resolved
       mention and reused for its later ones;
     * per citation: F and the record.
@@ -195,9 +197,9 @@ def code_document(
     meta = doc.metadata
     lexicons = resources.lexicons
     citing_keys = [a.key for a in meta.authors]
-    # Each sentence is tokenized once: the focus scan reads them all,
-    # and neighbouring windows share theirs.
-    sentence_tokens = [tokenize(sentence) for sentence in doc.sentences]
+    # Each sentence's tokens are found and joined once: the focus scan
+    # reads them all, and neighbouring windows share theirs.
+    sentence_texts = [" ".join(tokenize(sentence)) for sentence in doc.sentences]
 
     # Citing-document codes are constant across the document.
     domain = code_domain(meta, resources.venue_map)
@@ -205,7 +207,7 @@ def code_document(
         "G": code_document_type(meta),
         "H": code_authorship(meta.authors, "H"),
         "K": domain,
-        "L": code_focus(domain[0], document_focus_matches(doc, lexicons, sentence_tokens)),
+        "L": code_focus(domain[0], document_focus_matches(doc, lexicons, sentence_texts)),
     }
     counts = mention_counts(doc, citations)
     # The entry a resolved citation names; of two entries with one id,
@@ -220,13 +222,11 @@ def code_document(
         group = list(group)
         location = code_location(doc.section_of(index))
         context = extract_context(doc, group[0], config.window_before, config.window_after)
-        # The window's tokens equal tokenize() of its sentences joined
-        # by spaces: no token crosses the space between two sentences.
-        tokens: list[str] = []
-        for window_index in context.sentence_indices:
-            tokens += sentence_tokens[window_index]
-        i_code = code_function(tokens, location[0], lexicons)
-        j_value, j_matches, j_rule = code_disposition(tokens, lexicons)
+        # The window's token text is that of tokenize() of its sentences
+        # joined by spaces: no token crosses the space between two sentences.
+        cues = lexicons.scan(token_text(sentence_texts[i] for i in context.sentence_indices))
+        i_code = code_function(cues, location[0])
+        j_value, j_matches, j_rule = code_disposition(cues)
         quoted = has_attributed_quote(doc.sentences[index])
         for citation in group:
             coded = {

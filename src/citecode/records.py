@@ -2,9 +2,12 @@
 
 A record carries every category slot A..L, either as a value or as an
 uncodable reason, plus the cue matches and rule trace that justify the
-coded values. Serialization uses a fixed key order and writes the
-records in the order the caller gives them, so the same records give
-the same bytes.
+coded values. Serialization writes each line straight from the
+record's fields, in a fixed key order and with the bytes of
+``json.JSONEncoder(ensure_ascii=False, separators=(", ", ": "))``; a
+field of a type the record does not declare raises rather than being
+written some other way. Records are written in the order the caller
+gives them, so the same records give the same bytes.
 """
 
 from __future__ import annotations
@@ -27,7 +30,12 @@ _STORED_VALUES = {
     for category in CATEGORIES
 }
 
-_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(", ", ": "))
+# Each category with its codebook values and the prefix its rule needs.
+_CHECKS = tuple((category, VALUES[category], f"{category}:") for category in CATEGORIES)
+
+# The string escaper json.JSONEncoder(ensure_ascii=False) writes with;
+# it raises TypeError for anything but a str.
+_escape = json.encoder.encode_basestring
 _scan_once = json.JSONDecoder().scan_once
 
 
@@ -69,7 +77,7 @@ def assemble_record(
     citation_id = citation.citation_id
     codes: dict[str, str | None] = {}
     reasons: dict[str, str] = {}
-    for category in CATEGORIES:
+    for category, values, prefix in _CHECKS:
         if category not in coded:
             raise IncompleteCoding(f"{doc_id}/{citation_id}: category {category} missing")
         value, rule = coded[category]
@@ -77,11 +85,11 @@ def assemble_record(
             codes[category] = None
             reasons[category] = value.reason
         else:
-            if value not in VALUES[category]:
+            if value not in values:
                 raise IncompleteCoding(
                     f"{doc_id}/{citation_id}: {value!r} is not a {category} value"
                 )
-            if rule is None or not rule.startswith(category + ":"):
+            if rule is None or not rule.startswith(prefix):
                 raise IncompleteCoding(
                     f"{doc_id}/{citation_id}: coded category {category} has no rule trace"
                 )
@@ -105,27 +113,53 @@ def assemble_record(
     )
 
 
+def _array(items: list | tuple, write) -> str:
+    if not isinstance(items, (list, tuple)):
+        raise TypeError(f"a list or tuple was expected, not {type(items).__name__}")
+    return f"[{', '.join(map(write, items))}]"
+
+
+def _int(value: int) -> str:
+    if type(value) is not int:
+        raise TypeError(f"an int was expected, not {type(value).__name__}")
+    return str(value)
+
+
+def _strings(items: list | tuple) -> str:
+    return _array(items, _escape)
+
+
 def record_to_json(record: CodedCitation) -> str:
-    """One JSONL line with fixed key order."""
-    payload: dict = {
-        "doc_id": record.doc_id,
-        "citation_id": record.citation_id,
-        "ref_id": record.ref_id,
-        "link_status": record.link_status,
-        "sentence_index": record.sentence_index,
-        "context_level": record.context_level,
-        "context_sentences": record.context_sentences,
-    }
-    for category in CATEGORIES:
-        payload[category] = record.codes.get(category)
-    # The encoder writes a tuple as an array, so the record's own tuple
-    # and lists go in as they are.
-    payload["matched_cues"] = record.matched_cues
-    payload["rule_trace"] = record.rule_trace
-    payload["uncodable_reasons"] = {
-        k: record.uncodable_reasons[k] for k in sorted(record.uncodable_reasons)
-    }
-    return _ENCODER.encode(payload)
+    """One JSONL line with fixed key order, in the bytes the encoder writes.
+
+    Each field must hold what the record declares: strings, None for
+    ``ref_id`` and uncodable categories, ints that are not bools, lists
+    or tuples, and a dict of strings. Anything else raises TypeError
+    rather than being written some other way; the encoder, for one,
+    would write a bool ``sentence_index`` as true.
+    """
+    codes = record.codes
+    reasons = record.uncodable_reasons
+    if not isinstance(reasons, dict):
+        raise TypeError(f"a dict was expected, not {type(reasons).__name__}")
+    categories = ", ".join([
+        f'"{category}": {"null" if (value := codes.get(category)) is None else _escape(value)}'
+        for category in CATEGORIES
+    ])
+    reasons_text = ", ".join(
+        [f"{_escape(key)}: {_escape(reasons[key])}" for key in sorted(reasons)]
+    )
+    return (
+        f'{{"doc_id": {_escape(record.doc_id)}, "citation_id": {_escape(record.citation_id)}, '
+        f'"ref_id": {"null" if record.ref_id is None else _escape(record.ref_id)}, '
+        f'"link_status": {_escape(record.link_status)}, '
+        f'"sentence_index": {_int(record.sentence_index)}, '
+        f'"context_level": {_escape(record.context_level)}, '
+        f'"context_sentences": {_array(record.context_sentences, _int)}, {categories}, '
+        f'"matched_cues": {_array(record.matched_cues, _strings)}, '
+        f'"rule_trace": {_strings(record.rule_trace)}, '
+        f'"uncodable_reasons": {{{reasons_text}}}}}'
+    )
 
 
 def decode_line(line: str):

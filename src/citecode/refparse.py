@@ -43,15 +43,16 @@ def parse_author_block(block: str) -> list[AuthorName]:
     if ";" in block:
         authors = [_author(part) for part in block.split(";") if part.strip()]
         return [a for a in authors if a is not None]
-    parts = [p.strip() for p in block.split(",") if p.strip()]
+    # Each comma part loses a leading "&" or "and" once.
+    parts = [_LEAD_SEP_RE.sub("", p.strip()).strip() for p in block.split(",") if p.strip()]
     authors: list[AuthorName] = []
     i = 0
     while i < len(parts):
-        part = _LEAD_SEP_RE.sub("", parts[i]).strip()
+        part = parts[i]
         if not part:
             i += 1
             continue
-        nxt = _LEAD_SEP_RE.sub("", parts[i + 1]).strip() if i + 1 < len(parts) else ""
+        nxt = parts[i + 1] if i + 1 < len(parts) else ""
         if nxt and _INITIALS_RE.match(nxt):
             found = _author(f"{part}, {nxt}")
             i += 2

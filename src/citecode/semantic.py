@@ -7,11 +7,15 @@ so "suffer*" covers "suffering" without loosening exact entries.
 
 Matching searches text rather than walking tokens: a lexicon turns each
 entry into a literal needle (" but " for an exact phrase, " suffer" for
-a prefix) and looks for it in the window's tokens joined by single
-spaces, with one space at each end. A leading space can only match at a
-token's start and a trailing one at a token's end, so a substring hit is
-a whole-token hit. This holds for tokens as ``tokenize`` gives them:
-non-empty and without spaces.
+a prefix) and looks for it in the window's token text, its tokens joined
+by single spaces with one space at each end (``token_text``). A leading
+space can only match at a token's start and a trailing one at a token's
+end, so a substring hit is a whole-token hit. This holds for tokens as
+``tokenize`` gives them: non-empty and without spaces.
+
+I and J read one scan of each context window: ``LexiconSet.scan`` runs
+one regex over the needles of the four lexicons they draw from, and only
+a window that holds some needle has each lexicon place its hits.
 """
 
 from __future__ import annotations
@@ -19,10 +23,11 @@ from __future__ import annotations
 import csv
 import logging
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from io import StringIO
-from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 from .codebook import VALUES, Uncodable
 from .errors import MalformedLexicon, _read_utf8
@@ -44,6 +49,17 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+def token_text(parts: Iterable[str]) -> str:
+    """The text cue matching searches: ``parts`` joined by single spaces,
+    with one space at each end.
+
+    ``parts`` are tokens, or sentences' tokens each already joined by
+    single spaces. An empty part, a sentence without tokens, is skipped,
+    so joined sentences give the text of all their tokens.
+    """
+    return f" {' '.join(filter(None, parts))} "
+
+
 @dataclass(frozen=True)
 class CueEntry:
     phrase: str
@@ -54,7 +70,7 @@ class CueEntry:
 
 @dataclass
 class CueLexicon:
-    """A named list of cue phrases with tags, matched over token lists."""
+    """A named list of cue phrases with tags, matched over token text."""
 
     name: str
     entries: tuple[CueEntry, ...] = ()
@@ -74,15 +90,14 @@ class CueLexicon:
         # "(?!)" never matches: an empty alternation would match anything.
         self._any = re.compile("|".join(re.escape(n) for n, _ in self._needles) or "(?!)")
 
-    def match(self, tokens: list[str]) -> list[tuple[str, str]]:
+    def match(self, text: str) -> list[tuple[str, str]]:
         """All (phrase, tag) hits in first-occurrence order, deduplicated.
 
-        ``tokens`` are as ``tokenize`` gives them. One regex search over
-        the joined window answers whether anything hits; only then does
-        each needle's first offset place its hit. Hits at one token keep
-        the needles' rank.
+        ``text`` is ``token_text`` of the tokens searched. One regex
+        search answers whether anything hits; only then does each
+        needle's first offset place its hit. Hits at one token keep the
+        needles' rank.
         """
-        text = f" {' '.join(tokens)} "
         if not self._any.search(text):
             return []
         found = []
@@ -175,7 +190,16 @@ def load_lexicon(path: str | Path, name: str | None = None) -> CueLexicon:
     return _build_lexicon(name or path.stem, rows, path.name)
 
 
-@dataclass
+class WindowCues(NamedTuple):
+    """One window's hits in each lexicon I and J read, as ``match`` gives them."""
+
+    negative: list[tuple[str, str]]
+    positive: list[tuple[str, str]]
+    evidence: list[tuple[str, str]]
+    framework: list[tuple[str, str]]
+
+
+@dataclass(frozen=True)
 class LexiconSet:
     """The five lexicons the content coders draw from."""
 
@@ -184,14 +208,39 @@ class LexiconSet:
     evidence: CueLexicon
     framework: CueLexicon
     focus: CueLexicon
+    _window_any: re.Pattern[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        needles = {
+            needle
+            for lexicon in (self.negative, self.positive, self.evidence, self.framework)
+            for needle, _ in lexicon._needles
+        }
+        # "(?!)" never matches: an empty alternation would match anything.
+        pattern = "|".join(re.escape(needle) for needle in sorted(needles)) or "(?!)"
+        object.__setattr__(self, "_window_any", re.compile(pattern))
+
+    def scan(self, text: str) -> WindowCues:
+        """The hits of the negative, positive, evidence and framework
+        lexicons in one window's ``token_text``.
+
+        One search over all four lexicons' needles rejects a window
+        without a cue; in a window with one, each lexicon places its
+        hits once.
+        """
+        if not self._window_any.search(text):
+            return WindowCues([], [], [], [])
+        return WindowCues(
+            self.negative.match(text),
+            self.positive.match(text),
+            self.evidence.match(text),
+            self.framework.match(text),
+        )
 
 
-def code_disposition(
-    tokens: list[str], lexicons: LexiconSet
-) -> tuple[str, list[tuple[str, str]], str]:
-    """Sentiment toward the cited work from the context window's tokens."""
-    negative = lexicons.negative.match(tokens)
-    positive = lexicons.positive.match(tokens)
+def code_disposition(cues: WindowCues) -> tuple[str, list[tuple[str, str]], str]:
+    """Sentiment toward the cited work from the context window's cues."""
+    negative, positive = cues.negative, cues.positive
     matches = negative + positive
     if negative and positive:
         return "J3", matches, "J:cues:mixed"
@@ -208,24 +257,19 @@ _LOCATION_PRIOR = {
 }
 
 
-def code_function(
-    tokens: list[str], location: str, lexicons: LexiconSet
-) -> tuple[str, str]:
+def code_function(cues: WindowCues, location: str) -> tuple[str, str]:
     """Why the work is cited: criticism, evidence, method, background.
 
-    ``tokens`` are the context window's tokens. Cue precedence is
+    ``cues`` are the context window's hits. Cue precedence is
     criticism, then evidence, then framework; with no cue the section
     location decides.
     """
-    negative = lexicons.negative.match(tokens)
-    if negative:
-        return "I4", f"I:cue:{negative[0][0]}"
-    evidence = lexicons.evidence.match(tokens)
-    if evidence:
-        return "I3", f"I:cue:{evidence[0][0]}"
-    framework = lexicons.framework.match(tokens)
-    if framework:
-        return "I2", f"I:cue:{framework[0][0]}"
+    if cues.negative:
+        return "I4", f"I:cue:{cues.negative[0][0]}"
+    if cues.evidence:
+        return "I3", f"I:cue:{cues.evidence[0][0]}"
+    if cues.framework:
+        return "I2", f"I:cue:{cues.framework[0][0]}"
     return _LOCATION_PRIOR[location], f"I:prior:{location}"
 
 
@@ -263,15 +307,15 @@ _FOCUS_CUE_ORDER = (("experimental", "L3"), ("empirical", "L2"), ("theoretical",
 
 
 def document_focus_matches(
-    doc: Document, lexicons: LexiconSet, sentence_tokens: list[list[str]]
+    doc: Document, lexicons: LexiconSet, sentence_texts: list[str]
 ) -> list[tuple[str, str]]:
     """Focus-cue hits over the whole document body, computed once.
 
-    ``sentence_tokens`` holds ``tokenize`` of each of ``doc``'s
-    sentences, in order. Their concatenation is the body's tokens: no
+    ``sentence_texts`` holds each of ``doc``'s sentences' tokens joined
+    by single spaces, in order. Their ``token_text`` is the body's: no
     token crosses the space that joins two sentences.
     """
-    return lexicons.focus.match(list(chain.from_iterable(sentence_tokens)))
+    return lexicons.focus.match(token_text(sentence_texts))
 
 
 def code_focus(

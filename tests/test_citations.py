@@ -258,12 +258,35 @@ def test_two_name_marker_needs_matching_author_prefix():
         ("It was measured (di Stefano, 2001).", "di Stefano, A. (2001). A title. Acta, 1(1), 1-2."),
         ("As al Amin (2003) argued.", "al Amin, B. (2003). A title. Acta, 1(1), 1-2."),
         ("It was measured (el Said, 1995).", "el Said, C. (1995). A title. Acta, 1(1), 1-2."),
+        ("van Dijk (2011) argued it.", "van Dijk, D. (2011). A title. Acta, 1(1), 1-2."),
     ],
 )
 def test_markers_keep_every_name_particle(sentence, entry):
     entries = refs(entry, "Smith, J. (2001). Other. Acta, 1(1), 1-2.")
     found = detect_citations(sentence, entries)
     assert [(c.link_status, c.ref_id) for c in found] == [(LINK_RESOLVED, entries[0].ref_id)]
+
+
+@pytest.mark.parametrize(
+    "sentence, surname",
+    [
+        ("As Daniel Smith (2011) argued.", "Smith"),
+        ("As Mathilde Smith (2011) argued.", "Smith"),
+        ("As Paula Smith (2011) argued.", "Smith"),
+        ("As Sullivan Dijk (2011) argued.", "Dijk"),
+    ],
+)
+def test_a_particle_inside_a_word_starts_no_narrative_name(sentence, surname):
+    # "el", "de", "la" and "van" end the first names; only a particle
+    # that starts a word belongs to the surname.
+    entries = refs(
+        "Smith, J. (2011). A title. Acta, 1(1), 1-2.",
+        "Dijk, A. (2011). Another title. Acta, 1(1), 1-2.",
+    )
+    found = detect_citations(sentence, entries)
+    assert [(c.surnames, c.link_status, c.ref_id) for c in found] == [
+        ((surname,), LINK_RESOLVED, f"{surname.lower()}-2011")
+    ]
 
 
 @given(particle=st.sampled_from(sorted(_PARTICLES)), narrative=st.booleans())
@@ -426,9 +449,11 @@ def test_document_citation_ids_are_sequential(corpus_documents):
 # -- the original scan, kept as the reference for the gated one ---------
 
 # The original narrative pattern: a whole-sentence scan for name tokens
-# directly before a year-only parenthesis.
+# directly before a year-only parenthesis. Names start at a capital, or
+# at a particle only where a word starts.
 _NARRATIVE_RE = re.compile(
-    rf"(?P<names>{_SURNAME}(?:\s+(?:&|and)\s+{_SURNAME})?(?:\s+et\s+al\.?)?)"
+    rf"(?P<names>(?:(?<![\w'’.-])|(?=[A-Z]))"
+    rf"{_SURNAME}(?:\s+(?:&|and)\s+{_SURNAME})?(?:\s+et\s+al\.?)?)"
     rf"(?:['’]s)?\s*"
     rf"\(\s*(?P<year>{YEAR_PATTERN})(?P<suffix>[a-z])?\s*\)"
 )

@@ -42,13 +42,7 @@ from citecode.pipeline import (
     write_outputs,
 )
 from citecode.records import assemble_record, read_jsonl
-from citecode.semantic import (
-    code_disposition,
-    code_domain,
-    code_focus,
-    code_function,
-    tokenize,
-)
+from citecode.semantic import code_domain, code_focus, tokenize
 from citecode.synth import SURNAMES, synth_document, write_corpus
 from citecode.syntactic import (
     code_authorship,
@@ -60,6 +54,7 @@ from citecode.syntactic import (
 )
 
 from conftest import FIXTURE_DIR, make_manifest
+from cue_reference import old_code_disposition, old_code_function, old_match
 from timing import best_times
 
 
@@ -597,7 +592,8 @@ def test_records_keep_reading_order_past_c9999():
     assert ids[9_998:] == ["c9999", "c10000", "c10001"]
 
 
-# -- the per-citation loop, with a memo per context window, kept as the
+# -- the per-citation loop, with a memo per context window and the cue
+# coders as they were before the one-scan window path, kept as the
 # reference for code_document --
 
 
@@ -610,7 +606,7 @@ def reference_code_document(doc, citations, resources, config, graph, scores):
         "G": code_document_type(meta),
         "H": code_authorship(meta.authors, "H"),
         "K": domain,
-        "L": code_focus(domain[0], lexicons.focus.match(tokenize(" ".join(doc.sentences)))),
+        "L": code_focus(domain[0], old_match(lexicons.focus, tokenize(" ".join(doc.sentences)))),
     }
     counts = mention_counts(doc, citations)
     references = {ref.ref_id: ref for ref in reversed(doc.references)}
@@ -628,8 +624,8 @@ def reference_code_document(doc, citations, resources, config, graph, scores):
                     sentence_tokens[index] = tokenize(doc.sentences[index])
                 tokens += sentence_tokens[index]
             window_codes[window] = (
-                code_function(tokens, location[0], lexicons),
-                code_disposition(tokens, lexicons),
+                old_code_function(tokens, location[0], lexicons),
+                old_code_disposition(tokens, lexicons),
             )
         i_code, (j_value, j_matches, j_rule) = window_codes[window]
         sentence = doc.sentences[citation.sentence_index]

@@ -346,3 +346,94 @@ def loads_with_decode_errors(line):
 @example(line='{"A": ' + "9" * 5000 + "} ")
 def test_decode_line_matches_json_loads(line):
     assert outcome(decode_line, line) == outcome(loads_with_decode_errors, line)
+
+
+# -- the payload-and-encoder writer, kept as the reference for record_to_json --
+
+_REFERENCE_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(", ", ": "))
+
+
+def reference_record_to_json(record):
+    payload = {
+        "doc_id": record.doc_id,
+        "citation_id": record.citation_id,
+        "ref_id": record.ref_id,
+        "link_status": record.link_status,
+        "sentence_index": record.sentence_index,
+        "context_level": record.context_level,
+        "context_sentences": record.context_sentences,
+    }
+    for category in CATEGORIES:
+        payload[category] = record.codes.get(category)
+    payload["matched_cues"] = record.matched_cues
+    payload["rule_trace"] = record.rule_trace
+    payload["uncodable_reasons"] = {
+        k: record.uncodable_reasons[k] for k in sorted(record.uncodable_reasons)
+    }
+    return _REFERENCE_ENCODER.encode(payload)
+
+
+# Quotes, backslashes, control characters, the two line separators JSON
+# leaves unescaped, a non-BMP character, and any other character.
+_TRICKY = st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "\u2029",
+                           "\U0001f600", "\u00e9", "a"])
+_STRINGS = st.text(alphabet=_TRICKY | st.characters(), max_size=8)
+
+
+@st.composite
+def _reasons(draw):
+    """Uncodable reasons, their keys in any order."""
+    pairs = draw(st.lists(st.tuples(_STRINGS, _STRINGS), max_size=4, unique_by=lambda p: p[0]))
+    return dict(draw(st.permutations(pairs)))
+
+
+_RECORDS = st.builds(
+    CodedCitation,
+    doc_id=_STRINGS,
+    citation_id=_STRINGS,
+    ref_id=st.none() | _STRINGS,
+    link_status=_STRINGS,
+    sentence_index=st.integers(),
+    context_level=_STRINGS,
+    context_sentences=st.lists(st.integers(), max_size=5).map(tuple),
+    codes=st.dictionaries(st.sampled_from(CATEGORIES), st.none() | _STRINGS),
+    matched_cues=st.lists(st.tuples(_STRINGS, _STRINGS), max_size=3),
+    rule_trace=st.lists(_STRINGS, max_size=4),
+    uncodable_reasons=_reasons(),
+)
+
+
+@given(record=_RECORDS)
+@example(record=build())
+@example(record=build(slots={**FULL_SLOTS, "A": Uncodable("x")}, ref_id=None, matched_cues=()))
+@settings(max_examples=300)
+def test_record_to_json_writes_the_encoders_bytes(record):
+    assert record_to_json(record) == reference_record_to_json(record)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        # The encoder would write true, and int's repr 1.
+        ("sentence_index", True),
+        ("sentence_index", 4.0),
+        ("context_sentences", (3, True)),
+        ("context_sentences", (3, 4.5)),
+        ("context_sentences", iter((3, 4))),
+        ("doc_id", 7),
+        ("ref_id", 7),
+        ("codes", {"A": 1}),
+        ("matched_cues", ["ab"]),
+        ("matched_cues", [("but", None)]),
+        ("rule_trace", "A:rule"),
+        ("rule_trace", ["A:rule", None]),
+        ("uncodable_reasons", {"A": None}),
+        ("uncodable_reasons", {1: "x"}),
+        ("uncodable_reasons", [("A", "x")]),
+    ],
+)
+def test_record_to_json_raises_on_an_undeclared_type(field, value):
+    record = build()
+    setattr(record, field, value)
+    with pytest.raises(TypeError):
+        record_to_json(record)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
@@ -18,6 +19,7 @@ from citecode.semantic import (
     CueEntry,
     CueLexicon,
     LexiconSet,
+    WindowCues,
     code_disposition,
     code_domain,
     code_focus,
@@ -25,9 +27,11 @@ from citecode.semantic import (
     document_focus_matches,
     load_lexicon,
     load_venue_map,
+    token_text,
     tokenize,
 )
 
+from cue_reference import old_match
 from timing import best_times
 
 
@@ -75,7 +79,7 @@ def test_empty_lexicon_loads_with_warning(tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="citecode.semantic"):
         lexicon = load_lexicon(path)
     assert lexicon.entries == ()
-    assert lexicon.match(tokenize("however this fails")) == []
+    assert lexicon.match(token_text(tokenize("however this fails"))) == []
     assert any("empty lexicon" in record.getMessage() for record in caplog.records)
 
 
@@ -130,30 +134,30 @@ def test_comments_and_blanks_skipped(tmp_path):
 
 
 def test_match_is_whole_token(lexicons):
-    assert lexicons.negative.match(tokenize("The butter melted.")) == []
-    assert lexicons.negative.match(tokenize("All but one agreed.")) == [
+    assert lexicons.negative.match(token_text(tokenize("The butter melted."))) == []
+    assert lexicons.negative.match(token_text(tokenize("All but one agreed."))) == [
         ("but", "negative")
     ]
 
 
 def test_match_wildcard_prefix(lexicons):
     assert ("suffer*", "negative") in lexicons.negative.match(
-        tokenize("These models suffer from overfitting.")
+        token_text(tokenize("These models suffer from overfitting."))
     )
     assert ("suffer*", "negative") in lexicons.negative.match(
-        tokenize("Anyone suffering through this agrees.")
+        token_text(tokenize("Anyone suffering through this agrees."))
     )
 
 
 def test_match_multi_token_phrase(lexicons):
-    hits = lexicons.evidence.match(tokenize("Empirical work has shown the effect."))
+    hits = lexicons.evidence.match(token_text(tokenize("Empirical work has shown the effect.")))
     assert ("has shown", "evidence") in hits
     assert ("empirical work", "evidence") in hits
     assert hits.index(("empirical work", "evidence")) < hits.index(("has shown", "evidence"))
 
 
 def test_match_deduplicates_repeats(lexicons):
-    hits = lexicons.negative.match(tokenize("but then but again but"))
+    hits = lexicons.negative.match(token_text(tokenize("but then but again but")))
     assert hits == [("but", "negative")]
 
 
@@ -231,12 +235,12 @@ def _token_strategy(lexicon):
 def test_match_equals_reference_scan(name, data, lexicons):
     lexicon = SYNTHETIC if name == "synthetic" else getattr(lexicons, name)
     tokens = data.draw(st.lists(_token_strategy(lexicon), max_size=30))
-    assert lexicon.match(tokens) == reference_match(lexicon, tokens)
+    assert lexicon.match(token_text(tokens)) == reference_match(lexicon, tokens)
 
 
 def test_synthetic_overlaps_keep_first_hit_order():
     tokens = ["limits", "limit", "of", "theory", "limit", "of", "the", "but"]
-    assert SYNTHETIC.match(tokens) == [
+    assert SYNTHETIC.match(token_text(tokens)) == [
         ("lim*", "negative"),
         ("limit*", "positive"),
         ("limit", "negative"),
@@ -244,15 +248,15 @@ def test_synthetic_overlaps_keep_first_hit_order():
         ("limit of the", "negative"),
         ("but", "negative"),
     ]
-    assert SYNTHETIC.match(tokens) == reference_match(SYNTHETIC, tokens)
+    assert SYNTHETIC.match(token_text(tokens)) == reference_match(SYNTHETIC, tokens)
 
 
 def test_lexicons_never_share_cached_candidates():
     exact = CueLexicon(name="exact", entries=(cue("but"),))
     prefix = CueLexicon(name="prefix", entries=(cue("but*", "positive"),))
     for _ in range(2):
-        assert exact.match(["but", "butter"]) == [("but", "negative")]
-        assert prefix.match(["but", "butter"]) == [("but*", "positive")]
+        assert exact.match(" but butter ") == [("but", "negative")]
+        assert prefix.match(" but butter ") == [("but*", "positive")]
 
 
 @st.composite
@@ -285,7 +289,68 @@ def _generated_lexicon_and_tokens(draw):
 @example((CueLexicon(name="repeated", entries=(cue("a"), cue("a"))), ["a"]))
 def test_match_equals_reference_scan_on_generated_lexicons(lexicon_and_tokens):
     lexicon, tokens = lexicon_and_tokens
-    assert lexicon.match(tokens) == reference_match(lexicon, tokens)
+    assert lexicon.match(token_text(tokens)) == reference_match(lexicon, tokens)
+
+
+_SCANNED = ("negative", "positive", "evidence", "framework")
+
+
+def _scanned_set(name, lexicons):
+    """The shipped set, or the shipped set with the synthetic lexicon in slot ``name``.
+
+    The synthetic lexicon holds needles that no shipped one has, such as
+    " lim", so a scan that skipped its slot would miss them.
+    """
+    return lexicons if name == "shipped" else replace(lexicons, **{name: SYNTHETIC})
+
+
+def _set_token_strategy(lexicon_set):
+    joined = CueLexicon(
+        name="joined",
+        entries=tuple(e for name in _SCANNED for e in getattr(lexicon_set, name).entries),
+    )
+    return _token_strategy(joined)
+
+
+def _assert_scan_equals_old_matches(lexicon_set, tokens):
+    expected = WindowCues(*(old_match(getattr(lexicon_set, n), tokens) for n in _SCANNED))
+    assert lexicon_set.scan(token_text(tokens)) == expected
+
+
+# Drawn windows range from empty, which the gate rejects, to windows
+# where several lexicons hit.
+@pytest.mark.parametrize("name", ["shipped", *_SCANNED])
+@given(data=st.data())
+def test_window_scan_equals_one_old_match_per_lexicon(name, data, lexicons):
+    lexicon_set = _scanned_set(name, lexicons)
+    tokens = data.draw(st.lists(_set_token_strategy(lexicon_set), max_size=12))
+    _assert_scan_equals_old_matches(lexicon_set, tokens)
+
+
+@pytest.mark.parametrize("name", ["shipped", *_SCANNED])
+@pytest.mark.parametrize("tokens", [[], ["nothing", "cued", "here"], ["butter", "fai"]])
+def test_window_scan_of_a_window_without_cues(name, tokens, lexicons):
+    lexicon_set = _scanned_set(name, lexicons)
+    assert lexicon_set.scan(token_text(tokens)) == WindowCues([], [], [], [])
+    _assert_scan_equals_old_matches(lexicon_set, tokens)
+
+
+@pytest.mark.parametrize("name", _SCANNED)
+def test_window_scan_reads_each_lexicon(name, lexicons):
+    # A window that holds only "lim" hits the synthetic lexicon alone.
+    lexicon_set = _scanned_set(name, lexicons)
+    assert getattr(lexicon_set.scan(" lim "), name) == [("lim*", "negative")]
+    _assert_scan_equals_old_matches(lexicon_set, ["lim"])
+
+
+@given(st.lists(st.text(alphabet=" .,;aZ9\u00e9", max_size=8), max_size=6))
+@example(["", "A b.", "", " ; ", "c"])
+def test_window_token_text_equals_its_sentences_tokens_joined(sentences):
+    # Each sentence's tokens are joined once; a sentence without tokens
+    # adds no space to the window.
+    sentence_texts = [" ".join(tokenize(sentence)) for sentence in sentences]
+    tokens = [token for sentence in sentences for token in tokenize(sentence)]
+    assert token_text(sentence_texts) == f" {' '.join(tokens)} "
 
 
 # Near misses: each word is a prefix or an extension of a negative cue
@@ -295,7 +360,9 @@ _NEAR_MISSES = ("limi", "butter", "howeve", "weaker", "proble", "suffe", "buttre
 
 def _near_miss_window(count):
     # The one cue at the end makes every needle scan the whole window.
-    return [_NEAR_MISSES[i % len(_NEAR_MISSES)] for i in range(count)] + ["however"]
+    return token_text(
+        [_NEAR_MISSES[i % len(_NEAR_MISSES)] for i in range(count)] + ["however"]
+    )
 
 
 def test_match_time_is_linear_in_window_length(lexicons):
@@ -303,10 +370,12 @@ def test_match_time_is_linear_in_window_length(lexicons):
     # scan; 8x leaves room for timer noise.
     negative = lexicons.negative
     small, large = _near_miss_window(20_000), _near_miss_window(80_000)
-    for tokens in (small, large):
-        assert negative.match(tokens) == [("however", "negative")]
-    small_time, large_time = best_times(negative.match, small, large)
-    assert large_time < 8 * small_time, (small_time, large_time)
+    for text in (small, large):
+        assert negative.match(text) == [("however", "negative")]
+        assert lexicons.scan(text).negative == [("however", "negative")]
+    for scan in (negative.match, lexicons.scan):
+        small_time, large_time = best_times(scan, small, large)
+        assert large_time < 8 * small_time, (scan, small_time, large_time)
 
 
 @given(st.lists(st.text(max_size=20), max_size=6))
@@ -318,6 +387,11 @@ def test_tokenize_per_sentence_equals_joined_window(sentences):
     assert tokenize(" ".join(sentences)) == [t for s in sentences for t in tokenize(s)]
 
 
+def window_cues(sentence, lexicons):
+    """The one cue scan of a window that holds only ``sentence``."""
+    return lexicons.scan(token_text(tokenize(sentence)))
+
+
 KUHN_SENTENCE = (
     "However, Kuhn's view has been criticized for overstating consensus, "
     "but it remains a touchstone."
@@ -325,7 +399,7 @@ KUHN_SENTENCE = (
 
 
 def test_disposition_negative(lexicons):
-    value, matches, trace = code_disposition(tokenize(KUHN_SENTENCE), lexicons)
+    value, matches, trace = code_disposition(window_cues(KUHN_SENTENCE, lexicons))
     assert value == "J2"
     assert ("however", "negative") in matches
     assert ("but", "negative") in matches
@@ -334,7 +408,7 @@ def test_disposition_negative(lexicons):
 
 def test_disposition_negative_single_cue(lexicons):
     value, matches, _ = code_disposition(
-        tokenize("Overfitting is a common problem in this family of models."), lexicons
+        window_cues("Overfitting is a common problem in this family of models.", lexicons)
     )
     assert value == "J2"
     assert matches == [("problem", "negative")]
@@ -342,7 +416,7 @@ def test_disposition_negative_single_cue(lexicons):
 
 def test_disposition_positive(lexicons):
     value, matches, trace = code_disposition(
-        tokenize("The markets predicted outcomes accurately."), lexicons
+        window_cues("The markets predicted outcomes accurately.", lexicons)
     )
     assert value == "J1"
     assert matches == [("accurately", "positive")]
@@ -351,7 +425,7 @@ def test_disposition_positive(lexicons):
 
 def test_disposition_mixed(lexicons):
     value, matches, trace = code_disposition(
-        tokenize("This seminal study nevertheless overreached."), lexicons
+        window_cues("This seminal study nevertheless overreached.", lexicons)
     )
     assert value == "J3"
     assert trace == "J:cues:mixed"
@@ -360,14 +434,14 @@ def test_disposition_mixed(lexicons):
 
 def test_disposition_neutral(lexicons):
     value, matches, trace = code_disposition(
-        tokenize("The corpus contains fifty documents."), lexicons
+        window_cues("The corpus contains fifty documents.", lexicons)
     )
     assert (value, matches, trace) == ("J4", [], "J:cues:none")
 
 
 def test_function_criticism_cue_wins(lexicons):
     value, trace = code_function(
-        tokenize("However, empirical work has shown the framework fails."), "D5", lexicons
+        window_cues("However, empirical work has shown the framework fails.", lexicons), "D5"
     )
     assert value == "I4"
     assert trace == "I:cue:however"
@@ -375,7 +449,7 @@ def test_function_criticism_cue_wins(lexicons):
 
 def test_function_evidence_cue(lexicons):
     value, trace = code_function(
-        tokenize("Empirical work has shown that interest forecasts citation."), "D2", lexicons
+        window_cues("Empirical work has shown that interest forecasts citation.", lexicons), "D2"
     )
     assert value == "I3"
     assert trace.startswith("I:cue:")
@@ -383,7 +457,7 @@ def test_function_evidence_cue(lexicons):
 
 def test_function_framework_cue(lexicons):
     value, trace = code_function(
-        tokenize("We adopt the solution concept from classical game theory."), "D5", lexicons
+        window_cues("We adopt the solution concept from classical game theory.", lexicons), "D5"
     )
     assert value == "I2"
     assert trace == "I:cue:solution concept"
@@ -391,7 +465,7 @@ def test_function_framework_cue(lexicons):
 
 def test_function_prior_from_location(lexicons):
     value, trace = code_function(
-        tokenize("Kuhn wrote a famous book about science."), "D2", lexicons
+        window_cues("Kuhn wrote a famous book about science.", lexicons), "D2"
     )
     assert (value, trace) == ("I1", "I:prior:D2")
 
@@ -409,7 +483,7 @@ def test_function_prior_from_location(lexicons):
     ],
 )
 def test_function_prior_table(location, expected, lexicons):
-    value, trace = code_function(tokenize("Nothing cue-like appears here."), location, lexicons)
+    value, trace = code_function(window_cues("Nothing cue-like appears here.", lexicons), location)
     assert value == expected
     assert trace == f"I:prior:{location}"
 
@@ -427,13 +501,13 @@ def test_function_with_empty_lexicons_is_pure_prior():
         ("D1", "I1"), ("D2", "I1"), ("D3", "I1"), ("D4", "I2"),
         ("D5", "I3"), ("D6", "I4"), ("D7", "I1"),
     ):
-        value, trace = code_function(tokenize(KUHN_SENTENCE), location, lexicons)
+        value, trace = code_function(window_cues(KUHN_SENTENCE, lexicons), location)
         assert value == expected
         assert trace == f"I:prior:{location}"
 
 
 def test_disposition_with_empty_lexicons_is_neutral():
-    value, matches, _ = code_disposition(tokenize(KUHN_SENTENCE), empty_lexicon_set())
+    value, matches, _ = code_disposition(window_cues(KUHN_SENTENCE, empty_lexicon_set()))
     assert value == "J4"
     assert matches == []
 
@@ -542,8 +616,8 @@ Smith, A. (2011). A title. Minerva, 2(1), 1-2.
 
 def test_document_focus_matches_cover_whole_body(lexicons):
     doc = parse_document(FOCUS_DOC)
-    sentence_tokens = [tokenize(sentence) for sentence in doc.sentences]
-    tags = {tag for _, tag in document_focus_matches(doc, lexicons, sentence_tokens)}
+    sentence_texts = [" ".join(tokenize(sentence)) for sentence in doc.sentences]
+    tags = {tag for _, tag in document_focus_matches(doc, lexicons, sentence_texts)}
     assert tags == {"empirical", "theoretical"}
 
 
@@ -590,6 +664,6 @@ def test_focus_cue_rescues_unmapped_domain():
 
 
 def test_coders_are_deterministic(lexicons):
-    first = code_function(tokenize(KUHN_SENTENCE), "D5", lexicons)
+    first = code_function(window_cues(KUHN_SENTENCE, lexicons), "D5")
     for _ in range(3):
-        assert code_function(tokenize(KUHN_SENTENCE), "D5", lexicons) == first
+        assert code_function(window_cues(KUHN_SENTENCE, lexicons), "D5") == first
