@@ -11,7 +11,7 @@ from collections import Counter
 from collections.abc import Iterable
 from io import StringIO
 
-from .codebook import require_category, value_order
+from .codebook import UNCODABLE, require_category, value_order
 from .records import CodedCitation
 
 
@@ -30,11 +30,15 @@ def aggregate(
         require_category(cols)
     counts: Counter = Counter()
     for record in records:
-        row_value = record.value_or_bucket(rows)
+        codes = record.codes
+        row_value = codes.get(rows)
+        if row_value is None:
+            row_value = UNCODABLE
         if cols is None:
             counts[row_value] += 1
         else:
-            counts[(row_value, record.value_or_bucket(cols))] += 1
+            col_value = codes.get(cols)
+            counts[row_value, UNCODABLE if col_value is None else col_value] += 1
     return counts
 
 

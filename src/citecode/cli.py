@@ -14,10 +14,11 @@ import datetime
 import sys
 import time
 from collections import Counter
+from collections.abc import Iterator
 from pathlib import Path
 
 from .aggregate import aggregate, table_to_csv
-from .codebook import CATEGORIES, require_category, value_order
+from .codebook import CATEGORIES, UNCODABLE, require_category, value_order
 from .config import PipelineConfig
 from .errors import CitecodeError, MalformedInput, NoOverlap
 from .metrics import agreement_report
@@ -97,16 +98,18 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_gold(path: str) -> dict[tuple[str, str], dict[str, str]]:
-    """Gold values by (doc_id, citation_id); a bad file or line raises.
+def _read_gold(path: str) -> Iterator[tuple[tuple[str, str], dict[str, str]]]:
+    """Each gold item's (doc_id, citation_id) and values, in file order.
 
-    A line is checked in this order: its JSON, its shape, a repeated
-    key, every field a category, every value one of that category's.
+    A bad file or line raises. A line is checked in this order: its
+    JSON, its shape, a repeated key, every field a category, every value
+    one of that category's. Only the keys seen so far are kept, for the
+    repeat check.
     """
     allowed = {
         category: {value: value for value in value_order(category)} for category in CATEGORIES
     }
-    gold: dict[tuple[str, str], dict[str, str]] = {}
+    seen: set[tuple[str, str]] = set()
     for line_no, line in enumerate(read_json_lines(path, "gold"), start=1):
         if not line.strip():
             continue
@@ -119,8 +122,9 @@ def _read_gold(path: str) -> dict[tuple[str, str], dict[str, str]]:
                 "gold: every line needs doc_id and citation_id", line=line_no
             )
         key = (str(item["doc_id"]), str(item["citation_id"]))
-        if key in gold:
+        if key in seen:
             raise MalformedInput(f"gold: duplicate item {key[0]}/{key[1]}", line=line_no)
+        seen.add(key)
         values = {}
         invalid = None
         for field, value in item.items():
@@ -135,8 +139,7 @@ def _read_gold(path: str) -> dict[tuple[str, str], dict[str, str]]:
                 invalid = f"gold: {value!r} is not a {field} value"
         if invalid is not None:
             raise MalformedInput(invalid, line=line_no)
-        gold[key] = values
-    return gold
+        yield key, values
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -151,19 +154,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if category in tables:
             raise MalformedInput(f"category {category!r} requested twice")
         tables[category] = Counter()
-    coded = {
-        (record.doc_id, record.citation_id): tuple(map(record.value_or_bucket, tables))
-        for record in read_jsonl(args.input)
-    }
-    gold = _read_gold(args.gold)
-    matched = gold.keys() & coded.keys()
+    coded = {(record.doc_id, record.citation_id): record.codes for record in read_jsonl(args.input)}
+    # Each gold line's pairs are counted as soon as the line is checked.
+    items = matched = 0
+    for key, values in _read_gold(args.gold):
+        items += 1
+        codes = coded.get(key)
+        if codes is None:
+            continue
+        matched += 1
+        for category, table in tables.items():
+            if category in values:
+                auto = codes[category]
+                table[UNCODABLE if auto is None else auto, values[category]] += 1
     if not matched:
         raise NoOverlap("no gold item matches any coded citation")
-    for key in matched:
-        values = gold[key]
-        for (category, table), auto_value in zip(tables.items(), coded[key]):
-            if category in values:
-                table[auto_value, values[category]] += 1
 
     out_lines = ["category,n,percent_agreement,cohens_kappa"]
     for category in categories:
@@ -173,8 +178,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             row = f"{category},{report.n_items},{report.percent_agreement:.6f},{report.kappa:.6f}"
         out_lines.append(row)
     _write_or_print("\n".join(out_lines) + "\n", args.out)
-    if len(gold) > len(matched):
-        print(f"unmatched gold items: {len(gold) - len(matched)}", file=sys.stderr)
+    if items > matched:
+        print(f"unmatched gold items: {items - matched}", file=sys.stderr)
     return 0
 
 

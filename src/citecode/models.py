@@ -70,13 +70,18 @@ class Section:
 
 @dataclass(slots=True)
 class ReferenceEntry:
-    """One bibliography entry: its text after the label, and the parsed fields."""
+    """One bibliography entry: its text after the label, and the parsed fields.
+
+    ``et_al`` marks an author block that ends in "et al.": ``authors``
+    then holds only the authors it names.
+    """
 
     ref_id: str
     raw: str
     authors: list[AuthorName] = field(default_factory=list)
     year: int | None = None
     year_suffix: str | None = None
+    et_al: bool = False
 
 
 @dataclass(slots=True)

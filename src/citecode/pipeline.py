@@ -57,6 +57,7 @@ from .semantic import (
 from .sentences import load_abbreviations
 from .syntactic import (
     code_authorship,
+    code_cited_authorship,
     code_document_type,
     code_frequency,
     code_location,
@@ -243,7 +244,7 @@ def code_document(
                     cited_keys = [a.key for a in ref.authors]
                     cited_codes[ref_id] = {
                         "A": code_document_type(ref),
-                        "B": code_authorship(ref.authors, "B"),
+                        "B": code_cited_authorship(ref),
                         "C": code_relation(citing_keys, cited_keys, graph, scores, config.delta),
                         "E": code_frequency(counts[ref_id]),
                     }

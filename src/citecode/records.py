@@ -21,14 +21,15 @@ from .codebook import CATEGORIES, VALUES, Uncodable
 from .errors import IncompleteCoding, MalformedInput, _read_utf8
 from .models import LEVEL_CLUSTER, CitationContext, InTextCitation
 
-# What a category key of a coded line may hold: a codebook value, or
-# null when the category is uncodable. Each maps to the codebook's own
-# string, so read records share the twelve values in place of holding a
-# decoded copy each.
-_STORED_VALUES = {
-    category: {value: value for value in VALUES[category]} | {None: None}
+# Each category with what its key in a coded line may hold: a codebook
+# value, or null when the category is uncodable. Each maps to the
+# codebook's own string, so read records share the twelve values in
+# place of holding a decoded copy each. A tuple of pairs, so a read line
+# walks it without making a view.
+_STORED_VALUES = tuple(
+    (category, {value: value for value in VALUES[category]} | {None: None})
     for category in CATEGORIES
-}
+)
 
 # Each category with its codebook values and the prefix its rule needs.
 _CHECKS = tuple((category, VALUES[category], f"{category}:") for category in CATEGORIES)
@@ -200,27 +201,30 @@ def record_from_json(line: str) -> CodedCitation:
             raise TypeError(f"{key} is not a string")
     get = data.get
     try:
-        codes = {category: stored[get(category)] for category, stored in _STORED_VALUES.items()}
+        codes = {category: stored[get(category)] for category, stored in _STORED_VALUES}
     except KeyError:
         # Some value is outside the codebook: name the first.
-        for category, stored in _STORED_VALUES.items():
+        for category, stored in _STORED_VALUES:
             if (value := get(category)) not in stored:
                 raise ValueError(f"{value!r} is not a {category} value") from None
     trace = get("rule_trace", [])
     reasons = get("uncodable_reasons", {})
+    # Positional, in field order: doc_id, citation_id, ref_id,
+    # link_status, sentence_index, context_level, context_sentences,
+    # codes, matched_cues, rule_trace, uncodable_reasons.
     return CodedCitation(
-        doc_id=data["doc_id"],
-        citation_id=data["citation_id"],
-        ref_id=get("ref_id"),
-        link_status=data["link_status"],
-        sentence_index=get("sentence_index", 0),
-        context_level=get("context_level", LEVEL_CLUSTER),
-        context_sentences=tuple(get("context_sentences", ())),
-        codes=codes,
-        matched_cues=[tuple(pair) for pair in get("matched_cues", [])],
+        data["doc_id"],
+        data["citation_id"],
+        get("ref_id"),
+        data["link_status"],
+        get("sentence_index", 0),
+        get("context_level", LEVEL_CLUSTER),
+        tuple(get("context_sentences", ())),
+        codes,
+        [tuple(pair) for pair in get("matched_cues", [])],
         # A decoded list or object is already what the record stores.
-        rule_trace=trace if type(trace) is list else list(trace),
-        uncodable_reasons=reasons if type(reasons) is dict else dict(reasons),
+        trace if type(trace) is list else list(trace),
+        reasons if type(reasons) is dict else dict(reasons),
     )
 
 
@@ -253,7 +257,8 @@ def read_jsonl(path: str | Path) -> Iterator[CodedCitation]:
     path = Path(path)
     seen = set()
     for line_no, line in enumerate(read_json_lines(path, "coded"), start=1):
-        if not line.strip():
+        # The same test as "not line.strip()", without copying the line.
+        if not line or line.isspace():
             continue
         try:
             record = record_from_json(line)

@@ -2,7 +2,8 @@
 
 The field grammar is deliberately loose. An optional leading "[n]"
 label is stripped into ref_id, and the author block is whatever
-precedes the first parenthesized year. A missing year or an
+precedes the first parenthesized year; a trailing "et al." there marks
+the entry rather than naming an author. A missing year or an
 unparseable author is tolerated; the raw string is always retained,
 and the cited-work type (A) is coded from it, not parsed here.
 """
@@ -21,6 +22,12 @@ _LABEL_RE = re.compile(r"^\[(\d{1,4})\]\s*")
 _YEAR_RE = re.compile(rf"\((?P<year>{YEAR_PATTERN})(?P<suffix>[a-z])?")
 
 _LEAD_SEP_RE = re.compile(r"^(?:&|and)\s+", re.IGNORECASE)
+# A comma part that joins two authors without a serial comma: the
+# initials that close one author, then the next author's name. Each
+# start tries one space and the joiner, so the scan is linear.
+_JOINED_RE = re.compile(r"(.+?)\s(?:&|and)\s+(.+)", re.IGNORECASE | re.DOTALL)
+# "et al" or "et al." at the end of an author block.
+_ET_AL_RE = re.compile(r"\bet al\.?\s*$")
 
 
 def _author(raw: str) -> AuthorName | None:
@@ -35,7 +42,8 @@ def parse_author_block(block: str) -> list[AuthorName]:
 
     Handles "; "-separated lists, "&"/"and" conjunctions, and the
     comma-separated APA form where commas separate both surnames from
-    initials and authors from each other.
+    initials and authors from each other. A conjunction may follow the
+    initials with no comma before it, as in "Smith, J. and Jones, B.".
     """
     block = block.strip().rstrip(".,;")
     if not block:
@@ -43,8 +51,25 @@ def parse_author_block(block: str) -> list[AuthorName]:
     if ";" in block:
         authors = [_author(part) for part in block.split(";") if part.strip()]
         return [a for a in authors if a is not None]
-    # Each comma part loses a leading "&" or "and" once.
-    parts = [_LEAD_SEP_RE.sub("", p.strip()).strip() for p in block.split(",") if p.strip()]
+    parts = []
+    for part in block.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        # Each comma part loses a leading "&" or "and" once.
+        part = _LEAD_SEP_RE.sub("", part).strip()
+        # "J. and Jones" closes one author with its initials and starts
+        # the next; only initials split off, so "Research and
+        # Development" stays whole. A joiner needs a space around it.
+        if (
+            " " in part
+            and ("&" in part or "and" in part.lower())
+            and (joined := _JOINED_RE.fullmatch(part))
+            and _INITIALS_RE.match(joined.group(1))
+        ):
+            parts += joined.groups()
+        else:
+            parts.append(part)
     authors: list[AuthorName] = []
     i = 0
     while i < len(parts):
@@ -88,13 +113,17 @@ def parse_reference_entry(text: str) -> ReferenceEntry:
         # Best effort without a year: authors end at the first period
         # that closes an initials run or a plain word.
         author_block = body.split(". ", 1)[0] if ". " in body else ""
-    authors = parse_author_block(author_block)
+    # "et al." is a mark on the entry, not a name.
+    et_al = "et al" in author_block and (found := _ET_AL_RE.search(author_block)) is not None
+    if et_al:
+        author_block = author_block[: found.start()]
     return ReferenceEntry(
         ref_id=ref_id,
         raw=body,
-        authors=authors,
+        authors=parse_author_block(author_block),
         year=year,
         year_suffix=suffix,
+        et_al=et_al,
     )
 
 

@@ -121,6 +121,13 @@ def code_authorship(
     return value, f"{category}:count={len(authors)}"
 
 
+def code_cited_authorship(ref: ReferenceEntry) -> tuple[str | Uncodable, str]:
+    """B for a cited entry; one marked et al. has more authors than it names."""
+    if ref.et_al:
+        return "B2", f"B:count={len(ref.authors)}+et-al"
+    return code_authorship(ref.authors, "B")
+
+
 def normalize_section_header(header: str) -> str:
     """Map a raw section header to its location value D1..D7."""
     key = " ".join(header.lower().split())

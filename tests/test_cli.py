@@ -2,26 +2,34 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import io
 import json
+import sys
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from citecode import cli
 from citecode.cli import _read_gold, main
-from citecode.codebook import CATEGORIES, value_order
+from citecode.codebook import CATEGORIES, VALUES, require_category, value_order
 from citecode.config import PipelineConfig
-from citecode.errors import MalformedInput
+from citecode.errors import MalformedInput, NoOverlap
 from citecode.ingest import FORMATS
+from citecode.metrics import agreement_report
 from citecode.pipeline import read_manifest, run_pipeline, write_outputs
-from citecode.records import read_json_lines, read_jsonl
+from citecode.records import decode_line, read_json_lines, read_jsonl, record_to_json
 from citecode.synth import write_corpus
 
 from conftest import FIXTURE_DIR, make_manifest
+from test_records import build
 
 
 @pytest.fixture(scope="module")
@@ -746,7 +754,207 @@ def gold_path(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 def test_read_gold_matches_the_reference(gold_path, lines):
     gold_path.write_text("\n".join(lines), encoding="utf-8")
-    assert outcome(_read_gold, str(gold_path)) == outcome(reference_read_gold, str(gold_path))
+    assert outcome(_gold_by_key, str(gold_path)) == outcome(reference_read_gold, str(gold_path))
+
+
+def _gold_by_key(path):
+    return dict(_read_gold(path))
+
+
+# -- the two-pass eval and the method-call aggregate, kept as references --
+
+
+def reference_gold_by_key(path):
+    allowed = {
+        category: {value: value for value in value_order(category)} for category in CATEGORIES
+    }
+    gold = {}
+    for line_no, line in enumerate(read_json_lines(path, "gold"), start=1):
+        if not line.strip():
+            continue
+        try:
+            item = decode_line(line)
+        except ValueError as exc:
+            raise MalformedInput(f"gold: bad JSON ({exc})", line=line_no) from None
+        if not isinstance(item, dict) or "doc_id" not in item or "citation_id" not in item:
+            raise MalformedInput(
+                "gold: every line needs doc_id and citation_id", line=line_no
+            )
+        key = (str(item["doc_id"]), str(item["citation_id"]))
+        if key in gold:
+            raise MalformedInput(f"gold: duplicate item {key[0]}/{key[1]}", line=line_no)
+        values = {}
+        invalid = None
+        for field, value in item.items():
+            if field == "doc_id" or field == "citation_id":
+                continue
+            if field not in allowed:
+                raise MalformedInput(f"gold: {field!r} is not a category", line=line_no)
+            value = str(value)
+            values[field] = stored = allowed[field].get(value)
+            if stored is None and invalid is None:
+                invalid = f"gold: {value!r} is not a {field} value"
+        if invalid is not None:
+            raise MalformedInput(invalid, line=line_no)
+        gold[key] = values
+    return gold
+
+
+def reference_cmd_eval(args):
+    categories = [
+        require_category(c.strip()) for c in args.categories.split(",") if c.strip()
+    ]
+    if not categories:
+        raise MalformedInput("no categories requested")
+    tables = {}
+    for category in categories:
+        if category in tables:
+            raise MalformedInput(f"category {category!r} requested twice")
+        tables[category] = Counter()
+    coded = {
+        (record.doc_id, record.citation_id): tuple(map(record.value_or_bucket, tables))
+        for record in read_jsonl(args.input)
+    }
+    gold = reference_gold_by_key(args.gold)
+    matched = gold.keys() & coded.keys()
+    if not matched:
+        raise NoOverlap("no gold item matches any coded citation")
+    for key in matched:
+        values = gold[key]
+        for (category, table), auto_value in zip(tables.items(), coded[key]):
+            if category in values:
+                table[auto_value, values[category]] += 1
+    out_lines = ["category,n,percent_agreement,cohens_kappa"]
+    for category in categories:
+        row = f"{category},0,,"
+        if tables[category]:
+            report = agreement_report(category, tables[category])
+            row = f"{category},{report.n_items},{report.percent_agreement:.6f},{report.kappa:.6f}"
+        out_lines.append(row)
+    cli._write_or_print("\n".join(out_lines) + "\n", args.out)
+    if len(gold) > len(matched):
+        print(f"unmatched gold items: {len(gold) - len(matched)}", file=sys.stderr)
+    return 0
+
+
+def reference_aggregate(records, rows, cols=None):
+    require_category(rows)
+    if cols is not None:
+        require_category(cols)
+    counts = Counter()
+    for record in records:
+        row_value = record.value_or_bucket(rows)
+        if cols is None:
+            counts[row_value] += 1
+        else:
+            counts[(row_value, record.value_or_bucket(cols))] += 1
+    return counts
+
+
+# (key, value) faults of read_jsonl's; a None value drops the key.
+_CODED_FAULTS = (
+    ("doc_id", None), ("doc_id", 5), ("J", "J9"), ("I", []), ("uncodable_reasons", "ab c"),
+)
+
+
+def _with_one_fault(draw, lines, faults):
+    """The lines as they are, or with one faulty line put in."""
+    if not draw(st.booleans()):
+        return lines
+    fault = draw(st.sampled_from(faults))
+    return draw(st.permutations([*lines, fault]))
+
+
+@st.composite
+def _eval_coded_file(draw):
+    """Coded lines of a small id pool, one of read_jsonl's faults among them at times."""
+    lines = []
+    for doc_id, citation_id in draw(st.lists(
+        st.tuples(st.sampled_from(["d1", "d2", "5"]), st.sampled_from(["c1", "c2"])),
+        unique=True, min_size=1, max_size=5,
+    )):
+        payload = json.loads(record_to_json(build(doc_id=doc_id, citation_id=citation_id)))
+        payload.update(draw(st.fixed_dictionaries({}, optional={
+            category: st.sampled_from([*VALUES[category], None]) for category in "DIJK"
+        })))
+        lines.append(json.dumps(payload))
+    line = draw(st.sampled_from(lines))
+    faulty = [line, line[: len(line) // 2], "[]", " "]
+    for key, value in _CODED_FAULTS:
+        payload = json.loads(line)
+        if value is None:
+            del payload[key]
+        else:
+            payload[key] = value
+        faulty.append(json.dumps(payload))
+    return _with_one_fault(draw, lines, faulty)
+
+
+@st.composite
+def _eval_gold_file(draw):
+    """Gold lines whose ids overlap the coded pool in part, a bad line among them at times.
+
+    The integer id 5 matches the coded "5".
+    """
+    items = draw(st.lists(
+        st.fixed_dictionaries(
+            {"doc_id": st.sampled_from(["d1", "d2", 5, "d3"]),
+             "citation_id": st.sampled_from(["c1", "c2"])},
+            optional={category: st.sampled_from(value_order(category)) for category in "IJK"},
+        ),
+        unique_by=lambda item: (item["doc_id"], item["citation_id"]), min_size=1, max_size=5,
+    ))
+    lines = [json.dumps(item) for item in items]
+    item = draw(st.sampled_from(items))
+    faulty = [
+        # A repeat, also of 5 as "5"; cut JSON; no object; no doc_id.
+        json.dumps({**item, "doc_id": str(item["doc_id"])}), json.dumps(item)[:-1], "[]",
+        "not json", "",
+        json.dumps({"citation_id": item["citation_id"]}),
+        json.dumps({**item, "Z": "Z1"}), json.dumps({**item, "J": "Q1"}),
+        json.dumps({**item, "I": 1}),
+    ]
+    return _with_one_fault(draw, lines, faulty)
+
+
+_EVAL_COMMANDS = st.one_of(
+    st.sampled_from(["I,J", "J", "K,I", "D", "I,I"]).map(
+        lambda categories: ["eval", "--categories", categories]
+    ),
+    st.tuples(st.sampled_from("DIJ"), st.sampled_from([None, "I", "K"])).map(
+        lambda pair: ["report", "--rows", pair[0]] + (["--cols", pair[1]] if pair[1] else [])
+    ),
+)
+
+
+def _run_command(argv, out):
+    """Exit code, the --out file's bytes (None when none was written), stderr."""
+    out.unlink(missing_ok=True)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(argv + ["--out", str(out)])
+    return code, out.read_bytes() if out.exists() else None, stderr.getvalue()
+
+
+@given(
+    coded_lines=_eval_coded_file(),
+    gold_lines=_eval_gold_file(),
+    command=_EVAL_COMMANDS,
+)
+@settings(max_examples=300, deadline=None)
+def test_report_and_eval_match_the_reference(gold_path, coded_lines, gold_lines, command):
+    coded = gold_path.with_name("coded.jsonl")
+    coded.write_text("\n".join(coded_lines), encoding="utf-8")
+    gold_path.write_text("\n".join(gold_lines), encoding="utf-8")
+    argv = [command[0], "--input", str(coded), *command[1:]]
+    if command[0] == "eval":
+        argv += ["--gold", str(gold_path)]
+    out = gold_path.with_name("out.csv")
+    got = _run_command(argv, out)
+    with mock.patch.object(cli, "cmd_eval", reference_cmd_eval), \
+            mock.patch.object(cli, "aggregate", reference_aggregate):
+        expected = _run_command(argv, out)
+    assert got == expected
 
 
 def test_net_exports_edges(tmp_path, capsys):

@@ -106,6 +106,17 @@ It held again [1].
 """
 
 
+# An entry whose author block ends in "et al.": B:count=<n>+et-al, which
+# the synth corpora never fire.
+ET_AL = """#META id: et-al
+#META authors: Doe, A.
+#SECTION Results
+The effect held (Smith et al., 2011).
+#REFERENCES
+Smith, J. et al. (2011). A title. Minerva, 2(1), 1-2.
+"""
+
+
 def _graph_manifest(root: Path, monkeypatch) -> Path:
     """A small corpus of perfbench's graph workload: authors from a shared pool."""
     path = ROOT / "perfbench" / "corpus.py"
@@ -143,6 +154,7 @@ def test_every_documented_rule_fires(corpus_result, tmp_path):
         corpus_result.records
         + run_pipeline(read_manifest(manifest)).records
         + code_corpus([parse_document(AUTHORLESS)]).records
+        + code_corpus([parse_document(ET_AL)]).records
     )
     traces = {trace for record in records for trace in record.rule_trace}
     silent = sorted(

@@ -6,10 +6,13 @@ import re
 import string
 import sys
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from citecode.citations import detect_citations
 from citecode.models import YEAR_PATTERN, ReferenceEntry
+from citecode.names import normalize_author_key
 from citecode.refparse import derive_ref_id, parse_author_block, parse_reference_entry
 from citecode.syntactic import (
     _EDITION_RE,
@@ -115,6 +118,79 @@ def test_author_block_with_ampersand_chain():
 def test_author_block_semicolon_form():
     authors = parse_author_block("Perry, M.; Bodkin, C.")
     assert [a.key for a in authors] == ["perry,m", "bodkin,c"]
+
+
+@pytest.mark.parametrize(
+    "block, keys",
+    [
+        ("Smith, J. and Jones, B.", ["smith,j", "jones,b"]),
+        ("Smith, J. & Jones, B.", ["smith,j", "jones,b"]),
+        ("Smith, J., Jones, B. and Lee, C.", ["smith,j", "jones,b", "lee,c"]),
+        ("Smith, J., Jones, B., and Lee, C.", ["smith,j", "jones,b", "lee,c"]),
+        ("Anderson, J. and Sandholm, T.", ["anderson,j", "sandholm,t"]),
+    ],
+)
+def test_author_block_joined_without_a_serial_comma(block, keys):
+    assert [a.key for a in parse_author_block(block)] == keys
+
+
+def test_only_initials_split_off_at_a_joiner():
+    # A name that holds "and" stays one author.
+    assert len(parse_author_block("Research and Development Office")) == 1
+    assert len(parse_author_block("Smith, J., Research and Development Office")) == 2
+
+
+def test_two_authors_joined_without_a_serial_comma_resolve():
+    # Both narrative and parenthetical markers read the entry's first surname.
+    for entry_text in ("Smith, J. and Jones, B. (2011). T.", "Smith, J. & Jones, B. (2011). T."):
+        entry = parse_reference_entry(entry_text)
+        entry.ref_id = "smith-2011"
+        for sentence in ("As Smith and Jones (2011) showed.", "It held (Smith & Jones, 2011)."):
+            [citation] = detect_citations(sentence, [entry])
+            assert (citation.link_status, citation.ref_id) == ("resolved", "smith-2011")
+
+
+@pytest.mark.parametrize(
+    "text, keys",
+    [
+        ("Smith, J. et al. (2011). A title.", ["smith,j"]),
+        ("Smith, J., Jones, B., et al. (2011). Title.", ["smith,j", "jones,b"]),
+        ("Smith et al (2011). A title.", ["smith,"]),
+    ],
+)
+def test_et_al_marks_the_entry_and_names_no_author(text, keys):
+    entry = parse_reference_entry(text)
+    assert [a.key for a in entry.authors] == keys
+    assert entry.et_al
+    assert entry.year == 2011
+
+
+def test_entry_without_et_al_is_not_marked():
+    assert not parse_reference_entry("Smith, J., & Jones, B. (2011). Et alia.").et_al
+    assert not parse_reference_entry("Smith, J. (2011). Notes et al. (2011)").et_al
+
+
+_SURNAMES = ["Smith", "Jones", "Anderson", "Sand", "van Dijk", "O'Brien", "Smith-Jones", "Andrews"]
+_INITIALS = ["J.", "B. A.", "J.-P.", "K"]
+_JOINERS = [", & ", " & ", ", and ", " and ", "; "]
+
+
+@given(
+    authors=st.lists(
+        st.tuples(st.sampled_from(_SURNAMES), st.sampled_from(_INITIALS)), min_size=1, max_size=4
+    ),
+    joiner=st.sampled_from(_JOINERS),
+)
+def test_author_lists_read_back_the_keys_written(authors, joiner):
+    # APA joins all but the last two authors with ", "; a "; " list uses it throughout.
+    names = [f"{surname}, {initials}" for surname, initials in authors]
+    lead = "; " if joiner == "; " else ", "
+    block = joiner.join([lead.join(names[:-1]), names[-1]]) if len(names) > 1 else names[0]
+    expected = [normalize_author_key(name) for name in names]
+    assert [a.key for a in parse_author_block(block)] == expected
+    entry = parse_reference_entry(f"{block} (2011). A title.")
+    assert [a.key for a in entry.authors] == expected
+    assert not entry.et_al
 
 
 def test_author_block_empty():
@@ -251,5 +327,22 @@ def test_year_search_is_linear_in_entry_length():
     # Many "(year" openings and no ")" to close any of them.
     small, large = best_times(
         parse_reference_entry, "Smith, J. " + "(2011 x " * 1000, "Smith, J. " + "(2011 x " * 4000
+    )
+    assert large < 8 * small, (small, large)
+
+
+def test_joiner_and_et_al_scans_are_linear_in_block_length():
+    # A long run of spaces before a joiner, and of separators before an
+    # "et al" that does not end the block.
+    small, large = best_times(
+        parse_author_block,
+        "Smith, J." + " " * 2000 + "x and Jones",
+        "Smith, J." + " " * 8000 + "x and Jones",
+    )
+    assert large < 8 * small, (small, large)
+    small, large = best_times(
+        parse_reference_entry,
+        "Smith, J. " + ", " * 2000 + " et alx (2011). T.",
+        "Smith, J. " + ", " * 8000 + " et alx (2011). T.",
     )
     assert large < 8 * small, (small, large)

@@ -15,6 +15,7 @@ from citecode.syntactic import (
     _LOCATION_EXACT,
     _LOCATION_PREFIXES,
     code_authorship,
+    code_cited_authorship,
     code_document_type,
     code_frequency,
     code_location,
@@ -125,6 +126,19 @@ def test_authorship_citing_side_uses_h():
     value, trace = code_authorship(_authors("smith,a"), category="H")
     assert value == "H1"
     assert trace == "H:count=1"
+
+
+@pytest.mark.parametrize(
+    ("entry_text", "expected"),
+    [
+        ("Smith, J. et al. (2011). A title.", ("B2", "B:count=1+et-al")),
+        ("Smith, J., Jones, B., et al. (2011). A title.", ("B2", "B:count=2+et-al")),
+        ("Smith, J. (2011). A title.", ("B1", "B:count=1")),
+        ("Smith, J. and Jones, B. (2011). A title.", ("B2", "B:count=2")),
+    ],
+)
+def test_cited_authorship_reads_the_et_al_mark(entry_text, expected):
+    assert code_cited_authorship(parse_reference_entry(entry_text)) == expected
 
 
 def test_authorship_empty_is_uncodable():
