@@ -101,7 +101,6 @@ from .semantic import (
 from .sentences import DEFAULT_ABBREVIATIONS, load_abbreviations, segment_sentences
 from .syntactic import (
     code_authorship,
-    code_cited_authorship,
     code_document_type,
     code_frequency,
     code_location,

@@ -40,8 +40,8 @@ class PipelineConfig:
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         """Parse key=value lines; # comments and blank lines skipped.
 
-        Each value is read as its field's type; relative paths are
-        resolved against the config file's directory.
+        Each value is read as its field's type, numbers in ASCII digits;
+        relative paths are resolved against the config file's directory.
         """
         path = Path(path)
         base = path.parent
@@ -65,6 +65,8 @@ class PipelineConfig:
                 setattr(config, key, candidate)
                 continue
             try:
+                if not value.isascii() or "_" in value:
+                    raise ValueError  # int() and float() read "١" and "0_1" as 1
                 setattr(config, key, kind(value))
             except ValueError:
                 expected = "an integer" if kind is int else "a number"

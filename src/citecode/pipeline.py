@@ -57,7 +57,6 @@ from .semantic import (
 from .sentences import load_abbreviations
 from .syntactic import (
     code_authorship,
-    code_cited_authorship,
     code_document_type,
     code_frequency,
     code_location,
@@ -244,7 +243,7 @@ def code_document(
                     cited_keys = [a.key for a in ref.authors]
                     cited_codes[ref_id] = {
                         "A": code_document_type(ref),
-                        "B": code_cited_authorship(ref),
+                        "B": code_authorship(ref.authors, "B", ref.et_al),
                         "C": code_relation(citing_keys, cited_keys, graph, scores, config.delta),
                         "E": code_frequency(counts[ref_id]),
                     }

@@ -2,8 +2,8 @@
 
 Lexicons are CSV files (phrase,tag) holding lowercase token sequences.
 Matching is whole-token: "butter" never matches the cue "but". A
-trailing * on a phrase's last token turns it into a prefix wildcard,
-so "suffer*" covers "suffering" without loosening exact entries.
+trailing * turns a phrase's last token into a prefix wildcard, so
+"suffer*" covers "suffering"; a * anywhere else is rejected.
 
 Matching searches text rather than walking tokens: a lexicon turns each
 entry into a literal needle (" but " for an exact phrase, " suffer" for
@@ -77,7 +77,6 @@ class CueLexicon:
     _needles: tuple[tuple[str, tuple[str, str]], ...] = field(
         init=False, repr=False, compare=False
     )
-    _any: re.Pattern[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Needles are ranked as hits at one token are ordered: entries
@@ -87,19 +86,14 @@ class CueLexicon:
         self._needles = tuple(
             (_needle(entry), (entry.phrase, entry.tag)) for entry in ranked
         )
-        # "(?!)" never matches: an empty alternation would match anything.
-        self._any = re.compile("|".join(re.escape(n) for n, _ in self._needles) or "(?!)")
 
     def match(self, text: str) -> list[tuple[str, str]]:
         """All (phrase, tag) hits in first-occurrence order, deduplicated.
 
-        ``text`` is ``token_text`` of the tokens searched. One regex
-        search answers whether anything hits; only then does each
-        needle's first offset place its hit. Hits at one token keep the
-        needles' rank.
+        ``text`` is ``token_text`` of the tokens searched. Each needle's
+        first offset places its hit; hits at one token keep the needles'
+        rank.
         """
-        if not self._any.search(text):
-            return []
         found = []
         for rank, (needle, key) in enumerate(self._needles):
             offset = text.find(needle)
@@ -138,6 +132,9 @@ def _build_lexicon(name: str, rows: list[tuple[str, str]], source: str) -> CueLe
             )
         if tokens in seen_tokens:
             raise MalformedLexicon(f"{source}: duplicate phrase {phrase!r}", line=line_no)
+        if "*" in phrase[:-1]:
+            # Tokenizing would drop it: "lack* of" would load as "lack of".
+            raise MalformedLexicon(f"{source}: * may only end a phrase: {phrase!r}", line=line_no)
         seen_tokens.add(tokens)
         entries.append(CueEntry(phrase=phrase, tag=tag, tokens=tokens, wildcard=wildcard))
     return CueLexicon(name=name, entries=tuple(entries))

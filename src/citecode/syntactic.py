@@ -112,20 +112,19 @@ def code_document_type(
 
 
 def code_authorship(
-    authors: list[AuthorName], category: str = "B"
+    authors: list[AuthorName], category: str = "B", et_al: bool = False
 ) -> tuple[str | Uncodable, str]:
-    """Single vs multiple authorship for either side (B or H)."""
+    """Single vs multiple authorship for either side (B or H).
+
+    ``et_al`` marks a list with more authors than it names, as a cited
+    entry's ``et al.`` does: always multiple, even with none named.
+    """
+    if et_al:
+        return f"{category}2", f"{category}:count={len(authors)}+et-al"
     if not authors:
         return Uncodable("missing-authors"), f"{category}:missing"
     value = f"{category}1" if len(authors) == 1 else f"{category}2"
     return value, f"{category}:count={len(authors)}"
-
-
-def code_cited_authorship(ref: ReferenceEntry) -> tuple[str | Uncodable, str]:
-    """B for a cited entry; one marked et al. has more authors than it names."""
-    if ref.et_al:
-        return "B2", f"B:count={len(ref.authors)}+et-al"
-    return code_authorship(ref.authors, "B")
 
 
 def normalize_section_header(header: str) -> str:

@@ -8,11 +8,16 @@ must agree with.
 
 from __future__ import annotations
 
+import re
+
 
 def old_match(lexicon, tokens):
-    """``CueLexicon.match`` over a token list, as it was."""
+    """``CueLexicon.match`` over a token list, as it was: one regex over
+    the lexicon's needles gated the search for each needle's offset."""
     text = f" {' '.join(tokens)} "
-    if not lexicon._any.search(text):
+    # "(?!)" never matches: an empty alternation would match anything.
+    gate = "|".join(re.escape(needle) for needle, _ in lexicon._needles) or "(?!)"
+    if not re.search(gate, text):
         return []
     found = []
     for rank, (needle, key) in enumerate(lexicon._needles):

@@ -94,6 +94,27 @@ def test_from_file_non_numeric_delta(tmp_path):
         PipelineConfig.from_file(path)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("window_before = \u0661", "window_before must be an integer"),
+        ("window_after = 0_1", "window_after must be an integer"),
+        ("window_after = \uff11", "window_after must be an integer"),
+        ("delta = 0_0.1_0", "delta must be a number"),
+        ("delta = 0.\u0661", "delta must be a number"),
+    ],
+    ids=["arabic-indic-digit", "int-separator", "fullwidth-digit", "float-separators",
+         "float-arabic-indic-digit"],
+)
+def test_numbers_are_ascii_digits_without_separators(tmp_path, line, message):
+    # int() and float() would read each of these as 1 or 0.1.
+    path = write_config(tmp_path, ["# a comment", line])
+    with pytest.raises(MalformedConfig) as err:
+        PipelineConfig.from_file(path)
+    assert message in str(err.value)
+    assert err.value.line == 2
+
+
 def test_window_out_of_range_rejected(tmp_path):
     path = write_config(tmp_path, ["window_after = 6"])
     with pytest.raises(MalformedConfig) as err:

@@ -706,6 +706,24 @@ def test_code_document_matches_the_reference_on_a_crafted_document(resources, wi
     _assert_codes_as_the_reference([doc], resources, config)
 
 
+def test_authorship_is_coded_through_the_pipeline_name(resources, monkeypatch):
+    # The benchmark's tracer times B and H by wrapping
+    # citecode.pipeline.code_authorship, so every B and H must come
+    # through that name: once for H, once per distinct resolved entry.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return code_authorship(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "code_authorship", counted)
+    doc = parse_document(_CRAFTED, FORMAT_PLAIN)
+    records = code_corpus([doc], resources=resources).records
+    resolved = {r.ref_id for r in records if r.link_status == LINK_RESOLVED}
+    assert len(resolved) == 3
+    assert len(calls) == len(resolved) + 1
+
+
 @pytest.mark.parametrize(
     "placements",
     [("text",), ("both",), ("attribute", "text"), ("text", "both", "attribute")],

@@ -119,9 +119,25 @@ def test_unknown_tag_rejected(tmp_path):
 
 
 def test_bare_wildcard_rejected(tmp_path):
-    path = write_lexicon(tmp_path, "star.csv", ["phrase,tag", "*,negative"])
-    with pytest.raises(MalformedLexicon):
+    for phrase in ["*", "**", "* *"]:
+        path = write_lexicon(tmp_path, "star.csv", ["phrase,tag", f"{phrase},negative"])
+        with pytest.raises(MalformedLexicon) as err:
+            load_lexicon(path)
+        assert "bare wildcard" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "phrase", ["lack* of", "suff*ering", "*suffer", "* suffer*", "on the* other hand*"]
+)
+def test_star_before_the_phrase_end_rejected(tmp_path, phrase):
+    # Tokenizing drops a * before the end: "lack* of" would load as the
+    # exact phrase "lack of", and "suff*ering" as "suff ering".
+    lines = ["phrase,tag", "however,negative", f"{phrase},negative"]
+    path = write_lexicon(tmp_path, "star.csv", lines)
+    with pytest.raises(MalformedLexicon) as err:
         load_lexicon(path)
+    assert "may only end a phrase" in str(err.value)
+    assert err.value.line == 3
 
 
 def test_comments_and_blanks_skipped(tmp_path):

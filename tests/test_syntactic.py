@@ -15,7 +15,6 @@ from citecode.syntactic import (
     _LOCATION_EXACT,
     _LOCATION_PREFIXES,
     code_authorship,
-    code_cited_authorship,
     code_document_type,
     code_frequency,
     code_location,
@@ -135,10 +134,13 @@ def test_authorship_citing_side_uses_h():
         ("Smith, J., Jones, B., et al. (2011). A title.", ("B2", "B:count=2+et-al")),
         ("Smith, J. (2011). A title.", ("B1", "B:count=1")),
         ("Smith, J. and Jones, B. (2011). A title.", ("B2", "B:count=2")),
+        # et al. with no named author is multiple, not missing.
+        ("et al. (2011). A title.", ("B2", "B:count=0+et-al")),
     ],
 )
 def test_cited_authorship_reads_the_et_al_mark(entry_text, expected):
-    assert code_cited_authorship(parse_reference_entry(entry_text)) == expected
+    ref = parse_reference_entry(entry_text)
+    assert code_authorship(ref.authors, "B", ref.et_al) == expected
 
 
 def test_authorship_empty_is_uncodable():
