@@ -67,7 +67,8 @@ _NARRATIVE_NAMES_RE = re.compile(
     rf"(?:['’]s)?\s*\Z"
 )
 
-_NUMERIC_RE = re.compile(r"\[(\d{1,4}(?:\s*,\s*\d{1,4})*)\]")
+# Labels are ASCII digits, as years are: "[١]" is not a marker.
+_NUMERIC_RE = re.compile(r"\[([0-9]{1,4}(?:\s*,\s*[0-9]{1,4})*)\]")
 
 _ET_AL_RE = re.compile(r"\s*,?\s*\bet\s+al\.?", re.IGNORECASE)
 _CONJ_SPLIT_RE = re.compile(r"\s*(?:&|\band\b)\s+")
@@ -152,7 +153,7 @@ def _detect(
             found.append((span[0], fields))
 
     for match in _NUMERIC_RE.finditer(sentence) if has_bracket else ():
-        for label in re.findall(r"\d+", match.group(1)):
+        for label in re.findall(r"[0-9]+", match.group(1)):
             fields = dict(
                 char_span=match.span(),
                 marker_style=STYLE_NUMERIC,

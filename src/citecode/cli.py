@@ -5,12 +5,15 @@ Four subcommands: ``code`` runs the full pipeline over a manifest,
 coded output against gold annotations, ``net`` exports the coauthorship
 edge list. Exit codes: 0 success, 2 malformed input or flags or an
 output path that cannot be written, 1 internal error.
+
+Only the read side loads with this module: ``report`` and ``eval`` run
+without importing the coding layers, which ``code`` and ``net`` import
+when they start.
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime
 import sys
 import time
 from collections import Counter
@@ -19,27 +22,9 @@ from pathlib import Path
 
 from .aggregate import aggregate, table_to_csv
 from .codebook import CATEGORIES, UNCODABLE, require_category, value_order
-from .config import PipelineConfig
 from .errors import CitecodeError, MalformedInput, NoOverlap
 from .metrics import agreement_report
-from .network import build_coauthor_graph, write_edge_list
-from .pipeline import (
-    load_resources,
-    parse_corpus,
-    read_manifest,
-    run_pipeline,
-    write_outputs,
-)
 from .records import decode_line, read_json_lines, read_jsonl
-from .sentences import DEFAULT_ABBREVIATIONS
-
-
-def _load_config(path: str | None) -> PipelineConfig:
-    if path:
-        return PipelineConfig.from_file(path)
-    config = PipelineConfig()
-    config.validate()
-    return config
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -50,8 +35,17 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def cmd_code(args: argparse.Namespace) -> int:
+    import datetime
+
+    from .config import PipelineConfig
+    from .pipeline import load_resources, read_manifest, run_pipeline, write_outputs
+
     started = time.monotonic()
-    config = _load_config(args.config)
+    if args.config:
+        config = PipelineConfig.from_file(args.config)
+    else:
+        config = PipelineConfig()
+        config.validate()
     if args.out:
         config.output_dir = Path(args.out)
     entries = read_manifest(args.manifest)
@@ -184,6 +178,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_net(args: argparse.Namespace) -> int:
+    from .network import build_coauthor_graph, write_edge_list
+    from .pipeline import parse_corpus, read_manifest
+    from .sentences import DEFAULT_ABBREVIATIONS
+
     entries = read_manifest(args.manifest)
     documents, skipped = parse_corpus(entries, DEFAULT_ABBREVIATIONS)
     for path, error in skipped:

@@ -16,7 +16,7 @@ from .errors import UnparseableName
 from .models import YEAR_PATTERN, AuthorName, ReferenceEntry
 from .names import _INITIALS_RE, normalize_author_key, surname_of
 
-_LABEL_RE = re.compile(r"^\[(\d{1,4})\]\s*")
+_LABEL_RE = re.compile(r"^\[([0-9]{1,4})\]\s*")
 # A year is the first "(year" that some later ")" closes. When the first
 # "(year" has no ")" after it, no later one has, so one search is enough.
 _YEAR_RE = re.compile(rf"\((?P<year>{YEAR_PATTERN})(?P<suffix>[a-z])?")

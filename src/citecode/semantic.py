@@ -21,7 +21,6 @@ a window that holds some needle has each lexicon place its hits.
 from __future__ import annotations
 
 import csv
-import logging
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -37,8 +36,6 @@ VALID_TAGS = (
     "negative", "positive", "evidence", "framework", "background",
     "experimental", "empirical", "theoretical",
 )
-
-logger = logging.getLogger(__name__)
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _MAX_PHRASE_TOKENS = 6
@@ -183,7 +180,10 @@ def load_lexicon(path: str | Path, name: str | None = None) -> CueLexicon:
             raise MalformedLexicon(f"{path.name}: expected phrase,tag", line=line_no)
         rows.append((line_no, (row[0], row[1])))
     if not rows:
-        logger.warning("%s: empty lexicon", path.name)
+        # Loaded only here: a coding run never logs otherwise.
+        import logging
+
+        logging.getLogger(__name__).warning("%s: empty lexicon", path.name)
     return _build_lexicon(name or path.stem, rows, path.name)
 
 

@@ -97,6 +97,13 @@ def test_numeric_list_expands():
     assert found[0].char_span == found[1].char_span
 
 
+def test_numeric_markers_take_ascii_digits_only():
+    # U+0661, ARABIC-INDIC DIGIT ONE, is a digit to \d but no label.
+    entries = refs("[1] Doe, A. (2001). One. Acta, 1(1), 1-2.")
+    found = detect_citations("Shown before [\u0661] and [1].", entries)
+    assert [(c.numeric_label, c.link_status) for c in found] == [("1", LINK_RESOLVED)]
+
+
 def test_multi_work_group_splits_on_semicolons():
     sentence = "(Berg et al. 2001; Wolfers and Zitzewitz 2004; Goel et al. 2010)"
     found = detect_citations(sentence)

@@ -977,12 +977,13 @@ def test_no_subcommand_prints_usage(capsys):
 
 
 def test_internal_errors_exit_one(tmp_path, capsys, monkeypatch):
-    import citecode.cli as cli_module
+    import citecode.pipeline
 
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setattr(cli_module, "run_pipeline", boom)
+    # cmd_code imports run_pipeline from citecode.pipeline when it runs.
+    monkeypatch.setattr(citecode.pipeline, "run_pipeline", boom)
     manifest = make_manifest(tmp_path)
     exit_code = main(["code", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
     captured = capsys.readouterr()

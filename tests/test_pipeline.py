@@ -640,7 +640,7 @@ def reference_code_document(doc, citations, resources, config, graph, scores):
             ref = references[citation.ref_id]
             cited_keys = [a.key for a in ref.authors]
             coded["A"] = code_document_type(ref)
-            coded["B"] = code_authorship(ref.authors, "B")
+            coded["B"] = code_authorship(ref.authors, "B", ref.et_al)
             coded["C"] = code_relation(citing_keys, cited_keys, graph, scores, config.delta)
             coded["E"] = code_frequency(counts[citation.ref_id])
         else:
@@ -675,20 +675,23 @@ def test_code_document_matches_the_reference_on_synth_documents(tmp_path, resour
 
 # Several markers in one sentence, the first with a page locator, all
 # behind a quote; a two-sentence section whose citing sentences share
-# one window; one unresolved and one ambiguous marker.
+# one window; an entry whose one listed author is followed by "et al.";
+# one unresolved and one ambiguous marker.
 _CRAFTED = (
     "#META id: crafted\n#META authors: Doe, J.; Roe, K.\n"
     "#SECTION Introduction\n"
     "This field is broad. As \"a social act of aligning\" shows, the claim holds "
     "(Smith, 2011, p. 4; Jones, 2012) and Lee (2013) agrees. Nothing else is cited here.\n"
     "#SECTION Results\n"
-    "However, the method is limited and fails (Smith, 2011). Lee (2013) reports robust results.\n"
+    "However, the method is limited and fails (Smith, 2011). Lee (2013) reports robust results "
+    "(Green et al., 2014).\n"
     "#SECTION Discussion\n"
     "The old claim (Zzyzx, 1888) was never replicated. Brown (2009) builds on it.\n"
     "#REFERENCES\n"
     "Smith, A. (2011). One. Minerva, 2(1), 1-2.\n"
     "Jones, B. (2012). Two. Proceedings of the Workshop, 3-4.\n"
     "Lee, C., & Doe, J. (2013). Three. Chicago: Press.\n"
+    "Green, E., et al. (2014). Six. Minerva, 5(1), 1-4.\n"
     "Brown, D. (2009a). Four. Minerva, 4(4), 1-8.\n"
     "Brown, D. (2009b). Five. Minerva, 4(5), 9-16.\n"
 )
@@ -698,10 +701,12 @@ _CRAFTED = (
 def test_code_document_matches_the_reference_on_a_crafted_document(resources, window):
     doc = parse_document(_CRAFTED, FORMAT_PLAIN)
     records = code_corpus([doc], resources=resources).records
-    assert [r.sentence_index for r in records] == [1, 1, 1, 3, 4, 5, 6]
+    assert [r.sentence_index for r in records] == [1, 1, 1, 3, 4, 4, 5, 6]
     assert [r.codes["F"] for r in records[:3]] == ["F3"] * 3
-    assert [r.link_status for r in records[5:]] == ["unresolved", "ambiguous"]
+    assert [r.link_status for r in records[6:]] == ["unresolved", "ambiguous"]
     assert records[3].context_sentences == records[4].context_sentences == (3, 4)
+    # The et-al entry lists one author, but its B reads co-authored.
+    assert (records[5].ref_id, records[5].codes["B"]) == ("green-2014", "B2")
     config = PipelineConfig(window_before=window[0], window_after=window[1])
     _assert_codes_as_the_reference([doc], resources, config)
 
@@ -720,7 +725,7 @@ def test_authorship_is_coded_through_the_pipeline_name(resources, monkeypatch):
     doc = parse_document(_CRAFTED, FORMAT_PLAIN)
     records = code_corpus([doc], resources=resources).records
     resolved = {r.ref_id for r in records if r.link_status == LINK_RESOLVED}
-    assert len(resolved) == 3
+    assert len(resolved) == 4
     assert len(calls) == len(resolved) + 1
 
 

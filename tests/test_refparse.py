@@ -63,6 +63,11 @@ def test_numeric_label_captured():
     assert [a.key for a in entry.authors] == ["doe,a"]
 
 
+def test_numeric_label_takes_ascii_digits_only():
+    entry = parse_reference_entry("[\u0661] Smith, J. (2011). A title.")
+    assert entry.ref_id == ""
+
+
 def test_book_entry_publisher_not_volume_issue():
     entry = parse_reference_entry(KRIPPENDORFF)
     assert code_document_type(entry) == ("A3", "A:signal:publisher")
