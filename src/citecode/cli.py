@@ -233,6 +233,11 @@ def main(argv: list[str] | None = None) -> int:
     if not getattr(args, "func", None):
         parser.print_usage(sys.stderr)
         return 2
+    # An empty value would otherwise read as the flag left out.
+    for flag in ("cols", "config", "out"):
+        if getattr(args, flag, None) == "":
+            print(f"error: --{flag} is empty", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except (CitecodeError, OSError) as exc:

@@ -40,13 +40,15 @@ class PipelineConfig:
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         """Parse key=value lines; # comments and blank lines skipped.
 
-        Each value is read as its field's type, numbers in ASCII digits;
-        relative paths are resolved against the config file's directory.
+        A key may be set once. Each value is read as its field's type,
+        numbers in ASCII digits; relative paths are resolved against the
+        config file's directory.
         """
         path = Path(path)
         base = path.parent
         config = cls()
         types = {f.name: f.type for f in fields(cls)}
+        seen: set[str] = set()
         for line_no, line in _read_lines(path, "config", MalformedConfig):
             if "=" not in line:
                 raise MalformedConfig(f"{path.name}: expected key=value", line=line_no)
@@ -56,6 +58,9 @@ class PipelineConfig:
             kind = types.get(key)
             if kind is None:
                 raise MalformedConfig(f"{path.name}: unknown key {key!r}", line=line_no)
+            if key in seen:
+                raise MalformedConfig(f"{path.name}: {key} set twice", line=line_no)
+            seen.add(key)
             if kind is Path:
                 if "\0" in value:
                     raise MalformedConfig(f"{path.name}: {key} holds a NUL byte", line=line_no)

@@ -54,7 +54,7 @@ class InvalidCount(CitecodeError):
 
 
 class LengthMismatch(CitecodeError):
-    """Two code sequences compared for agreement differ in length."""
+    """An agreement count table holds no pairs, so no metric is defined."""
 
 
 class IncompleteCoding(CitecodeError):

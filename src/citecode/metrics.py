@@ -1,8 +1,10 @@
 """Agreement metrics between two coders: percent agreement and kappa.
 
 Every metric comes from one count table of (a, b) value pairs, which a
-caller can fill as it reads. Uncodable slots participate as a category
-value of their own, so two coders who both mark a slot uncodable agree.
+caller can fill as it reads; two code lists give theirs as
+``Counter(zip(a, b))``. An empty table raises LengthMismatch. Uncodable
+slots participate as a category value of their own, so two coders who
+both mark a slot uncodable agree.
 """
 
 from __future__ import annotations
@@ -56,28 +58,3 @@ def agreement_report(category: str, counts: Counter) -> AgreementReport:
         confusion=tuple(tuple(counts[x, y] for y in values) for x in values),
     )
 
-
-def _pair_counts(a: list[str], b: list[str]) -> Counter:
-    if len(a) != len(b):
-        raise LengthMismatch(f"code lists differ in length: {len(a)} vs {len(b)}")
-    return Counter(zip(a, b))
-
-
-def percent_agreement(a: list[str], b: list[str]) -> float:
-    """Share of positions where both coders chose the same value."""
-    return agreement_report("", _pair_counts(a, b)).percent_agreement
-
-
-def cohens_kappa(a: list[str], b: list[str]) -> float:
-    """Chance-corrected agreement, as ``agreement_report`` defines it."""
-    return agreement_report("", _pair_counts(a, b)).kappa
-
-
-def confusion_table(
-    a: list[str], b: list[str], values: tuple[str, ...] | None = None
-) -> tuple[tuple[str, ...], list[list[int]]]:
-    """Square confusion matrix; rows index coder a, columns coder b."""
-    counts = _pair_counts(a, b)
-    if values is None:
-        values = tuple(sorted({value for pair in counts for value in pair}))
-    return values, [[counts[x, y] for y in values] for x in values]

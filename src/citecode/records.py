@@ -54,11 +54,6 @@ class CodedCitation:
     rule_trace: list[str] = field(default_factory=list)
     uncodable_reasons: dict[str, str] = field(default_factory=dict)
 
-    def value_or_bucket(self, category: str) -> str:
-        """The coded value, or the literal bucket name 'uncodable'."""
-        value = self.codes.get(category)
-        return value if value is not None else "uncodable"
-
 
 def assemble_record(
     doc_id: str,

@@ -12,13 +12,14 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import citecode
 from citecode.config import PipelineConfig
 from citecode.errors import CitecodeError
 from citecode.ingest import FORMAT_PLAIN, FORMAT_XML, parse_document
-from citecode.metrics import cohens_kappa, percent_agreement
+from citecode.metrics import agreement_report
 from citecode.models import Document
 from citecode.network import centrality_betweenness, centrality_harmonic
 from citecode.pipeline import (
@@ -148,14 +149,17 @@ def test_acceptance_3_centrality_against_oracles(capsys):
 
 def test_acceptance_4_agreement_metrics(capsys):
     with Verdict(capsys, 4, "agreement metrics", budget=1.0):
+        def scored(a, b):
+            return agreement_report("J", Counter(zip(a, b)))
+
         sample = ["J1", "J2", "J4", "J2", "J3"]
-        assert percent_agreement(sample, list(sample)) == 1.0
-        assert cohens_kappa(sample, list(sample)) == 1.0
+        assert scored(sample, list(sample)).percent_agreement == 1.0
+        assert scored(sample, list(sample)).kappa == 1.0
 
         a = ["J1", "J1", "J2", "J2"]
         b = ["J1", "J2", "J1", "J2"]
-        assert percent_agreement(a, b) == 0.5
-        assert cohens_kappa(a, b) == 0.0
+        assert scored(a, b).percent_agreement == 0.5
+        assert scored(a, b).kappa == 0.0
 
         rng = random.Random(99)
         values = ("J1", "J2", "J3", "J4", "uncodable")
@@ -163,8 +167,8 @@ def test_acceptance_4_agreement_metrics(capsys):
             n = rng.randint(1, 50)
             x = [rng.choice(values) for _ in range(n)]
             y = [rng.choice(values) for _ in range(n)]
-            assert percent_agreement(x, y) == percent_agreement(y, x)
-            assert cohens_kappa(x, y) == cohens_kappa(y, x)
+            assert scored(x, y).percent_agreement == scored(y, x).percent_agreement
+            assert scored(x, y).kappa == scored(y, x).kappa
 
 
 def test_acceptance_5_deterministic_outputs(capsys, tmp_path):

@@ -333,6 +333,29 @@ def test_eval_rejects_a_repeated_category(coded_run, tmp_path, capsys):
     assert captured.err == "error: category 'I' requested twice\n"
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [("report", "cols"), ("report", "out"), ("eval", "out"), ("code", "out"), ("code", "config")],
+)
+def test_an_empty_flag_value_is_a_bad_flag(
+    coded_run, tmp_path, capsys, monkeypatch, command, flag
+):
+    # Read as the flag left out, an empty value would give a one-way
+    # table, stdout, the configured out/ or the default config.
+    coded = str(coded_run / "coded.jsonl")
+    gold = write_gold(tmp_path / "gold.jsonl", [{"doc_id": "paper-b", "citation_id": "c0003"}])
+    argv = {
+        "report": ["report", "--input", coded, "--rows", "A"],
+        "eval": ["eval", "--input", coded, "--gold", str(gold), "--categories", "J"],
+        "code": ["code", "--manifest", str(make_manifest(tmp_path))],
+    }[command]
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + [f"--{flag}", ""]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: --{flag} is empty\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_unmatched_gold_reported(coded_run, tmp_path, capsys):
     gold = write_gold(
         tmp_path / "gold.jsonl",
@@ -573,8 +596,8 @@ def test_report_and_eval_hold_under_the_record_list(tmp_path, command):
     manifest = write_corpus(tmp_path / "corpus", 20, seed=5)
     coded = str(write_outputs(run_pipeline(read_manifest(manifest)), tmp_path / "out")["coded"])
     gold = write_gold(tmp_path / "gold.jsonl", [
-        {"doc_id": r.doc_id, "citation_id": r.citation_id, "I": r.value_or_bucket("I"),
-         "J": r.value_or_bucket("J")}
+        {"doc_id": r.doc_id, "citation_id": r.citation_id, "I": value_or_bucket(r, "I"),
+         "J": value_or_bucket(r, "J")}
         for r in read_jsonl(coded)
     ])
     argv = {
@@ -764,6 +787,12 @@ def _gold_by_key(path):
 # -- the two-pass eval and the method-call aggregate, kept as references --
 
 
+def value_or_bucket(record, category):
+    """The coded value, or the literal bucket name 'uncodable'."""
+    value = record.codes.get(category)
+    return value if value is not None else "uncodable"
+
+
 def reference_gold_by_key(path):
     allowed = {
         category: {value: value for value in value_order(category)} for category in CATEGORIES
@@ -812,7 +841,9 @@ def reference_cmd_eval(args):
             raise MalformedInput(f"category {category!r} requested twice")
         tables[category] = Counter()
     coded = {
-        (record.doc_id, record.citation_id): tuple(map(record.value_or_bucket, tables))
+        (record.doc_id, record.citation_id): tuple(
+            value_or_bucket(record, category) for category in tables
+        )
         for record in read_jsonl(args.input)
     }
     gold = reference_gold_by_key(args.gold)
@@ -843,11 +874,11 @@ def reference_aggregate(records, rows, cols=None):
         require_category(cols)
     counts = Counter()
     for record in records:
-        row_value = record.value_or_bucket(rows)
+        row_value = value_or_bucket(record, rows)
         if cols is None:
             counts[row_value] += 1
         else:
-            counts[(row_value, record.value_or_bucket(cols))] += 1
+            counts[(row_value, value_or_bucket(record, cols))] += 1
     return counts
 
 

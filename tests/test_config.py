@@ -82,6 +82,25 @@ def test_from_file_unknown_key(tmp_path):
     assert "window_sideways" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["window_before=0", "# a comment", "window_before=2"],
+        ["window_before=0", "window_before=0"],
+        ["lexicon_focus=a.csv", "delta=0.3", " lexicon_focus = b.csv"],
+    ],
+    ids=["other-value", "same-value", "path-spaced"],
+)
+def test_from_file_rejects_a_repeated_key(tmp_path, lines):
+    # Letting the last value win would silently drop the first line.
+    path = write_config(tmp_path, lines)
+    key = lines[0].partition("=")[0]
+    with pytest.raises(MalformedConfig) as err:
+        PipelineConfig.from_file(path)
+    assert f"{key} set twice" in str(err.value)
+    assert err.value.line == len(lines)
+
+
 def test_from_file_non_integer_window(tmp_path):
     path = write_config(tmp_path, ["window_before = wide"])
     with pytest.raises(MalformedConfig):

@@ -547,7 +547,10 @@ def test_fuzz_smoke_returns_document_or_structured_error():
 def test_import_loads_no_network_modules():
     network = ["urllib.request", "http.client", "ssl", "socket", "email"]
     code = (
-        "import sys; before = set(sys.modules); import citecode; "
+        "import sys; before = set(sys.modules); import citecode.cli\n"
+        "from citecode.config import PipelineConfig\n"
+        "from citecode.pipeline import load_resources\n"
+        "config = PipelineConfig(); config.validate(); load_resources(config)\n"
         f"print(sorted(set({network!r}) & (set(sys.modules) - before)))"
     )
     completed = subprocess.run(

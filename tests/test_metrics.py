@@ -9,12 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citecode.errors import LengthMismatch
-from citecode.metrics import (
-    agreement_report,
-    cohens_kappa,
-    confusion_table,
-    percent_agreement,
-)
+from citecode.metrics import agreement_report
 
 codes = st.lists(
     st.sampled_from(["J1", "J2", "J3", "J4", "uncodable"]), min_size=1, max_size=60
@@ -29,109 +24,99 @@ def code_pairs(draw):
     return draw(same_length), draw(same_length)
 
 
+def scored(a, b):
+    """The agreement report of two code lists of one length."""
+    return agreement_report("J", Counter(zip(a, b)))
+
+
 def test_identical_lists_agree_fully():
     a = ["J1", "J2", "J4", "J2"]
-    assert percent_agreement(a, list(a)) == 1.0
+    assert scored(a, list(a)).percent_agreement == 1.0
 
 
 def test_half_agreement_worked_example():
     a = ["J1", "J1", "J2", "J2"]
     b = ["J1", "J2", "J1", "J2"]
-    assert percent_agreement(a, b) == pytest.approx(0.5)
-    assert cohens_kappa(a, b) == pytest.approx(0.0)
+    assert scored(a, b).percent_agreement == pytest.approx(0.5)
+    assert scored(a, b).kappa == pytest.approx(0.0)
 
 
 def test_kappa_perfect_agreement_non_degenerate():
     a = ["J1", "J2", "J1", "J4"]
-    assert cohens_kappa(a, list(a)) == pytest.approx(1.0)
+    assert scored(a, list(a)).kappa == pytest.approx(1.0)
 
 
 def test_kappa_degenerate_single_value():
     # Both coders used one value everywhere: p_e is 1, and the
     # convention keeps perfect observed agreement at 1.0.
     a = ["J1", "J1", "J1"]
-    assert cohens_kappa(a, list(a)) == 1.0
+    assert scored(a, list(a)).kappa == 1.0
 
 
 def test_kappa_no_agreement_beyond_chance_is_negative_or_zero():
     a = ["J1", "J2"]
     b = ["J2", "J1"]
-    assert cohens_kappa(a, b) < 0.0
-    assert percent_agreement(a, b) == 0.0
-
-
-def test_length_mismatch_raises():
-    with pytest.raises(LengthMismatch):
-        percent_agreement(["J1", "J2", "J3"], ["J1", "J2", "J3", "J4"])
-    with pytest.raises(LengthMismatch):
-        cohens_kappa(["J1"], [])
+    assert scored(a, b).kappa < 0.0
+    assert scored(a, b).percent_agreement == 0.0
 
 
 def test_empty_lists_raise():
     with pytest.raises(LengthMismatch):
-        percent_agreement([], [])
-    with pytest.raises(LengthMismatch):
-        cohens_kappa([], [])
+        scored([], [])
 
 
 def test_uncodable_is_an_ordinary_value():
     a = ["J1", "uncodable"]
     b = ["J1", "uncodable"]
-    assert percent_agreement(a, b) == 1.0
-    assert cohens_kappa(a, b) == pytest.approx(1.0)
+    assert scored(a, b).percent_agreement == 1.0
+    assert scored(a, b).kappa == pytest.approx(1.0)
 
 
 @given(pair=code_pairs())
 @settings(max_examples=300)
 def test_metrics_are_symmetric(pair):
     a, b = pair
-    assert percent_agreement(a, b) == percent_agreement(b, a)
-    assert cohens_kappa(a, b) == cohens_kappa(b, a)
+    assert scored(a, b).percent_agreement == scored(b, a).percent_agreement
+    assert scored(a, b).kappa == scored(b, a).kappa
 
 
 @given(a=codes)
 @settings(max_examples=150)
 def test_self_agreement_is_always_perfect(a):
-    assert percent_agreement(a, list(a)) == 1.0
-    assert cohens_kappa(a, list(a)) == 1.0
+    assert scored(a, list(a)).percent_agreement == 1.0
+    assert scored(a, list(a)).kappa == 1.0
 
 
 @given(pair=code_pairs())
 @settings(max_examples=300)
 def test_kappa_never_exceeds_agreement_bounds(pair):
     a, b = pair
-    kappa = cohens_kappa(a, b)
+    kappa = scored(a, b).kappa
     assert kappa <= 1.0 + 1e-12
     if kappa == 1.0:
         # Perfect kappa only ever reports genuinely perfect agreement.
-        assert percent_agreement(a, b) == 1.0
+        assert scored(a, b).percent_agreement == 1.0
 
 
 def test_confusion_table_counts():
     a = ["J1", "J1", "J2", "J2"]
     b = ["J1", "J2", "J1", "J2"]
-    values, cells = confusion_table(a, b)
-    assert values == ("J1", "J2")
-    assert cells == [[1, 1], [1, 1]]
-
-
-def test_confusion_table_with_fixed_values():
-    values, cells = confusion_table(["J1"], ["J2"], values=("J1", "J2", "J3"))
-    assert values == ("J1", "J2", "J3")
-    assert cells[0][1] == 1
-    assert sum(sum(row) for row in cells) == 1
+    report = scored(a, b)
+    assert report.values == ("J1", "J2")
+    assert report.confusion == ((1, 1), (1, 1))
 
 
 @given(pair=code_pairs())
 @settings(max_examples=200)
 def test_confusion_table_is_consistent_with_agreement(pair):
     a, b = pair
-    values, cells = confusion_table(a, b)
+    report = scored(a, b)
+    values, cells = report.values, report.confusion
     n = sum(sum(row) for row in cells)
     assert n == len(a)
     index = {value: i for i, value in enumerate(values)}
     trace = sum(cells[i][i] for i in range(len(values)))
-    assert trace / n == pytest.approx(percent_agreement(a, b))
+    assert trace / n == pytest.approx(report.percent_agreement)
     for value in values:
         assert sum(cells[index[value]]) == a.count(value)
         assert sum(row[index[value]] for row in cells) == b.count(value)
@@ -203,6 +188,3 @@ def test_the_count_table_gives_the_list_reference_exactly(pair):
     assert report.percent_agreement == reference_percent_agreement(a, b)
     assert report.kappa == reference_cohens_kappa(a, b)
     assert (report.values, report.confusion) == (values, tuple(map(tuple, cells)))
-    assert percent_agreement(a, b) == report.percent_agreement
-    assert cohens_kappa(a, b) == report.kappa
-    assert confusion_table(a, b) == (values, cells)
