@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import CitecodeError, InvalidCount, UnparseableName
+from .errors import UnparseableName
 from .models import (
     LEVEL_CLUSTER,
     LEVEL_SINGLE,
@@ -265,7 +265,7 @@ def mention_counts(doc: Document, citations: list[InTextCitation]) -> dict[str, 
     return counts
 
 
-def _check_windows(before: int, after: int, error: type[CitecodeError]) -> None:
+def _check_windows(before: int, after: int, error: type[Exception]) -> None:
     """Raise ``error`` unless both window sizes are in 0..MAX_WINDOW."""
     if not (0 <= before <= MAX_WINDOW and 0 <= after <= MAX_WINDOW):
         raise error(f"window sizes must be in 0..{MAX_WINDOW}: ({before}, {after})")
@@ -282,7 +282,7 @@ def extract_context(
     Windows are clamped to the citing sentence's section; (0, 0) yields
     the single-sentence level.
     """
-    _check_windows(before, after, InvalidCount)
+    _check_windows(before, after, ValueError)
     section = doc.section_of(citation.sentence_index)
     low = max(section.start, citation.sentence_index - before)
     high = min(section.end - 1, citation.sentence_index + after)

@@ -245,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
         # output path that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 1
 

@@ -1,9 +1,12 @@
 """Exception types shared across the package.
 
-Parsing failures are structured: they subclass ParseError and carry an
-optional 1-based line number, so callers can report or skip a bad
-document without losing the rest of a corpus run. Every input text
-file is read through _read_utf8, which reports bad files the same way.
+One rule: a CitecodeError is always a fault in the user's input, and
+the command line exits 2 on it. A fault of the program, or a bad
+argument from a caller, raises a built-in exception such as ValueError,
+and the command line exits 1. An input error carries an optional 1-based
+line number, so callers can report or skip a bad document without
+losing the rest of a corpus run. Every input text file is read through
+_read_utf8, which reports bad files the same way.
 """
 
 from __future__ import annotations
@@ -12,11 +15,7 @@ from pathlib import Path
 
 
 class CitecodeError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class ParseError(CitecodeError):
-    """Structured parsing failure with an optional 1-based line number."""
+    """A fault in the user's input, with an optional 1-based line number."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -25,40 +24,20 @@ class ParseError(CitecodeError):
         super().__init__(message)
 
 
-class MalformedInput(ParseError):
+class MalformedInput(CitecodeError):
     """Input violates the document grammar."""
 
 
-class EmptyDocument(ParseError):
-    """Document contains no sections at all."""
-
-
-class DuplicateRefId(ParseError):
-    """Two reference entries carry the same explicit label."""
-
-
-class MalformedLexicon(ParseError):
+class MalformedLexicon(CitecodeError):
     """Cue lexicon file violates its format or repeats a phrase."""
 
 
-class MalformedConfig(ParseError):
+class MalformedConfig(CitecodeError):
     """Pipeline configuration file is invalid."""
 
 
 class UnparseableName(CitecodeError):
     """Author name contains no usable alphabetic content."""
-
-
-class InvalidCount(CitecodeError):
-    """A mention count outside the valid range was supplied."""
-
-
-class LengthMismatch(CitecodeError):
-    """An agreement count table holds no pairs, so no metric is defined."""
-
-
-class IncompleteCoding(CitecodeError):
-    """A coded record is missing a category slot or its audit trail."""
 
 
 class NoOverlap(CitecodeError):
@@ -70,15 +49,16 @@ class UnknownCategory(CitecodeError):
 
 
 def _decode_utf8(
-    data: bytes, what: str, error: type[ParseError], lf_only: bool = False
+    data: bytes, what: str, error: type[CitecodeError], lf_only: bool = False
 ) -> str:
     r"""The text of a UTF-8 input; bad bytes raise ``error`` at their line.
 
-    Lines end where _split_lines ends them ("\n", "\r\n" or a lone
-    "\r"), or at "\n" alone when ``lf_only``, as in JSON Lines files.
+    One leading byte-order mark is dropped. Lines end where _split_lines
+    ends them ("\n", "\r\n" or a lone "\r"), or at "\n" alone when
+    ``lf_only``, as in JSON Lines files.
     """
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         before = data[: exc.start]
         line = before.count(b"\n") + 1
@@ -88,7 +68,7 @@ def _decode_utf8(
 
 
 def _read_utf8(
-    path: str | Path, what: str, error: type[ParseError], lf_only: bool = False
+    path: str | Path, what: str, error: type[CitecodeError], lf_only: bool = False
 ) -> str:
     """The text of a UTF-8 file; one that cannot be read or decoded raises ``error``."""
     try:
@@ -103,7 +83,7 @@ def _split_lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def _read_lines(path: str | Path, what: str, error: type[ParseError]) -> list[tuple[int, str]]:
+def _read_lines(path: str | Path, what: str, error: type[CitecodeError]) -> list[tuple[int, str]]:
     """The stripped lines of a UTF-8 file with their 1-based numbers.
 
     Blank lines and # comment lines are skipped.

@@ -26,9 +26,7 @@ import re
 import xml.etree.ElementTree as ET
 
 from .codebook import VALUES
-from .errors import (
-    DuplicateRefId, EmptyDocument, MalformedInput, UnparseableName, _decode_utf8, _split_lines,
-)
+from .errors import MalformedInput, UnparseableName, _decode_utf8, _split_lines
 from .models import (
     VENUE_TYPES, YEAR_PATTERN, AuthorName, Document, DocumentMetadata, ReferenceEntry, Section,
 )
@@ -88,7 +86,7 @@ def _finalize_references(
     for entry, line_no in entries:
         if entry.ref_id:
             if entry.ref_id in taken:
-                raise DuplicateRefId(f"duplicate reference label {entry.ref_id!r}", line=line_no)
+                raise MalformedInput(f"duplicate reference label {entry.ref_id!r}", line=line_no)
             taken.add(entry.ref_id)
     next_counter: dict[str, int] = {}
     for ordinal, (entry, _) in enumerate(entries, start=1):
@@ -118,7 +116,7 @@ def _build_document(
     had_reference_block: bool,
 ) -> Document:
     if not section_blocks:
-        raise EmptyDocument("document has no sections")
+        raise MalformedInput("document has no sections")
     doc_id = meta_fields.get("id", "").strip()
     if not doc_id:
         raise MalformedInput("missing required metadata field 'id'")

@@ -2,9 +2,9 @@
 
 Every metric comes from one count table of (a, b) value pairs, which a
 caller can fill as it reads; two code lists give theirs as
-``Counter(zip(a, b))``. An empty table raises LengthMismatch. Uncodable
-slots participate as a category value of their own, so two coders who
-both mark a slot uncodable agree.
+``Counter(zip(a, b))``. An empty table is a caller's fault and raises
+ValueError. Uncodable slots participate as a category value of their
+own, so two coders who both mark a slot uncodable agree.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import LengthMismatch
 
 
 @dataclass(frozen=True)
@@ -29,30 +28,28 @@ def agreement_report(category: str, counts: Counter) -> AgreementReport:
     """Every agreement metric of one category from its (a, b) pair counts.
 
     Kappa is (p_o - p_e) / (1 - p_e), with p_e the sum of the products of
-    the coders' marginal shares in sorted value order. When p_e reaches 1
-    kappa is undefined: by convention 1.0 for perfect observed agreement,
-    0.0 otherwise. Confusion rows index coder a, columns coder b.
+    the coders' marginal shares. It is computed from integer counts as
+    (n * agree - S) / (n * n - S), with S the sum of the products of the
+    marginal counts, so it is rounded once and reads exactly 0 at chance.
+    S reaches n * n only when both coders used one value throughout, so
+    every item agrees and kappa is 1.0 by convention. Confusion rows
+    index coder a, columns coder b, in sorted value order.
     """
     n = sum(counts.values())
     if not n:
-        raise LengthMismatch("cannot compute agreement on empty code lists")
+        raise ValueError("cannot compute agreement on empty code lists")
     a_counts, b_counts = Counter(), Counter()
     for (x, y), count in counts.items():
         a_counts[x] += count
         b_counts[y] += count
     values = tuple(sorted(a_counts.keys() | b_counts.keys()))
-    observed = sum(counts[value, value] for value in values) / n
-    expected = 0.0
-    for value in values:
-        expected += (a_counts[value] / n) * (b_counts[value] / n)
-    if abs(1.0 - expected) < 1e-12:
-        kappa = 1.0 if abs(observed - 1.0) < 1e-12 else 0.0
-    else:
-        kappa = (observed - expected) / (1.0 - expected)
+    agree = sum(counts[value, value] for value in values)
+    chance = sum(a_counts[value] * b_counts[value] for value in values)
+    kappa = 1.0 if chance == n * n else (n * agree - chance) / (n * n - chance)
     return AgreementReport(
         category=category,
         n_items=n,
-        percent_agreement=observed,
+        percent_agreement=agree / n,
         kappa=kappa,
         values=values,
         confusion=tuple(tuple(counts[x, y] for y in values) for x in values),

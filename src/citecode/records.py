@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .codebook import CATEGORIES, VALUES, Uncodable
-from .errors import IncompleteCoding, MalformedInput, _read_utf8
+from .errors import MalformedInput, _read_utf8
 from .models import LEVEL_CLUSTER, CitationContext, InTextCitation
 
 # Each category with what its key in a coded line may hold: a codebook
@@ -75,25 +75,25 @@ def assemble_record(
     reasons: dict[str, str] = {}
     for category, values, prefix in _CHECKS:
         if category not in coded:
-            raise IncompleteCoding(f"{doc_id}/{citation_id}: category {category} missing")
+            raise ValueError(f"{doc_id}/{citation_id}: category {category} missing")
         value, rule = coded[category]
         if isinstance(value, Uncodable):
             codes[category] = None
             reasons[category] = value.reason
         else:
             if value not in values:
-                raise IncompleteCoding(
+                raise ValueError(
                     f"{doc_id}/{citation_id}: {value!r} is not a {category} value"
                 )
             if rule is None or not rule.startswith(prefix):
-                raise IncompleteCoding(
+                raise ValueError(
                     f"{doc_id}/{citation_id}: coded category {category} has no rule trace"
                 )
             codes[category] = value
     if len(coded) > len(CATEGORIES):
         # Every category is present, so only extra keys make it longer.
         extra = sorted(set(coded) - set(CATEGORIES))
-        raise IncompleteCoding(f"{doc_id}/{citation_id}: unknown categories {extra}")
+        raise ValueError(f"{doc_id}/{citation_id}: unknown categories {extra}")
     return CodedCitation(
         doc_id=doc_id,
         citation_id=citation_id,

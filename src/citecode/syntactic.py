@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 
 from .codebook import VALUES, Uncodable
-from .errors import InvalidCount
 from .models import (
     STYLE_NARRATIVE,
     VENUE_TYPES,
@@ -150,7 +149,7 @@ def code_location(section: Section) -> tuple[str, str]:
 def code_frequency(count: int) -> tuple[str, str]:
     """Mention-count bands: 1, 2..4, 5 and up."""
     if count <= 0:
-        raise InvalidCount(f"mention count must be positive, got {count}")
+        raise ValueError(f"mention count must be positive, got {count}")
     if count == 1:
         value = "E1"
     elif count <= 4:

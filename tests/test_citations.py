@@ -23,7 +23,7 @@ from citecode.citations import (
     link_citation,
     mention_counts,
 )
-from citecode.errors import InvalidCount
+from citecode.errors import CitecodeError
 from citecode.ingest import FORMAT_PLAIN, parse_document
 from citecode.models import (
     LINK_AMBIGUOUS,
@@ -376,10 +376,12 @@ def test_zero_window_is_single_sentence_level():
 
 def test_window_bounds_validated():
     doc = make_doc([(0, 10)], 10)
-    with pytest.raises(InvalidCount):
+    with pytest.raises(ValueError, match=r"^window sizes must be in 0\.\.5: \(6, 1\)$") as err:
         extract_context(doc, make_citation(5), 6, 1)
-    with pytest.raises(InvalidCount):
+    assert not isinstance(err.value, CitecodeError)
+    with pytest.raises(ValueError, match=r"^window sizes must be in 0\.\.5: \(1, -1\)$") as err:
         extract_context(doc, make_citation(5), 1, -1)
+    assert not isinstance(err.value, CitecodeError)
 
 
 @given(

@@ -22,7 +22,7 @@ from citecode.cli import _read_gold, main
 from citecode.codebook import CATEGORIES, VALUES, require_category, value_order
 from citecode.config import PipelineConfig
 from citecode.errors import MalformedInput, NoOverlap
-from citecode.ingest import FORMATS
+from citecode.ingest import FORMATS, parse_document
 from citecode.metrics import agreement_report
 from citecode.pipeline import read_manifest, run_pipeline, write_outputs
 from citecode.records import decode_line, read_json_lines, read_jsonl, record_to_json
@@ -546,6 +546,76 @@ def test_non_utf8_json_lines_count_lines_at_newlines_only(coded_run, tmp_path, c
     assert f"line {bad_line}: {what} file is not UTF-8" in capsys.readouterr().err
 
 
+_BOM = b"\xef\xbb\xbf"
+_DATA_DIR = Path(PipelineConfig().abbreviations).parent
+
+
+def _output_with_prefix(kind, root, prefix, coded_jsonl):
+    """What the command that reads a ``kind`` input prints or writes,
+    with ``prefix`` written before that one input's bytes."""
+    root.mkdir()
+    manifest = make_manifest(root)
+
+    def write(name, data):
+        (root / name).write_bytes(prefix + data)
+        return root / name
+
+    # The file each configured kind names, and its bytes.
+    configured = {
+        "lexicon": ("lexicon_negative", "neg.csv", (_DATA_DIR / "lexicon_negative.csv").read_bytes()),
+        "venue-map": ("venue_map", "venues.csv", (_DATA_DIR / "venue_domains.csv").read_bytes()),
+        # "Dr." first, where a byte-order mark would stick to it.
+        "abbreviations": ("abbreviations", "abbr.txt", b"Dr.\ne.g.\n"),
+    }
+    config = None
+    if kind == "document":
+        doc = write("paper-a.txt", (FIXTURE_DIR / "paper-a.txt").read_bytes())
+        manifest.write_text(f"{doc}\tplain_annotated\n", encoding="utf-8")
+    elif kind == "manifest":
+        manifest = write("manifest.tsv", manifest.read_bytes())
+    elif kind == "config":
+        config = write("run.cfg", b"# a comment first\nwindow_before=2\n")
+    elif kind in configured:
+        key, name, data = configured[kind]
+        config = root / "run.cfg"
+        config.write_text(f"{key}={write(name, data)}\n", encoding="utf-8")
+        if kind == "abbreviations":
+            (root / "dr.txt").write_text(
+                "#META id: dr\n#SECTION Results\nAs Dr. Smith (2011) showed, it works.\n"
+                "#REFERENCES\nSmith, J. (2011). T. J, 4(2), 1-10.\n",
+                encoding="utf-8",
+            )
+            manifest.write_text(f"{root / 'dr.txt'}\tplain_annotated\n", encoding="utf-8")
+    if kind == "coded":
+        argv = ["report", "--input", str(write("coded.jsonl", coded_jsonl)), "--rows", "J"]
+    elif kind == "gold":
+        (root / "in.jsonl").write_bytes(coded_jsonl)
+        gold = write("gold.jsonl", b'{"doc_id": "paper-b", "citation_id": "c0003", "J": "J1"}\n')
+        argv = ["eval", "--input", str(root / "in.jsonl"), "--gold", str(gold), "--categories", "J"]
+    else:
+        argv = ["code", "--manifest", str(manifest), "--out", str(root / "out")]
+        argv += ["--config", str(config)] if config else []
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv) == 0
+    return (root / "out" / "coded.jsonl").read_bytes() if argv[0] == "code" else stdout.getvalue()
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["document", "manifest", "config", "lexicon", "venue-map", "abbreviations", "coded", "gold"],
+)
+def test_a_byte_order_mark_reads_as_the_same_file_without_it(coded_run, tmp_path, kind):
+    coded_jsonl = (coded_run / "coded.jsonl").read_bytes()
+    plain = _output_with_prefix(kind, tmp_path / "plain", b"", coded_jsonl)
+    assert _output_with_prefix(kind, tmp_path / "bom", _BOM, coded_jsonl) == plain
+
+
+def test_a_byte_order_mark_moves_no_bad_byte_line():
+    with pytest.raises(MalformedInput, match="^line 2: document file is not UTF-8 "):
+        parse_document(_BOM + b"#META id: x\n\xff\n", "plain_annotated")
+
+
 def test_eval_reports_the_coded_file_before_the_gold_file(coded_run, tmp_path, capsys):
     lines = (coded_run / "coded.jsonl").read_text(encoding="utf-8").splitlines()
     coded = tmp_path / "coded.jsonl"
@@ -1007,14 +1077,25 @@ def test_no_subcommand_prints_usage(capsys):
     assert "usage:" in captured.err
 
 
-def test_internal_errors_exit_one(tmp_path, capsys, monkeypatch):
+def _boom(*args, **kwargs):
+    raise RuntimeError("synthetic failure")
+
+
+def _style_off_the_codebook(*args, **kwargs):
+    return "F9", "F:bogus"
+
+
+@pytest.mark.parametrize(
+    "name, fault",
+    [("run_pipeline", _boom), ("code_style", _style_off_the_codebook)],
+    ids=["runtime-error", "coder-off-the-codebook"],
+)
+def test_internal_errors_exit_one(tmp_path, capsys, monkeypatch, name, fault):
     import citecode.pipeline
 
-    def boom(*args, **kwargs):
-        raise RuntimeError("synthetic failure")
-
-    # cmd_code imports run_pipeline from citecode.pipeline when it runs.
-    monkeypatch.setattr(citecode.pipeline, "run_pipeline", boom)
+    # cmd_code imports run_pipeline from citecode.pipeline when it runs,
+    # and code_document calls each coder through the module's globals.
+    monkeypatch.setattr(citecode.pipeline, name, fault)
     manifest = make_manifest(tmp_path)
     exit_code = main(["code", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
     captured = capsys.readouterr()

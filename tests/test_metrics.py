@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citecode.errors import LengthMismatch
+from citecode.errors import CitecodeError
 from citecode.metrics import agreement_report
 
 codes = st.lists(
@@ -61,8 +62,17 @@ def test_kappa_no_agreement_beyond_chance_is_negative_or_zero():
 
 
 def test_empty_lists_raise():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ValueError, match="^cannot compute agreement on empty code lists$") as err:
         scored([], [])
+    assert not isinstance(err.value, CitecodeError)
+
+
+def test_kappa_at_chance_is_exactly_zero():
+    # p_o = p_e = 1/3, which float shares do not cancel exactly: eval
+    # must print 0.000000 here, not -0.000000.
+    report = scored(list("CCABCCCBABBB"), list("BCBBBACAAACC"))
+    assert report.kappa == 0.0
+    assert f"{report.kappa:.6f}" == "0.000000"
 
 
 def test_uncodable_is_an_ordinary_value():
@@ -134,7 +144,7 @@ def test_agreement_report_bundle():
     assert report.confusion == ((1, 1), (1, 1))
 
 
-# -- the list functions before the count table, kept as the reference --
+# -- list functions kept as the reference; kappa in exact arithmetic --
 
 
 def reference_percent_agreement(a, b):
@@ -142,14 +152,13 @@ def reference_percent_agreement(a, b):
 
 
 def reference_cohens_kappa(a, b):
+    """Kappa in exact arithmetic, rounded to a float once."""
     n = len(a)
-    observed = sum(1 for x, y in zip(a, b) if x == y) / n
-    expected = 0.0
-    for value in sorted(set(a) | set(b)):
-        expected += (a.count(value) / n) * (b.count(value) / n)
-    if abs(1.0 - expected) < 1e-12:
-        return 1.0 if abs(observed - 1.0) < 1e-12 else 0.0
-    return (observed - expected) / (1.0 - expected)
+    observed = Fraction(sum(1 for x, y in zip(a, b) if x == y), n)
+    expected = sum(Fraction(a.count(value) * b.count(value), n * n) for value in set(a) | set(b))
+    if expected == 1:
+        return 1.0 if observed == 1 else 0.0
+    return float((observed - expected) / (1 - expected))
 
 
 def reference_confusion_table(a, b):

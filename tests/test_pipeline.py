@@ -27,7 +27,7 @@ from citecode import cli, pipeline
 from citecode.citations import extract_citations, extract_context, mention_counts
 from citecode.codebook import Uncodable
 from citecode.config import PipelineConfig
-from citecode.errors import EmptyDocument, MalformedInput
+from citecode.errors import MalformedInput
 from citecode.ingest import FORMAT_PLAIN, FORMAT_XML, FORMATS, parse_document, serialize_document
 from citecode.models import LINK_RESOLVED
 from citecode.network import build_coauthor_graph, capital_scores, code_relation
@@ -224,7 +224,7 @@ def test_parse_corpus_strict_raises(tmp_path, resources):
 def test_parse_corpus_strict_error_names_the_path(tmp_path, resources):
     path = tmp_path / "bad.txt"
     path.write_text("#META id: bad\n", encoding="utf-8")
-    with pytest.raises(EmptyDocument) as err:
+    with pytest.raises(MalformedInput, match="document has no sections$") as err:
         parse_corpus([(path, "plain_annotated")], resources.abbreviations, strict=True)
     assert str(err.value) == f"{path}: document has no sections"
     _, skipped = parse_corpus([(path, "plain_annotated")], resources.abbreviations)

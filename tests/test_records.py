@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citecode.codebook import CATEGORIES, VALUES, Uncodable
-from citecode.errors import IncompleteCoding
+from citecode.errors import CitecodeError
 from citecode.models import (
     LEVEL_CLUSTER, STYLE_PARENTHETICAL, CitationContext, InTextCitation,
 )
@@ -72,44 +72,46 @@ def test_assemble_uncodable_slot():
 def test_assemble_missing_category():
     slots = dict(FULL_SLOTS)
     del slots["D"]
-    with pytest.raises(IncompleteCoding) as err:
+    with pytest.raises(ValueError, match="^doc-1/c0001: category D missing$") as err:
         build(slots=slots)
-    assert "D" in str(err.value)
+    assert not isinstance(err.value, CitecodeError)
 
 
 def test_assemble_extra_category():
     slots = dict(FULL_SLOTS)
     slots["Z"] = "Z1"
-    with pytest.raises(IncompleteCoding) as err:
+    with pytest.raises(ValueError, match=r"^doc-1/c0001: unknown categories \['Z'\]$") as err:
         build(slots=slots)
-    assert "Z" in str(err.value)
+    assert not isinstance(err.value, CitecodeError)
 
 
 @pytest.mark.parametrize("j_trace", ["J", "JX:cue", "I:J:cue"])
 def test_assemble_trace_entry_must_start_with_category_and_colon(j_trace):
-    with pytest.raises(IncompleteCoding) as err:
+    with pytest.raises(ValueError, match="^doc-1/c0001: coded category J has no rule trace$") as err:
         build(rules={"J": j_trace})
-    assert "coded category J has no rule trace" in str(err.value)
+    assert not isinstance(err.value, CitecodeError)
 
 
 def test_assemble_invalid_value():
     slots = dict(FULL_SLOTS)
     slots["E"] = "E9"
-    with pytest.raises(IncompleteCoding):
+    with pytest.raises(ValueError, match="^doc-1/c0001: 'E9' is not a E value$") as err:
         build(slots=slots)
+    assert not isinstance(err.value, CitecodeError)
 
 
 def test_assemble_value_from_wrong_category():
     slots = dict(FULL_SLOTS)
     slots["E"] = "D1"
-    with pytest.raises(IncompleteCoding):
+    with pytest.raises(ValueError, match="^doc-1/c0001: 'D1' is not a E value$") as err:
         build(slots=slots)
+    assert not isinstance(err.value, CitecodeError)
 
 
 def test_assemble_coded_value_requires_trace():
-    with pytest.raises(IncompleteCoding) as err:
+    with pytest.raises(ValueError, match="^doc-1/c0001: coded category J has no rule trace$") as err:
         build(rules={"J": None})
-    assert "J" in str(err.value)
+    assert not isinstance(err.value, CitecodeError)
 
 
 def test_assemble_uncodable_needs_no_trace():

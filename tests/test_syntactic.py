@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from citecode.citations import detect_citations
 from citecode.codebook import Uncodable
-from citecode.errors import InvalidCount
+from citecode.errors import CitecodeError
 from citecode.models import AuthorName, DocumentMetadata, Section
 from citecode.refparse import parse_reference_entry
 from citecode.syntactic import (
@@ -217,8 +217,9 @@ def test_frequency_bands(count, expected):
 
 @pytest.mark.parametrize("count", [0, -2])
 def test_frequency_rejects_nonpositive(count):
-    with pytest.raises(InvalidCount):
+    with pytest.raises(ValueError, match=f"^mention count must be positive, got {count}$") as err:
         code_frequency(count)
+    assert not isinstance(err.value, CitecodeError)
 
 
 @given(a=st.integers(min_value=1, max_value=200), b=st.integers(min_value=0, max_value=200))
