@@ -7,4 +7,4 @@ that defines it, such as ``citecode.pipeline`` or ``citecode.metrics``;
 ``import citecode`` loads none of them.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -46,12 +46,10 @@ def cmd_code(args: argparse.Namespace) -> int:
     else:
         config = PipelineConfig()
         config.validate()
-    if args.out:
-        config.output_dir = Path(args.out)
     entries = read_manifest(args.manifest)
     resources = load_resources(config)
     result = run_pipeline(entries, config, resources, strict=args.strict)
-    paths = write_outputs(result, config.output_dir)
+    paths = write_outputs(result, args.out)
 
     summary = result.summary
     skipped = [f"{item['path']}: {item['error']}" for item in summary["skipped_documents"]]
@@ -70,7 +68,7 @@ def cmd_code(args: argparse.Namespace) -> int:
         for warning in warnings:
             log_lines.append(f"warning [{doc_id}]: {warning}")
     log_lines += [f"skipped: {line}" for line in skipped]
-    (Path(config.output_dir) / "run.log").write_text(
+    (Path(args.out) / "run.log").write_text(
         "\n".join(log_lines) + "\n", encoding="utf-8"
     )
 
@@ -203,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_code.add_argument("--manifest", required=True, help="corpus manifest (path<TAB>format per line)")
     p_code.add_argument("--config", help="key=value configuration file")
     p_code.add_argument("--strict", action="store_true", help="fail on the first bad document")
-    p_code.add_argument("--out", help="override the configured output directory")
+    p_code.add_argument("--out", default="out", help="output directory (default: out)")
     p_code.set_defaults(func=cmd_code)
 
     p_report = sub.add_parser("report", help="aggregate coded output into a CSV table")
@@ -246,6 +244,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
+        import traceback
+
+        traceback.print_exc()
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 1
 

@@ -1,25 +1,20 @@
 """Pipeline configuration: flat key=value files over shipped defaults.
 
-Every knob has a default pointing at the data files packaged with the
-library, so an empty config is a valid config. validate() checks value
+Every file setting defaults to a data file in data/ beside this
+module, so an empty config is a valid config. validate() checks value
 ranges and that every referenced file exists before a run starts. The
 echo() form is written into the run summary; feeding it back as a
 config file reproduces the run.
 """
 
-from dataclasses import dataclass, field, fields
-from importlib.resources import files
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .citations import _check_windows
 from .errors import MalformedConfig, _read_lines
 from .network import DEFAULT_DELTA
 
-_DATA = files("citecode").joinpath("data")
-
-
-def _data_path(name: str) -> Path:
-    return Path(str(_DATA.joinpath(name)))
+_DATA = Path(__file__).with_name("data")
 
 
 @dataclass
@@ -27,14 +22,13 @@ class PipelineConfig:
     window_before: int = 1
     window_after: int = 1
     delta: float = DEFAULT_DELTA
-    lexicon_negative: Path = field(default_factory=lambda: _data_path("lexicon_negative.csv"))
-    lexicon_positive: Path = field(default_factory=lambda: _data_path("lexicon_positive.csv"))
-    lexicon_evidence: Path = field(default_factory=lambda: _data_path("lexicon_evidence.csv"))
-    lexicon_framework: Path = field(default_factory=lambda: _data_path("lexicon_framework.csv"))
-    lexicon_focus: Path = field(default_factory=lambda: _data_path("lexicon_focus.csv"))
-    venue_map: Path = field(default_factory=lambda: _data_path("venue_domains.csv"))
-    abbreviations: Path = field(default_factory=lambda: _data_path("abbreviations.txt"))
-    output_dir: Path = Path("out")
+    lexicon_negative: Path = _DATA / "lexicon_negative.csv"
+    lexicon_positive: Path = _DATA / "lexicon_positive.csv"
+    lexicon_evidence: Path = _DATA / "lexicon_evidence.csv"
+    lexicon_framework: Path = _DATA / "lexicon_framework.csv"
+    lexicon_focus: Path = _DATA / "lexicon_focus.csv"
+    venue_map: Path = _DATA / "venue_domains.csv"
+    abbreviations: Path = _DATA / "abbreviations.txt"
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
@@ -85,7 +79,7 @@ class PipelineConfig:
         if not (0.0 <= self.delta <= 1.0):
             raise MalformedConfig(f"delta must be in 0..1: {self.delta}")
         for f in fields(self):
-            if f.type is Path and f.name != "output_dir":
+            if f.type is Path:
                 target = Path(getattr(self, f.name))
                 if not target.is_file():
                     raise MalformedConfig(f"{f.name} file not found: {target}")

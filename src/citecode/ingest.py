@@ -201,6 +201,10 @@ def _parse_plain(text: str, abbreviations: tuple[str, ...]) -> Document:
             if section_blocks or in_references:
                 warnings.append(f"line {line_no}: #META after body skipped")
                 continue
+            if key in meta_fields:
+                warnings.append(
+                    f"line {line_no}: #META key {key!r} repeated; the earlier value is dropped"
+                )
             meta_fields[key] = value.strip()
         elif stripped.startswith("#SECTION"):
             flush_paragraph()
@@ -251,6 +255,7 @@ def _parse_xml(text: str, abbreviations: tuple[str, ...]) -> Document:
     author_raws: list[str] = []
     meta_el = root.find("metadata")
     if meta_el is not None:
+        seen: set[str] = set()
         for child in meta_el:
             if child.tag == "authors":
                 author_raws = ["".join(a.itertext()) for a in child.findall("author")]
@@ -262,6 +267,12 @@ def _parse_xml(text: str, abbreviations: tuple[str, ...]) -> Document:
                 meta_fields[child.tag] = "".join(child.itertext()).strip()
             else:
                 warnings.append(f"unknown metadata element <{child.tag}> skipped")
+                continue
+            if child.tag in seen:
+                warnings.append(
+                    f"repeated metadata element <{child.tag}>; the earlier value is dropped"
+                )
+            seen.add(child.tag)
 
     section_blocks: list[tuple[str, list[str]]] = []
     body_el = root.find("body")

@@ -59,6 +59,19 @@ def test_code_writes_artifacts_and_reports(tmp_path, capsys):
     assert len((out_dir / "coded.jsonl").read_text(encoding="utf-8").splitlines()) == 21
 
 
+def test_code_without_out_writes_into_out_in_the_working_directory(tmp_path, monkeypatch):
+    manifest = make_manifest(tmp_path)
+    assert main(["code", "--manifest", str(manifest), "--out", str(tmp_path / "given")]) == 0
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["code", "--manifest", str(manifest)]) == 0
+    assert sorted(path.name for path in work.iterdir()) == ["out"]
+    for name in ("coded.jsonl", "coauthors.tsv"):
+        assert (work / "out" / name).read_bytes() == (tmp_path / "given" / name).read_bytes()
+    assert (work / "out" / "run.log").is_file()
+
+
 def test_run_log_counts_and_warnings_match_the_summary(tmp_path, capsys):
     (tmp_path / "paper-a.txt").write_bytes((FIXTURE_DIR / "paper-a.txt").read_bytes())
     # Two documents without a section, listed against path order.
@@ -1100,7 +1113,11 @@ def test_internal_errors_exit_one(tmp_path, capsys, monkeypatch, name, fault):
     exit_code = main(["code", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
     captured = capsys.readouterr()
     assert exit_code == 1
-    assert "internal error" in captured.err
+    assert "Traceback (most recent call last)" in captured.err
+    assert captured.err.splitlines()[-1].startswith("internal error:")
+    if name == "code_style":
+        # assemble_record is where the off-the-codebook value is caught.
+        assert 'records.py", line' in captured.err
 
 
 # -- fuzzing: any input bytes exit 0 or 2, never 1 ----------------------
@@ -1252,11 +1269,12 @@ def _one_document_run(root: Path, kind: str, data: bytes) -> list[str]:
         ("config", b"window_before=1\nlexicon_negative=a\x00b\n",
          "line 2: run.cfg: lexicon_negative holds a NUL byte"),
         ("config", b"abbreviations=a\x00b\n", "line 1: run.cfg: abbreviations holds a NUL byte"),
-        ("config", b"# out\noutput_dir=o\x00x\n", "line 2: run.cfg: output_dir holds a NUL byte"),
+        # The output directory is --out's alone.
+        ("config", b"# out\noutput_dir=o\n", "line 2: run.cfg: unknown key 'output_dir'"),
     ],
     ids=["manifest", "config", "lexicon", "lexicon-field-limit", "venue-map",
          "venue-map-empty-pattern", "abbreviation", "config-nul-lexicon",
-         "config-nul-abbreviations", "config-nul-output-dir"],
+         "config-nul-abbreviations", "config-output-dir"],
 )
 def test_bad_input_file_exits_two_naming_kind_and_line(tmp_path, capsys, kind, data, message):
     exit_code = main(_one_document_run(tmp_path, kind, data))
@@ -1264,6 +1282,7 @@ def test_bad_input_file_exits_two_naming_kind_and_line(tmp_path, capsys, kind, d
     assert exit_code == 2
     assert message in captured.err
     assert "internal error" not in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("strict", [False, True])

@@ -43,6 +43,13 @@ def test_every_value_has_a_label():
             assert LABELS[value]
 
 
+def test_codebook_doc_names_every_value_with_its_label():
+    text = " ".join((ROOT / "docs" / "codebook.md").read_text(encoding="utf-8").split())
+    values = [value for values in VALUES.values() for value in values]
+    assert len(values) == 48
+    assert [value for value in values if f"{value} {LABELS[value]}" not in text] == []
+
+
 def test_require_category():
     assert require_category("J") == "J"
     with pytest.raises(UnknownCategory):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
 from citecode.config import PipelineConfig
@@ -16,7 +14,6 @@ def test_defaults_validate():
     assert config.window_before == 1
     assert config.window_after == 1
     assert config.delta == 0.2
-    assert config.output_dir == Path("out")
     assert config.lexicon_negative.is_file()
     assert config.venue_map.is_file()
     assert config.abbreviations.is_file()
@@ -24,12 +21,11 @@ def test_defaults_validate():
 
 def test_echo_is_flat_strings():
     echo = PipelineConfig().echo()
-    assert len(echo) == 11
+    assert len(echo) == 10
     assert set(echo) == {
         "window_before", "window_after", "delta",
         "lexicon_negative", "lexicon_positive", "lexicon_evidence",
         "lexicon_framework", "lexicon_focus", "venue_map", "abbreviations",
-        "output_dir",
     }
     assert all(isinstance(v, str) for v in echo.values())
     assert echo["delta"] == "0.2"
@@ -166,7 +162,7 @@ def test_unreadable_config_rejected(tmp_path):
 
 
 def test_echo_round_trips_through_a_file(tmp_path):
-    original = PipelineConfig(window_before=2, delta=0.4, output_dir=tmp_path / "out")
+    original = PipelineConfig(window_before=2, delta=0.4)
     lines = [f"{key}={value}" for key, value in original.echo().items()]
     path = write_config(tmp_path, lines)
     again = PipelineConfig.from_file(path)

@@ -2,7 +2,7 @@
 
 A command loads only the layers it runs: ``import citecode`` none,
 ``citecode.cli`` the read side, and a coding run the coding layers
-without agreement metrics or logging.
+without agreement metrics, logging or ``importlib.resources``.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ CODING_MODULES = [
 ]
 
 
-def _run(code: str) -> object:
+def _run(code: str, *flags: str) -> object:
     """Run code in a fresh interpreter; the JSON it prints last."""
     completed = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": SRC},
     )
     assert completed.returncode == 0, completed.stderr
@@ -66,11 +66,23 @@ def test_import_cli_loads_no_coding_layer():
     assert sorted(loaded & set(unwanted)) == []
 
 
+_CODING_SET_UP = (
+    "from citecode.config import PipelineConfig\n"
+    "from citecode.pipeline import load_resources\n"
+    "config = PipelineConfig()\nconfig.validate()\nload_resources(config)"
+)
+
+
 def test_coding_set_up_loads_neither_metrics_nor_logging():
-    loaded = _loaded_by(
-        "from citecode.config import PipelineConfig\n"
-        "from citecode.pipeline import load_resources\n"
-        "config = PipelineConfig()\nconfig.validate()\nload_resources(config)"
-    )
+    loaded = _loaded_by(_CODING_SET_UP)
     assert "citecode.pipeline" in loaded
     assert sorted(loaded & {"citecode.metrics", "logging"}) == []
+
+
+def test_coding_set_up_finds_its_data_without_importlib_resources():
+    # -S: no site hook, which may import importlib.resources itself.
+    loaded = _run(
+        f"{_CODING_SET_UP}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))", "-S"
+    )
+    assert "citecode.pipeline" in loaded
+    assert "importlib.resources" not in loaded

@@ -311,6 +311,35 @@ def test_unknown_directive_and_stray_text_warn():
     assert any("#NOTE" in w for w in doc.warnings)
 
 
+def test_repeated_plain_metadata_key_warns_and_keeps_the_later_value():
+    text = (
+        "#META id: d11\n#META authors: Smith, J.\n#META authors: Doe, A.\n"
+        "#SECTION Introduction\nText.\n#REFERENCES\n[1] Lee, K. (2011). T.\n"
+    )
+    doc = parse_document(text, FORMAT_PLAIN)
+    assert doc.metadata.authors == [AuthorName(raw="Doe, A.", key="doe,a")]
+    assert doc.warnings == ["line 3: #META key 'authors' repeated; the earlier value is dropped"]
+
+
+def test_repeated_xml_metadata_element_warns_and_keeps_the_later_value():
+    text = (
+        "<document><metadata><id>x1</id><authors><author>Smith, J.</author></authors>"
+        "<id>x2</id><authors><author>Doe, A.</author></authors><note/><note/></metadata>"
+        "<body><section header='Introduction'><paragraph>Text.</paragraph></section></body>"
+        "<references><reference>Lee, K. (2011). T.</reference></references></document>"
+    )
+    doc = parse_document(text, FORMAT_XML)
+    assert doc.metadata.doc_id == "x2"
+    assert doc.metadata.authors == [AuthorName(raw="Doe, A.", key="doe,a")]
+    # An unknown element is skipped, so its repeat drops nothing.
+    assert doc.warnings == [
+        "repeated metadata element <id>; the earlier value is dropped",
+        "repeated metadata element <authors>; the earlier value is dropped",
+        "unknown metadata element <note> skipped",
+        "unknown metadata element <note> skipped",
+    ]
+
+
 @pytest.mark.parametrize(
     "header,expected",
     [

@@ -96,6 +96,19 @@ def test_shipped_abbreviation_file_equals_the_default():
     assert load_abbreviations(PipelineConfig().abbreviations) == DEFAULT_ABBREVIATIONS
 
 
+_SHIPPED = load_abbreviations(PipelineConfig().abbreviations)
+
+
+@pytest.mark.parametrize("abbr", _SHIPPED)
+def test_every_shipped_abbreviation_protects_its_period(abbr):
+    # Neither the fixtures nor the synth corpora try a boundary after
+    # one, so only this test sees an entry stop protecting its period.
+    text = f"We cite {abbr} Smith here. Then more."
+    assert len(segment_sentences(text, _SHIPPED)) == 2
+    without = tuple(entry for entry in _SHIPPED if entry != abbr)
+    assert len(segment_sentences(text, without)) == 3
+
+
 def test_custom_abbreviations_change_splits():
     text = "Against qq. 4 we object. Done."
     default = segment_sentences(text)
