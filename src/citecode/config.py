@@ -22,11 +22,7 @@ class PipelineConfig:
     window_before: int = 1
     window_after: int = 1
     delta: float = DEFAULT_DELTA
-    lexicon_negative: Path = _DATA / "lexicon_negative.csv"
-    lexicon_positive: Path = _DATA / "lexicon_positive.csv"
-    lexicon_evidence: Path = _DATA / "lexicon_evidence.csv"
-    lexicon_framework: Path = _DATA / "lexicon_framework.csv"
-    lexicon_focus: Path = _DATA / "lexicon_focus.csv"
+    lexicon: Path = _DATA / "lexicon.csv"
     venue_map: Path = _DATA / "venue_domains.csv"
     abbreviations: Path = _DATA / "abbreviations.txt"
 

@@ -260,9 +260,9 @@ def _parse_xml(text: str, abbreviations: tuple[str, ...]) -> Document:
             if child.tag == "authors":
                 author_raws = ["".join(a.itertext()) for a in child.findall("author")]
             elif child.tag == "venue":
+                # Each <venue> sets both: one without a type is "other".
                 meta_fields["venue"] = "".join(child.itertext()).strip()
-                if child.get("type"):
-                    meta_fields["venue-type"] = child.get("type", "")
+                meta_fields["venue-type"] = child.get("type", "")
             elif child.tag in ("id", "title", "year", "domain"):
                 meta_fields[child.tag] = "".join(child.itertext()).strip()
             else:

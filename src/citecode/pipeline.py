@@ -49,7 +49,7 @@ from .semantic import (
     code_focus,
     code_function,
     document_focus_matches,
-    load_lexicon,
+    load_lexicons,
     load_venue_map,
     token_text,
     tokenize,
@@ -74,15 +74,8 @@ class Resources:
 
 
 def load_resources(config: PipelineConfig) -> Resources:
-    lexicons = LexiconSet(
-        negative=load_lexicon(config.lexicon_negative, "negative"),
-        positive=load_lexicon(config.lexicon_positive, "positive"),
-        evidence=load_lexicon(config.lexicon_evidence, "evidence"),
-        framework=load_lexicon(config.lexicon_framework, "framework"),
-        focus=load_lexicon(config.lexicon_focus, "focus"),
-    )
     return Resources(
-        lexicons=lexicons,
+        lexicons=load_lexicons(config.lexicon),
         venue_map=load_venue_map(config.venue_map),
         abbreviations=load_abbreviations(config.abbreviations),
     )

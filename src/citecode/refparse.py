@@ -26,8 +26,9 @@ _LEAD_SEP_RE = re.compile(r"^(?:&|and)\s+", re.IGNORECASE)
 # initials that close one author, then the next author's name. Each
 # start tries one space and the joiner, so the scan is linear.
 _JOINED_RE = re.compile(r"(.+?)\s(?:&|and)\s+(.+)", re.IGNORECASE | re.DOTALL)
-# "et al" or "et al." at the end of an author block.
-_ET_AL_RE = re.compile(r"\bet al\.?\s*$")
+# "et al" in any case, then any run of spaces, ".", "," and ";", ending
+# an author block.
+_ET_AL_RE = re.compile(r"\bet al[\s.,;]*$", re.IGNORECASE)
 
 
 def _author(raw: str) -> AuthorName | None:
@@ -114,7 +115,8 @@ def parse_reference_entry(text: str) -> ReferenceEntry:
         # that closes an initials run or a plain word.
         author_block = body.split(". ", 1)[0] if ". " in body else ""
     # "et al." is a mark on the entry, not a name.
-    et_al = "et al" in author_block and (found := _ET_AL_RE.search(author_block)) is not None
+    found = _ET_AL_RE.search(author_block) if "et al" in author_block.lower() else None
+    et_al = found is not None
     if et_al:
         author_block = author_block[: found.start()]
     return ReferenceEntry(

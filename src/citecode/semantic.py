@@ -1,9 +1,10 @@
 """Cue-lexicon coders for the content categories I, J, K, L.
 
-Lexicons are CSV files (phrase,tag) holding lowercase token sequences.
-Matching is whole-token: "butter" never matches the cue "but". A
-trailing * turns a phrase's last token into a prefix wildcard, so
-"suffer*" covers "suffering"; a * anywhere else is rejected.
+The lexicons load from one CSV file of phrase,tag rows: each phrase is a
+lowercase token sequence and joins the lexicon its tag names. Matching
+is whole-token: "butter" never matches the cue "but". A trailing * turns
+a phrase's last token into a prefix wildcard, so "suffer*" covers
+"suffering"; a * anywhere else is rejected.
 
 Matching searches text rather than walking tokens: a lexicon turns each
 entry into a literal needle (" but " for an exact phrase, " suffer" for
@@ -32,10 +33,12 @@ from .codebook import VALUES, Uncodable
 from .errors import MalformedLexicon, _read_utf8
 from .models import Document, DocumentMetadata
 
-VALID_TAGS = (
-    "negative", "positive", "evidence", "framework", "background",
-    "experimental", "empirical", "theoretical",
-)
+# The lexicon a phrase joins, by its tag.
+_TAG_LEXICON = {
+    "negative": "negative", "positive": "positive", "evidence": "evidence",
+    "framework": "framework", "experimental": "focus", "empirical": "focus",
+    "theoretical": "focus",
+}
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _MAX_PHRASE_TOKENS = 6
@@ -106,37 +109,6 @@ def _needle(entry: CueEntry) -> str:
     return f" {words[:-1]}" if entry.wildcard else f" {words} "
 
 
-def _build_lexicon(name: str, rows: list[tuple[str, str]], source: str) -> CueLexicon:
-    entries = []
-    seen_tokens = set()  # phrases that tokenize alike are one cue
-    for line_no, (phrase, tag) in rows:
-        phrase = phrase.strip().lower()
-        tag = tag.strip().lower()
-        if not phrase:
-            raise MalformedLexicon(f"{source}: empty phrase", line=line_no)
-        if tag not in VALID_TAGS:
-            raise MalformedLexicon(f"{source}: unknown tag {tag!r}", line=line_no)
-        wildcard = phrase.endswith("*")
-        tokens = tuple(tokenize(phrase[:-1] if wildcard else phrase))
-        if wildcard:
-            if not tokens:
-                raise MalformedLexicon(f"{source}: bare wildcard", line=line_no)
-            tokens = tokens[:-1] + (tokens[-1] + "*",)
-        if not tokens or len(tokens) > _MAX_PHRASE_TOKENS:
-            raise MalformedLexicon(
-                f"{source}: phrase {phrase!r} must have 1..{_MAX_PHRASE_TOKENS} tokens",
-                line=line_no,
-            )
-        if tokens in seen_tokens:
-            raise MalformedLexicon(f"{source}: duplicate phrase {phrase!r}", line=line_no)
-        if "*" in phrase[:-1]:
-            # Tokenizing would drop it: "lack* of" would load as "lack of".
-            raise MalformedLexicon(f"{source}: * may only end a phrase: {phrase!r}", line=line_no)
-        seen_tokens.add(tokens)
-        entries.append(CueEntry(phrase=phrase, tag=tag, tokens=tokens, wildcard=wildcard))
-    return CueLexicon(name=name, entries=tuple(entries))
-
-
 def _read_csv_rows(path: Path, header: str, what: str) -> list[tuple[int, list[str]]]:
     """Data rows of a CSV file, each with the line it starts on.
 
@@ -169,22 +141,6 @@ def _read_csv_rows(path: Path, header: str, what: str) -> list[tuple[int, list[s
             raise MalformedLexicon(f"{path.name}: missing {header} header", line=line_no)
         rows.append((line_no, row))
     return rows
-
-
-def load_lexicon(path: str | Path, name: str | None = None) -> CueLexicon:
-    """Load a phrase,tag CSV; # comment lines and blanks are skipped."""
-    path = Path(path)
-    rows = []
-    for line_no, row in _read_csv_rows(path, "phrase,tag", f"{name or path.stem} lexicon"):
-        if len(row) < 2:
-            raise MalformedLexicon(f"{path.name}: expected phrase,tag", line=line_no)
-        rows.append((line_no, (row[0], row[1])))
-    if not rows:
-        # Loaded only here: a coding run never logs otherwise.
-        import logging
-
-        logging.getLogger(__name__).warning("%s: empty lexicon", path.name)
-    return _build_lexicon(name or path.stem, rows, path.name)
 
 
 class WindowCues(NamedTuple):
@@ -233,6 +189,52 @@ class LexiconSet:
             self.evidence.match(text),
             self.framework.match(text),
         )
+
+
+def load_lexicons(path: str | Path) -> LexiconSet:
+    """Load a phrase,tag CSV; each phrase joins the lexicon its tag names.
+
+    Comment (#) and blank lines are skipped. A phrase may appear once in
+    each lexicon, and each lexicon keeps its phrases in file order.
+    """
+    path = Path(path)
+    entries: dict[str, list[CueEntry]] = {name: [] for name in _TAG_LEXICON.values()}
+    seen_tokens = set()  # per lexicon, phrases that tokenize alike are one cue
+    for line_no, row in _read_csv_rows(path, "phrase,tag", "lexicon"):
+        if len(row) < 2:
+            raise MalformedLexicon(f"{path.name}: expected phrase,tag", line=line_no)
+        phrase = row[0].strip().lower()
+        tag = row[1].strip().lower()
+        if not phrase:
+            raise MalformedLexicon(f"{path.name}: empty phrase", line=line_no)
+        name = _TAG_LEXICON.get(tag)
+        if name is None:
+            raise MalformedLexicon(f"{path.name}: unknown tag {tag!r}", line=line_no)
+        wildcard = phrase.endswith("*")
+        tokens = tuple(tokenize(phrase[:-1] if wildcard else phrase))
+        if wildcard:
+            if not tokens:
+                raise MalformedLexicon(f"{path.name}: bare wildcard", line=line_no)
+            tokens = tokens[:-1] + (tokens[-1] + "*",)
+        if not tokens or len(tokens) > _MAX_PHRASE_TOKENS:
+            raise MalformedLexicon(
+                f"{path.name}: phrase {phrase!r} must have 1..{_MAX_PHRASE_TOKENS} tokens",
+                line=line_no,
+            )
+        if (name, tokens) in seen_tokens:
+            raise MalformedLexicon(f"{path.name}: duplicate phrase {phrase!r}", line=line_no)
+        if "*" in phrase[:-1]:
+            # Tokenizing would drop it: "lack* of" would load as "lack of".
+            message = f"{path.name}: * may only end a phrase: {phrase!r}"
+            raise MalformedLexicon(message, line=line_no)
+        seen_tokens.add((name, tokens))
+        entries[name].append(CueEntry(phrase=phrase, tag=tag, tokens=tokens, wildcard=wildcard))
+    if not seen_tokens:
+        # Loaded only here: a coding run never logs otherwise.
+        import logging
+
+        logging.getLogger(__name__).warning("%s: empty lexicon", path.name)
+    return LexiconSet(**{name: CueLexicon(name, tuple(e)) for name, e in entries.items()})
 
 
 def code_disposition(cues: WindowCues) -> tuple[str, list[tuple[str, str]], str]:

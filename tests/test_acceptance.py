@@ -237,13 +237,7 @@ def test_acceptance_8_lexicon_ablation(capsys, tmp_path):
     with Verdict(capsys, 8, "empty-lexicon ablation", budget=5.0):
         empty = tmp_path / "empty.csv"
         empty.write_text("phrase,tag\n", encoding="utf-8")
-        config = PipelineConfig(
-            lexicon_negative=empty,
-            lexicon_positive=empty,
-            lexicon_evidence=empty,
-            lexicon_framework=empty,
-            lexicon_focus=empty,
-        )
+        config = PipelineConfig(lexicon=empty)
         config.validate()
         resources = load_resources(config)
         entries = read_manifest(make_manifest(tmp_path))

@@ -136,6 +136,27 @@ def test_code_respects_config_windows(tmp_path):
     assert all(len(r.context_sentences) == 1 for r in records)
 
 
+def test_code_reads_a_cue_by_its_tag(tmp_path):
+    # "weak" is a negative cue in the shipped lexicon; tagged positive,
+    # it codes J1, and the audit trail names the tag it coded by.
+    (tmp_path / "weak.csv").write_text("phrase,tag\nweak,positive\n", encoding="utf-8")
+    (tmp_path / "run.cfg").write_text("lexicon=weak.csv\n", encoding="utf-8")
+    (tmp_path / "w.txt").write_text(
+        "#META id: w\n#SECTION Results\nThe weak effect in Smith (2011) held.\n"
+        "#REFERENCES\nSmith, J. (2011). T. J, 4(2), 1-10.\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "m.tsv").write_text("w.txt\tplain_annotated\n", encoding="utf-8")
+    argv = ["code", "--manifest", str(tmp_path / "m.tsv"), "--out", str(tmp_path / "out")]
+    assert main(argv + ["--config", str(tmp_path / "run.cfg")]) == 0
+    lines = (tmp_path / "out" / "coded.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1
+    item = json.loads(lines[0])
+    assert item["J"] == "J1"
+    assert item["matched_cues"] == [["weak", "positive"]]
+    assert item["rule_trace"][2:4] == ["I:prior:D5", "J:cues:positive"]
+
+
 def test_code_skips_bad_documents(tmp_path, capsys):
     broken = tmp_path / "broken.xml"
     broken.write_text("<document><unclosed>", encoding="utf-8")
@@ -575,7 +596,7 @@ def _output_with_prefix(kind, root, prefix, coded_jsonl):
 
     # The file each configured kind names, and its bytes.
     configured = {
-        "lexicon": ("lexicon_negative", "neg.csv", (_DATA_DIR / "lexicon_negative.csv").read_bytes()),
+        "lexicon": ("lexicon", "cues.csv", (_DATA_DIR / "lexicon.csv").read_bytes()),
         "venue-map": ("venue_map", "venues.csv", (_DATA_DIR / "venue_domains.csv").read_bytes()),
         # "Dr." first, where a byte-order mark would stick to it.
         "abbreviations": ("abbreviations", "abbr.txt", b"Dr.\ne.g.\n"),
@@ -1223,7 +1244,7 @@ def test_report_and_eval_on_any_coded_bytes_exit_zero_or_two(coded_run, data, co
 
 # The config key that names each resource file, and a file name for it.
 _RESOURCE_KEYS = {
-    "lexicon": ("lexicon_negative", "lexicon_negative.csv"),
+    "lexicon": ("lexicon", "lexicon.csv"),
     "venue map": ("venue_map", "venue_domains.csv"),
     "abbreviation": ("abbreviations", "abbreviations.txt"),
 }
@@ -1257,24 +1278,26 @@ def _one_document_run(root: Path, kind: str, data: bytes) -> list[str]:
          "line 2: manifest file is not UTF-8"),
         ("config", b"window_before=1\n\nwindow_after=\xc3\n", "line 3: config file is not UTF-8"),
         ("lexicon", b"phrase,tag\nbut,negative\nlacks \xe9,negative\n",
-         "line 3: negative lexicon file is not UTF-8"),
+         "line 3: lexicon file is not UTF-8"),
         ("lexicon", b"phrase,tag\n" + b"a" * 140_000 + b",negative\n",
-         "line 2: lexicon_negative.csv: field larger than field limit"),
+         "line 2: lexicon.csv: field larger than field limit"),
         ("venue map", b"venue_pattern,K_value\n\x80,K1\n", "line 2: venue map file is not UTF-8"),
         # An empty pattern is a substring of every venue name.
         ("venue map", b"venue_pattern,K_value\njournal,K1\n  ,K3\n",
          "line 3: venue_domains.csv: empty venue pattern"),
         ("abbreviation", b"e.g.\ni.e.\n\xfe\n", "line 3: abbreviation file is not UTF-8"),
         # A path holding a NUL byte cannot be opened or resolved.
-        ("config", b"window_before=1\nlexicon_negative=a\x00b\n",
-         "line 2: run.cfg: lexicon_negative holds a NUL byte"),
+        ("config", b"window_before=1\nlexicon=a\x00b\n",
+         "line 2: run.cfg: lexicon holds a NUL byte"),
         ("config", b"abbreviations=a\x00b\n", "line 1: run.cfg: abbreviations holds a NUL byte"),
         # The output directory is --out's alone.
         ("config", b"# out\noutput_dir=o\n", "line 2: run.cfg: unknown key 'output_dir'"),
+        # One tagged lexicon file replaced the five per-lexicon files.
+        ("config", b"lexicon_negative=x\n", "line 1: run.cfg: unknown key 'lexicon_negative'"),
     ],
     ids=["manifest", "config", "lexicon", "lexicon-field-limit", "venue-map",
          "venue-map-empty-pattern", "abbreviation", "config-nul-lexicon",
-         "config-nul-abbreviations", "config-output-dir"],
+         "config-nul-abbreviations", "config-output-dir", "config-per-lexicon-key"],
 )
 def test_bad_input_file_exits_two_naming_kind_and_line(tmp_path, capsys, kind, data, message):
     exit_code = main(_one_document_run(tmp_path, kind, data))
@@ -1390,7 +1413,7 @@ _RESOURCE_BYTES = {
 _RESOURCE_PIECES = [
     "\n", "\r", "\r\n", ",", "\t", "=", "#", "\"", "*", ".", " ", "0", "-1", "6", "1e9", "nan",
     "K1", "K9", "negative", "phrase,tag", "venue_pattern,K_value", "window_before",
-    "lexicon_focus", "abbreviations", "plain_annotated", "structured_xml", "paper-a.txt",
+    "lexicon", "abbreviations", "plain_annotated", "structured_xml", "paper-a.txt",
     "\u2028", "\x85", "\x00", "\ufeff", "\u0130",
 ]
 

@@ -14,18 +14,16 @@ def test_defaults_validate():
     assert config.window_before == 1
     assert config.window_after == 1
     assert config.delta == 0.2
-    assert config.lexicon_negative.is_file()
+    assert config.lexicon.is_file()
     assert config.venue_map.is_file()
     assert config.abbreviations.is_file()
 
 
 def test_echo_is_flat_strings():
     echo = PipelineConfig().echo()
-    assert len(echo) == 10
+    assert len(echo) == 6
     assert set(echo) == {
-        "window_before", "window_after", "delta",
-        "lexicon_negative", "lexicon_positive", "lexicon_evidence",
-        "lexicon_framework", "lexicon_focus", "venue_map", "abbreviations",
+        "window_before", "window_after", "delta", "lexicon", "venue_map", "abbreviations",
     }
     assert all(isinstance(v, str) for v in echo.values())
     assert echo["delta"] == "0.2"
@@ -46,22 +44,22 @@ def test_from_file_overrides_and_keeps_rest(tmp_path):
     assert config.window_before == 2
     assert config.window_after == 1
     assert config.delta == 0.35
-    assert config.lexicon_negative == PipelineConfig().lexicon_negative
+    assert config.lexicon == PipelineConfig().lexicon
 
 
 def test_from_file_resolves_relative_paths(tmp_path):
-    custom = tmp_path / "neg.csv"
+    custom = tmp_path / "cues.csv"
     custom.write_text("phrase,tag\nbut,negative\n", encoding="utf-8")
-    path = write_config(tmp_path, ["lexicon_negative = neg.csv"])
+    path = write_config(tmp_path, ["lexicon = cues.csv"])
     config = PipelineConfig.from_file(path)
-    assert config.lexicon_negative == custom.resolve()
+    assert config.lexicon == custom.resolve()
 
 
 def test_from_file_keeps_absolute_paths(tmp_path):
-    custom = tmp_path / "neg.csv"
+    custom = tmp_path / "cues.csv"
     custom.write_text("phrase,tag\nbut,negative\n", encoding="utf-8")
-    path = write_config(tmp_path, [f"lexicon_negative = {custom}"])
-    assert PipelineConfig.from_file(path).lexicon_negative == custom
+    path = write_config(tmp_path, [f"lexicon = {custom}"])
+    assert PipelineConfig.from_file(path).lexicon == custom
 
 
 def test_from_file_missing_equals_sign(tmp_path):
@@ -79,11 +77,27 @@ def test_from_file_unknown_key(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "key",
+    ["lexicon_negative", "lexicon_positive", "lexicon_evidence", "lexicon_framework",
+     "lexicon_focus"],
+)
+def test_from_file_rejects_a_per_lexicon_key(tmp_path, key):
+    # One tagged file holds every lexicon since 0.5.0.
+    custom = tmp_path / "cues.csv"
+    custom.write_text("phrase,tag\nbut,negative\n", encoding="utf-8")
+    path = write_config(tmp_path, ["delta = 0.3", f"{key} = cues.csv"])
+    with pytest.raises(MalformedConfig) as err:
+        PipelineConfig.from_file(path)
+    assert f"unknown key {key!r}" in str(err.value)
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
     "lines",
     [
         ["window_before=0", "# a comment", "window_before=2"],
         ["window_before=0", "window_before=0"],
-        ["lexicon_focus=a.csv", "delta=0.3", " lexicon_focus = b.csv"],
+        ["lexicon=a.csv", "delta=0.3", " lexicon = b.csv"],
     ],
     ids=["other-value", "same-value", "path-spaced"],
 )
@@ -150,10 +164,10 @@ def test_delta_out_of_range_rejected(tmp_path):
 
 
 def test_missing_data_file_rejected(tmp_path):
-    path = write_config(tmp_path, ["lexicon_negative = nowhere.csv"])
+    path = write_config(tmp_path, ["lexicon = nowhere.csv"])
     with pytest.raises(MalformedConfig) as err:
         PipelineConfig.from_file(path)
-    assert "lexicon_negative" in str(err.value)
+    assert "lexicon file not found" in str(err.value)
 
 
 def test_unreadable_config_rejected(tmp_path):

@@ -394,6 +394,30 @@ def test_xml_author_with_semicolon_stays_one_author():
     assert again.metadata == doc.metadata
 
 
+@pytest.mark.parametrize(
+    "venues, venue_type, g_value",
+    [
+        ("<venue type='conference'>Proc. A</venue><venue>Journal B</venue>", "other", "G6"),
+        ("<venue>Proc. A</venue><venue type='journal'>Journal B</venue>", "journal", "G1"),
+        ("<venue type='conference'>Proc. A</venue><venue type=''>Journal B</venue>",
+         "other", "G6"),
+    ],
+    ids=["later-untyped", "later-typed", "later-empty-type"],
+)
+def test_a_later_xml_venue_sets_both_name_and_type(venues, venue_type, g_value):
+    # The earlier element is dropped whole: its type never codes G for
+    # the later venue.
+    text = (
+        f"<document><metadata><id>v</id>{venues}</metadata>"
+        "<body><section header='Introduction'><paragraph>Text.</paragraph></section></body>"
+        "<references><reference>Lee, K. (2011). T.</reference></references></document>"
+    )
+    doc = parse_document(text, FORMAT_XML)
+    assert (doc.metadata.venue_name, doc.metadata.venue_type) == ("Journal B", venue_type)
+    assert code_document_type(doc.metadata)[0] == g_value
+    assert "repeated metadata element <venue>; the earlier value is dropped" in doc.warnings
+
+
 _INLINE_MARKUP = (
     "<document><metadata><id>x</id>"
     "<title>A <i>study</i> of things</title>"

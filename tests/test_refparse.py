@@ -161,6 +161,12 @@ def test_two_authors_joined_without_a_serial_comma_resolve():
         ("Smith, J. et al. (2011). A title.", ["smith,j"]),
         ("Smith, J., Jones, B., et al. (2011). Title.", ["smith,j", "jones,b"]),
         ("Smith et al (2011). A title.", ["smith,"]),
+        # Any case, and a trailing comma: none of these is an author.
+        ("Smith, J., et al., (2011). A title.", ["smith,j"]),
+        ("Smith, J. et al., (2011). A title.", ["smith,j"]),
+        ("Smith, J., Et al. (2011). A title.", ["smith,j"]),
+        ("Smith, J., ET AL. (2011). A title.", ["smith,j"]),
+        ("Smith, J.; Jones, B.; et al.; (2011). A title.", ["smith,j", "jones,b"]),
     ],
 )
 def test_et_al_marks_the_entry_and_names_no_author(text, keys):
@@ -349,5 +355,16 @@ def test_joiner_and_et_al_scans_are_linear_in_block_length():
         parse_reference_entry,
         "Smith, J. " + ", " * 2000 + " et alx (2011). T.",
         "Smith, J. " + ", " * 8000 + " et alx (2011). T.",
+    )
+    assert large < 8 * small, (small, large)
+
+
+def test_et_al_with_trailing_separators_scan_is_linear():
+    # An "et al" followed by a long run of separators that does not end
+    # the block.
+    small, large = best_times(
+        parse_reference_entry,
+        "Smith, J. et al" + " .," * 2000 + "x (2011). T.",
+        "Smith, J. et al" + " .," * 8000 + "x (2011). T.",
     )
     assert large < 8 * small, (small, large)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import logging
 from dataclasses import replace
 
@@ -25,7 +26,7 @@ from citecode.semantic import (
     code_focus,
     code_function,
     document_focus_matches,
-    load_lexicon,
+    load_lexicons,
     load_venue_map,
     token_text,
     tokenize,
@@ -77,10 +78,15 @@ def write_lexicon(tmp_path, name, lines):
 def test_empty_lexicon_loads_with_warning(tmp_path, caplog):
     path = write_lexicon(tmp_path, "empty.csv", ["phrase,tag"])
     with caplog.at_level(logging.WARNING, logger="citecode.semantic"):
-        lexicon = load_lexicon(path)
-    assert lexicon.entries == ()
-    assert lexicon.match(token_text(tokenize("however this fails"))) == []
-    assert any("empty lexicon" in record.getMessage() for record in caplog.records)
+        lexicons = load_lexicons(path)
+    for name in (*_SCANNED, "focus"):
+        lexicon = getattr(lexicons, name)
+        assert lexicon.name == name
+        assert lexicon.entries == ()
+        assert lexicon.match(token_text(tokenize("however this fails"))) == []
+    assert lexicons.scan(token_text(tokenize("however this fails"))) == WindowCues([], [], [], [])
+    warned = [record for record in caplog.records if "empty lexicon" in record.getMessage()]
+    assert len(warned) == 1
 
 
 def test_duplicate_phrase_rejected(tmp_path):
@@ -95,34 +101,35 @@ def test_duplicate_phrase_rejected(tmp_path):
         lines = ["phrase,tag", f"{first},negative", f"{second},negative"]
         path = write_lexicon(tmp_path, "dup.csv", lines)
         with pytest.raises(MalformedLexicon) as err:
-            load_lexicon(path)
+            load_lexicons(path)
         assert "duplicate" in str(err.value)
         assert err.value.line == 3
 
 
 def test_prefix_and_whole_token_are_distinct_phrases(tmp_path):
     path = write_lexicon(tmp_path, "pair.csv", ["phrase,tag", "suffer,negative", "suffer*,negative"])
-    assert [entry.tokens for entry in load_lexicon(path).entries] == [("suffer",), ("suffer*",)]
+    entries = load_lexicons(path).negative.entries
+    assert [entry.tokens for entry in entries] == [("suffer",), ("suffer*",)]
 
 
 def test_missing_header_rejected(tmp_path):
     path = write_lexicon(tmp_path, "raw.csv", ["but,negative"])
     with pytest.raises(MalformedLexicon) as err:
-        load_lexicon(path)
+        load_lexicons(path)
     assert "header" in str(err.value)
 
 
 def test_unknown_tag_rejected(tmp_path):
     path = write_lexicon(tmp_path, "tag.csv", ["phrase,tag", "but,sarcastic"])
     with pytest.raises(MalformedLexicon):
-        load_lexicon(path)
+        load_lexicons(path)
 
 
 def test_bare_wildcard_rejected(tmp_path):
     for phrase in ["*", "**", "* *"]:
         path = write_lexicon(tmp_path, "star.csv", ["phrase,tag", f"{phrase},negative"])
         with pytest.raises(MalformedLexicon) as err:
-            load_lexicon(path)
+            load_lexicons(path)
         assert "bare wildcard" in str(err.value)
 
 
@@ -135,7 +142,7 @@ def test_star_before_the_phrase_end_rejected(tmp_path, phrase):
     lines = ["phrase,tag", "however,negative", f"{phrase},negative"]
     path = write_lexicon(tmp_path, "star.csv", lines)
     with pytest.raises(MalformedLexicon) as err:
-        load_lexicon(path)
+        load_lexicons(path)
     assert "may only end a phrase" in str(err.value)
     assert err.value.line == 3
 
@@ -146,7 +153,81 @@ def test_comments_and_blanks_skipped(tmp_path):
         "c.csv",
         ["# sentiment cues", "phrase,tag", "", "but,negative"],
     )
-    assert len(load_lexicon(path).entries) == 1
+    assert len(load_lexicons(path).negative.entries) == 1
+
+
+_FOCUS_TAGS = ("experimental", "empirical", "theoretical")
+
+# What one cue of each tag codes: I and J at location D1, whose prior is
+# I1, or L for a document whose venue maps to no domain (prior L4).
+_TAG_CODES = {
+    "negative": ("I4", "J2"),
+    "positive": ("I1", "J1"),
+    "evidence": ("I3", "J4"),
+    "framework": ("I2", "J4"),
+    "experimental": "L3",
+    "empirical": "L2",
+    "theoretical": "L1",
+}
+
+
+def _codes_of(lexicons, tag, text):
+    """What the cues in ``text`` code for the category ``tag`` bears on."""
+    if tag in _FOCUS_TAGS:
+        return code_focus(Uncodable("unmapped-venue"), lexicons.focus.match(text))[0]
+    cues = lexicons.scan(text)
+    return code_function(cues, "D1")[0], code_disposition(cues)[0]
+
+
+@pytest.mark.parametrize("tag", list(_TAG_CODES))
+def test_a_tag_picks_the_lexicon_its_phrase_joins(tmp_path, tag):
+    path = write_lexicon(tmp_path, "one.csv", ["phrase,tag", f"zork,{tag}"])
+    lexicons = load_lexicons(path)
+    joined = "focus" if tag in _FOCUS_TAGS else tag
+    assert [n for n in (*_SCANNED, "focus") if getattr(lexicons, n).entries] == [joined]
+    assert _codes_of(lexicons, tag, " zork ") == _TAG_CODES[tag]
+
+
+def test_a_phrase_may_join_each_lexicon_once(tmp_path):
+    lines = ["phrase,tag", "confirmed,evidence", "confirmed,positive"]
+    lexicons = load_lexicons(write_lexicon(tmp_path, "two.csv", lines))
+    assert [entry.phrase for entry in lexicons.evidence.entries] == ["confirmed"]
+    assert [entry.phrase for entry in lexicons.positive.entries] == ["confirmed"]
+    cues = lexicons.scan(" confirmed ")
+    assert code_function(cues, "D1") == ("I3", "I:cue:confirmed")
+    assert code_disposition(cues)[0] == "J1"
+
+
+def test_the_focus_tags_share_one_lexicon(tmp_path):
+    lines = ["phrase,tag", "# one focus lexicon", "survey,experimental", "survey,empirical"]
+    path = write_lexicon(tmp_path, "focus.csv", lines)
+    with pytest.raises(MalformedLexicon) as err:
+        load_lexicons(path)
+    assert "duplicate phrase 'survey'" in str(err.value)
+    assert err.value.line == 4
+
+
+def test_background_is_an_unknown_tag(tmp_path):
+    # It names no lexicon, so a phrase tagged with it would code nothing.
+    path = write_lexicon(tmp_path, "bg.csv", ["phrase,tag", "but,negative", "review,background"])
+    with pytest.raises(MalformedLexicon) as err:
+        load_lexicons(path)
+    assert "unknown tag 'background'" in str(err.value)
+    assert err.value.line == 3
+
+
+def _shipped_rows():
+    text = PipelineConfig().lexicon.read_text(encoding="utf-8")
+    rows = list(csv.reader(line for line in text.splitlines() if not line.startswith("#")))
+    assert rows[0] == ["phrase", "tag"]
+    return rows[1:]
+
+
+@pytest.mark.parametrize("phrase, tag", _shipped_rows())
+def test_every_shipped_row_codes_what_its_tag_names(phrase, tag, lexicons):
+    # A prefix gets a continuation: suffer* is found in "suffering".
+    text = token_text(tokenize(phrase.replace("*", "ing")))
+    assert _codes_of(lexicons, tag, text) == _TAG_CODES[tag]
 
 
 def test_match_is_whole_token(lexicons):
@@ -592,7 +673,7 @@ def test_venue_map_requires_header(tmp_path):
 @pytest.mark.parametrize(
     "load, header, good, bad",
     [
-        (load_lexicon, "phrase,tag", "negative", "unknowntag"),
+        (load_lexicons, "phrase,tag", "negative", "unknowntag"),
         (load_venue_map, "venue_pattern,K_value", "K1", "K9"),
     ],
     ids=["lexicon", "venue-map"],
